@@ -3,23 +3,33 @@
 
 Runs every hot kernel both ways on identical inputs, checks the outputs
 match bit for bit, and prints per-implementation timings. The first numba
-call per kernel compiles and is excluded by the warmup round.
+call per kernel compiles and is excluded by the warmup round. The latency
+kernel runs on feasible points of deit-base's search space (98 matmuls in
+6 shape classes) and also reports nanoseconds per point. vitmap is imported
+from ``src/`` of this checkout.
 
     python3 benchmarks/bench_kernels.py [--points N] [--rows R] [--repeat K]
 """
 
 import argparse
+import json
+import sys
 import time
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
-from vitmap import _latency
-from vitmap.approx import ApproxConfig, _fixmath
-from vitmap.hw import HardwareSpec
-from vitmap.model_ir import Dag, OpKind, OpNode
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from vitmap import _latency  # noqa: E402
+from vitmap.approx import ApproxConfig, _fixmath  # noqa: E402
+from vitmap.dse import enumerate_space  # noqa: E402
+from vitmap.hw import parse_hardware  # noqa: E402
+from vitmap.model_ir import batch_expand, build_dag, fuse_qkv, parse_model  # noqa: E402
 
 
-def bench(label, fn, args, impls, repeat):
+def bench(label, fn, args, impls, repeat, count=None):
     results = {}
     outputs = {}
     for impl in impls:
@@ -36,15 +46,30 @@ def bench(label, fn, args, impls, repeat):
     line = f"{label:<28}"
     for impl in impls:
         line += f"  {impl}: {results[impl] * 1e3:9.3f} ms"
+        if count:
+            line += f" ({results[impl] * 1e9 / count:.1f} ns/point)"
     if len(impls) == 2:
         line += f"  speedup: {results['numpy'] / results['numba']:6.2f}x"
     print(line)
 
 
+def deit_base_points(count, rng):
+    """deit-base cost arrays and ``count`` points drawn from its feasible space."""
+    def preset(name):
+        return json.loads(resources.files("vitmap.presets").joinpath(name).read_text())
+
+    hw = parse_hardware(preset("vu9p.json"))
+    spec = parse_model(preset("deit_base.json"))
+    dag = batch_expand(fuse_qkv(build_dag(spec), hw), spec.batch)
+    pn, tn, tm = enumerate_space(dag, hw).point_arrays()
+    idx = rng.integers(0, pn.shape[0], count)
+    return _latency.extract_cost_arrays(dag, hw), tn[idx], tm[idx], pn[idx]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, default=200_000,
-                        help="candidate configurations for the latency kernel")
+                        help="deit-base candidate configurations for the latency kernel")
     parser.add_argument("--rows", type=int, default=4096,
                         help="softmax/layernorm rows")
     parser.add_argument("--elems", type=int, default=1_000_000,
@@ -60,23 +85,10 @@ def main():
     cfg = ApproxConfig()
     fmt = cfg.fmt
 
-    dag = Dag((
-        OpNode("qkv", OpKind.MATMUL, (), (197, 576), dims=(197, 192, 576)),
-        OpNode("scores", OpKind.MATMUL, (), (197, 591), dims=(197, 64, 197),
-               head_scoped=True, heads=3),
-        OpNode("attnv", OpKind.MATMUL, (), (197, 192), dims=(197, 197, 64),
-               head_scoped=True, heads=3),
-        OpNode("fc1", OpKind.MATMUL, (), (197, 768), dims=(197, 192, 768)),
-        OpNode("fc2", OpKind.MATMUL, (), (197, 192), dims=(197, 768, 192)),
-    ))
-    hw = HardwareSpec("vu9p", 512, 16, 212 * 3072, 4, 8, 2e8, 16)
-    arrays = _latency.extract_cost_arrays(dag, hw)
-    tn = rng.integers(1, 212, args.points)
-    tm = rng.integers(1, 192, args.points) * 16
-    pn = rng.integers(1, 190, args.points)
+    arrays, tn, tm, pn = deit_base_points(args.points, rng)
     bench(f"latency_batch ({args.points} pts)",
           lambda *a, impl=None: _latency.latency_batch(a[0], a[1], a[2], a[3], impl=impl),
-          (arrays, tn, tm, pn), impls, args.repeat)
+          (arrays, tn, tm, pn), impls, args.repeat, count=args.points)
 
     x = rng.integers(1, fmt.max_int + 1, args.elems)
     bench(f"isqrt ({args.elems} elems)",

@@ -10,8 +10,11 @@ Two searches share one cost evaluator and one feasibility filter:
   neighbor mutations biased toward pn and tm moves, with an evaluation
   cache so each distinct configuration costs at most one evaluator call.
 
-Results carry every evaluation made (cache hits flagged), which feeds the
-Pareto-frontier and search-comparison reports.
+Results carry every evaluation made (cache hits flagged) as an
+``EvaluationLog``: numpy columns that build ``Evaluation`` rows only when
+indexed or iterated. The Pareto front, the search comparison and the CSV
+export work on those columns directly, so a multi-million-point exhaustive
+search never materialises one Python object per point.
 """
 
 from __future__ import annotations
@@ -21,9 +24,12 @@ import csv
 import io
 import json
 import math
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import chain, starmap
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -152,6 +158,70 @@ class Evaluation:
         return self.latency_s is not None
 
 
+class EvaluationLog(Sequence[Evaluation]):
+    """Read-only, columnar ``Sequence[Evaluation]`` in evaluation order.
+
+    Columns are read-only numpy arrays: ``pn``, ``pm``, ``tn``, ``tm``
+    (int64), ``latency`` (float64 seconds, NaN where infeasible) and
+    ``from_cache`` (bool). A scalar column value is broadcast without
+    copying. Indexing and iteration build ``Evaluation`` rows on demand; a
+    slice is another log over views of the same columns.
+    """
+
+    __slots__ = ("pn", "pm", "tn", "tm", "latency", "from_cache")
+    _DTYPES = (np.int64, np.int64, np.int64, np.int64, np.float64, np.bool_)
+
+    def __init__(self, pn, pm, tn, tm, latency, from_cache):
+        n = len(latency)
+        for name, value, dtype in zip(self.__slots__, (pn, pm, tn, tm, latency, from_cache),
+                                      self._DTYPES):
+            setattr(self, name, np.broadcast_to(np.asarray(value, dtype=dtype), (n,)))
+
+    @classmethod
+    def of(cls, evals: Sequence[Evaluation]) -> "EvaluationLog":
+        """``evals`` itself when it is a log, else its rows as columns."""
+        if isinstance(evals, cls):
+            return evals
+        rows = [(e.tiles.pn, e.tiles.pm, e.tiles.tn, e.tiles.tm,
+                 math.nan if e.latency_s is None else e.latency_s, e.from_cache)
+                for e in evals]
+        return cls(*(zip(*rows) if rows else [()] * 6))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __len__(self) -> int:
+        return self.latency.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EvaluationLog(*(c[index] for c in self.columns()))
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError("evaluation index out of range")
+        return _row(*(c[i].item() for c in self.columns()))
+
+    def __iter__(self) -> Iterator[Evaluation]:
+        return starmap(_row, zip(*(c.tolist() for c in self.columns())))
+
+    def __eq__(self, other):
+        if not isinstance(other, EvaluationLog):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+            for a, b in zip(self.columns(), other.columns()))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EvaluationLog({len(self)} evaluations)"
+
+
+def _row(pn: int, pm: int, tn: int, tm: int, latency: float, from_cache: bool) -> Evaluation:
+    return Evaluation(TileParams(pn, pm, tn, tm),
+                      None if math.isnan(latency) else latency, from_cache)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     set_size: int = 100
@@ -189,7 +259,7 @@ class SearchResult:
     best: Evaluation
     evaluations_used: int
     history: tuple[float, ...]
-    all_evaluated: tuple[Evaluation, ...]
+    all_evaluated: EvaluationLog
     wall_time_s: float
     space: SearchSpace
 
@@ -205,7 +275,6 @@ class _Evaluator:
         self.budget = budget
         self.cache: dict[tuple[int, int, int], float] = {}
         self.misses = 0
-        self.log: list[Evaluation] = []
 
     def exhausted(self) -> bool:
         return self.budget is not None and self.misses >= self.budget
@@ -234,10 +303,6 @@ class _Evaluator:
         return [self.cache.get(pt) for pt in points]
 
 
-def _tiles(space: SearchSpace, pt: tuple[int, int, int]) -> TileParams:
-    return TileParams(pn=pt[0], pm=space.pm, tn=pt[1], tm=pt[2])
-
-
 def exhaustive_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult:
     """Evaluate every feasible triple; global minimum, first-in-order ties."""
     start = time.perf_counter()
@@ -247,15 +312,12 @@ def exhaustive_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchR
         raise EmptySearchSpaceError("search space has no feasible points")
     lats = latency_batch(arrays, tn, tm, pn)
     best_idx = int(np.argmin(lats))  # first occurrence: loop-order tie-break
-    evals = tuple(
-        Evaluation(TileParams(int(p), space.pm, int(a), int(b)), float(l))
-        for p, a, b, l in zip(pn, tn, tm, lats)
-    )
+    log = EvaluationLog(pn, space.pm, tn, tm, lats, False)
     return SearchResult(
-        best=evals[best_idx],
-        evaluations_used=len(evals),
+        best=log[best_idx],
+        evaluations_used=len(log),
         history=(float(lats[best_idx]),),
-        all_evaluated=evals,
+        all_evaluated=log,
         wall_time_s=time.perf_counter() - start,
         space=space,
     )
@@ -336,15 +398,19 @@ def heuristic_search(dag: Dag, hw: HardwareSpec, space: SearchSpace,
         main_budget = max(cfg.set_size, (cfg.max_evaluations * 3) // 5)
     ev = _Evaluator(arrays, space, use_cache=cfg.use_cache, budget=main_budget)
 
-    log: list[Evaluation] = []
+    rows: list[tuple[int, int, int, float, bool]] = []  # pn, tn, tm, latency, from_cache
     seen_points: set[tuple[int, int, int]] = set()
 
     def record(points, lats):
         for pt, lat in zip(points, lats):
             if lat is None:
                 continue
-            log.append(Evaluation(_tiles(space, pt), lat, from_cache=pt in seen_points))
+            rows.append((*pt, lat, pt in seen_points))
             seen_points.add(pt)
+
+    def best_fresh() -> int:
+        """Index of the first lowest-latency row that was not a cache hit."""
+        return min((i for i, r in enumerate(rows) if not r[4]), key=lambda i: rows[i][3])
 
     population = [sampler.draw(rng) for _ in range(cfg.set_size)]
     lats = ev.evaluate(population)
@@ -377,18 +443,15 @@ def heuristic_search(dag: Dag, hw: HardwareSpec, space: SearchSpace,
         ev.budget = cfg.max_evaluations
         _refine(space, ev, record, [population[i] for _, i in ranked[: cfg.preservation_size]])
         # Second round around whatever the first sweeps uncovered.
-        t = min((e for e in log if not e.from_cache), key=lambda e: e.latency_s).tiles
-        _refine(space, ev, record, [(t.pn, t.tn, t.tm)])
+        _refine(space, ev, record, [rows[best_fresh()][:3]])
 
-    best = min(
-        (e for e in log if not e.from_cache),
-        key=lambda e: e.latency_s,
-    )
+    pn, tn, tm, lat, hit = zip(*rows)
+    log = EvaluationLog(pn, space.pm, tn, tm, lat, hit)
     return SearchResult(
-        best=best,
+        best=log[best_fresh()],
         evaluations_used=ev.misses,
         history=tuple(history),
-        all_evaluated=tuple(log),
+        all_evaluated=log,
         wall_time_s=time.perf_counter() - start,
         space=space,
     )
@@ -438,32 +501,45 @@ def pareto_front(evals: Sequence[Evaluation]) -> tuple[ParetoPoint, ...]:
 
     A point dominates another iff its latency is <= and its parallelism >=
     with at least one strict. Ties on both objectives are mutually
-    non-dominating and all kept. Output is sorted by latency ascending.
+    non-dominating and all kept. Repeated tile configurations count once,
+    with their first evaluation. Output is sorted by (latency, -parallelism,
+    tiles).
     """
-    feas = [e for e in evals if e.feasible]
-    if not feas:
+    log = EvaluationLog.of(evals)
+    feasible = ~np.isnan(log.latency)
+    if not feasible.any():
         raise SchemaError("pareto_front requires at least one feasible evaluation")
-    # Deduplicate identical tile configurations (cache hits).
-    by_tiles = {}
-    for e in feas:
-        by_tiles.setdefault(e.tiles.astuple(), e)
-    pts = sorted(
-        by_tiles.values(),
-        key=lambda e: (e.latency_s, -e.tiles.parallelism, e.tiles.astuple()),
+    pn, pm, tn, tm, lat = (c[feasible] for c in log.columns()[:5])
+    # First evaluation of each tile configuration: lexsort is stable.
+    order = np.lexsort((tm, tn, pm, pn))
+    pn, pm, tn, tm, lat = (c[order] for c in (pn, pm, tn, tm, lat))
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = ((pn[1:] != pn[:-1]) | (pm[1:] != pm[:-1])
+                 | (tn[1:] != tn[:-1]) | (tm[1:] != tm[:-1]))
+    pn, pm, tn, tm, lat = (c[first] for c in (pn, pm, tn, tm, lat))
+    par = pn * pm
+    # A point is dominated iff some point of equal parallelism is faster, or
+    # some point of higher parallelism is at least as fast.
+    levels, level = np.unique(par, return_inverse=True)
+    fastest = np.full(levels.shape[0], np.inf)
+    np.minimum.at(fastest, level, lat)
+    fastest_above = np.full_like(fastest, np.inf)
+    np.minimum.accumulate(fastest[:0:-1], out=fastest_above[-2::-1])
+    top = level == levels.shape[0] - 1
+    on_front = (lat == fastest[level]) & (top | (lat < fastest_above[level]))
+    pn, pm, tn, tm, lat, par = (c[on_front] for c in (pn, pm, tn, tm, lat, par))
+    order = np.lexsort((tm, tn, pm, pn, -par, lat))
+    return tuple(
+        ParetoPoint(TileParams(*t), latency, parallelism)
+        for *t, latency, parallelism in zip(*(c[order].tolist()
+                                              for c in (pn, pm, tn, tm, lat, par)))
     )
-    front: list[ParetoPoint] = []
-    best_par = -1
-    current: tuple[float, int] | None = None
-    for e in pts:
-        par = e.tiles.parallelism
-        key = (e.latency_s, par)
-        if par > best_par:
-            best_par = par
-            current = key
-            front.append(ParetoPoint(e.tiles, e.latency_s, par))
-        elif key == current:
-            front.append(ParetoPoint(e.tiles, e.latency_s, par))
-    return tuple(front)
+
+
+def _tile_rows(pn, pm, tn, tm) -> np.ndarray:
+    """One opaque comparable element per (pn, pm, tn, tm) row."""
+    rows = np.ascontiguousarray(np.stack((pn, pm, tn, tm), axis=1), dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * 4))).ravel()
 
 
 @dataclass(frozen=True)
@@ -482,21 +558,26 @@ class ComparisonReport:
 
 
 def compare_searches(exh: SearchResult, heur: SearchResult) -> ComparisonReport:
-    """Efficiency and quality comparison of two searches over the same space."""
+    """Efficiency and quality comparison of two searches over the same space.
+
+    Every field is a function of the two searches' inputs except
+    ``wall_clock_ratio``, which divides measured wall times.
+    """
     if exh.space != heur.space:
         raise SchemaError("search results cover different spaces")
     front = pareto_front(exh.all_evaluated)
-    heur_tiles = {e.tiles.astuple() for e in heur.all_evaluated}
-    matched_points = sum(1 for p in front if p.tiles.astuple() in heur_tiles)
+    matched = np.isin(
+        _tile_rows(*zip(*(p.tiles.astuple() for p in front))),
+        _tile_rows(*heur.all_evaluated.columns()[:4])).tolist()
     pairs: dict[tuple[float, int], bool] = {}
-    for p in front:
+    for p, hit in zip(front, matched):
         key = (p.latency_s, p.parallelism)
-        pairs[key] = pairs.get(key, False) or p.tiles.astuple() in heur_tiles
+        pairs[key] = pairs.get(key, False) or hit
     return ComparisonReport(
         evaluation_ratio=heur.evaluations_used / exh.evaluations_used,
         best_latency_gap_rel=(heur.best.latency_s - exh.best.latency_s) / exh.best.latency_s,
         pareto_coverage=sum(pairs.values()) / len(pairs),
-        pareto_point_coverage=matched_points / len(front),
+        pareto_point_coverage=sum(matched) / len(front),
         wall_clock_ratio=heur.wall_time_s / exh.wall_time_s if exh.wall_time_s > 0 else math.inf,
         exhaustive_evaluations=exh.evaluations_used,
         heuristic_evaluations=heur.evaluations_used,
@@ -521,17 +602,22 @@ def search_summary_json(result: SearchResult) -> str:
 
 
 def evaluations_to_csv(result: SearchResult) -> str:
-    """One row per evaluation: pn, pm, tn, tm, latency_s, feasible, from_cache."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pn", "pm", "tn", "tm", "latency_s", "feasible", "from_cache"])
-    for e in result.all_evaluated:
-        writer.writerow([
-            e.tiles.pn, e.tiles.pm, e.tiles.tn, e.tiles.tm,
-            repr(e.latency_s) if e.feasible else "",
-            e.feasible, e.from_cache,
-        ])
-    return buf.getvalue()
+    """One row per evaluation: pn, pm, tn, tm, latency_s, feasible, from_cache.
+
+    latency_s is the float's ``repr`` and empty when infeasible.
+    """
+    log = result.all_evaluated
+    latency = ["" if math.isnan(x) else repr(x) for x in log.latency.tolist()]
+    columns = (*map(_str_column, (log.pn, log.pm, log.tn, log.tm)), latency,
+               _str_column(~np.isnan(log.latency)), _str_column(log.from_cache))
+    header = "pn,pm,tn,tm,latency_s,feasible,from_cache"
+    return "\n".join(chain([header], map(",".join, zip(*columns)), [""]))
+
+
+def _str_column(col: np.ndarray) -> list[str]:
+    """``str`` of each element, converting each distinct value once."""
+    values, inverse = np.unique(col, return_inverse=True)
+    return np.array([str(v) for v in values.tolist()], dtype=object)[inverse].tolist()
 
 
 def pareto_to_csv(front: Sequence[ParetoPoint]) -> str:

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_space, single_matmul_dag, toy_hw
 from vitmap.dse import (
     Evaluation,
+    EvaluationLog,
+    ParetoPoint,
     SearchConfig,
+    SearchResult,
     SpaceCaps,
     compare_searches,
     enumerate_space,
@@ -43,6 +48,53 @@ def brute_force_points(dag, hw, caps=None):
                 if tn * tm <= s:
                     points.append((pn, tn, tm))
     return pm, points
+
+
+def oracle_pareto_front(evals):
+    """Reference front: dict dedupe of tiles, full sort, then a sweep."""
+    feas = [e for e in evals if e.feasible]
+    if not feas:
+        raise SchemaError("pareto_front requires at least one feasible evaluation")
+    # Deduplicate identical tile configurations (cache hits).
+    by_tiles = {}
+    for e in feas:
+        by_tiles.setdefault(e.tiles.astuple(), e)
+    pts = sorted(
+        by_tiles.values(),
+        key=lambda e: (e.latency_s, -e.tiles.parallelism, e.tiles.astuple()),
+    )
+    front = []
+    best_par = -1
+    current = None
+    for e in pts:
+        par = e.tiles.parallelism
+        key = (e.latency_s, par)
+        if par > best_par:
+            best_par = par
+            current = key
+            front.append(ParetoPoint(e.tiles, e.latency_s, par))
+        elif key == current:
+            front.append(ParetoPoint(e.tiles, e.latency_s, par))
+    return tuple(front)
+
+
+# Small ranges so that lists of a few dozen evaluations repeat tiles (with
+# differing latencies), tie on latency and tie on parallelism.
+_small_evaluations = st.lists(
+    st.builds(
+        lambda tiles, lat, hit: Evaluation(TileParams(*tiles), lat, hit),
+        st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)),
+        st.one_of(st.none(), st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, math.inf])),
+        st.booleans(),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+def _log(*rows):
+    """EvaluationLog from (pn, pm, tn, tm, latency) rows; no cache hits."""
+    pn, pm, tn, tm, lat = zip(*rows)
+    return EvaluationLog(pn, pm, tn, tm, lat, False)
 
 
 def brute_force_latency(dag, hw, pn, pm, tn, tm):
@@ -252,6 +304,91 @@ class TestParetoFront:
         with pytest.raises(SchemaError):
             pareto_front([])
 
+    def test_only_infeasible_rejected(self):
+        with pytest.raises(SchemaError):
+            pareto_front([Evaluation(TileParams(1, 2, 1, 4), None)])
+
+    @settings(max_examples=400, deadline=None)
+    @given(_small_evaluations)
+    def test_matches_sweep_oracle(self, evals):
+        if not any(e.feasible for e in evals):
+            with pytest.raises(SchemaError):
+                pareto_front(evals)
+            return
+        want = oracle_pareto_front(evals)
+        assert pareto_front(evals) == want
+        assert pareto_front(EvaluationLog.of(evals)) == want
+
+    def test_matches_sweep_oracle_on_search_logs(self, toy_space):
+        dag, hw, space = toy_space
+        exh = exhaustive_search(dag, hw, space).all_evaluated
+        heur = heuristic_search(dag, hw, space,
+                                SearchConfig(seed=3, set_size=20, iterations=10,
+                                             preservation_size=4)).all_evaluated
+        for log in (exh, heur, exh[::7]):
+            assert pareto_front(log) == oracle_pareto_front(list(log))
+
+
+class TestEvaluationLog:
+    def test_sequence_contract(self):
+        log = EvaluationLog([1, 2, 3], 2, [4, 5, 6], [8, 10, 12], [0.5, math.nan, 0.25],
+                            [False, False, True])
+        assert len(log) == 3
+        assert log[0] == Evaluation(TileParams(1, 2, 4, 8), 0.5, False)
+        assert log[-1] == Evaluation(TileParams(3, 2, 6, 12), 0.25, True)
+        assert log[np.int64(1)].latency_s is None and not log[1].feasible
+        assert log[-3] == log[0]
+        with pytest.raises(IndexError):
+            log[3]
+        with pytest.raises(IndexError):
+            log[-4]
+        assert list(log) == [log[0], log[1], log[2]]
+        assert isinstance(log[1:], EvaluationLog)
+        assert list(log[::-2]) == [log[2], log[0]]
+        assert len(log[5:]) == 0
+        assert [e.from_cache for e in log] == [False, False, True]
+        assert log[2] in log and log.index(log[2]) == 2
+
+    def test_rows_hold_python_scalars(self):
+        e = _log((1, 2, 3, 4, 0.5))[0]
+        assert type(e.tiles.pn) is int and type(e.latency_s) is float
+        assert type(e.from_cache) is bool
+
+    def test_columns_are_read_only(self):
+        log = _log((1, 2, 3, 4, 0.5), (2, 2, 3, 4, 0.25))
+        for col in log.columns():
+            assert len(col) == 2
+            with pytest.raises(ValueError):
+                col[0] = 0
+
+    def test_equality(self):
+        a = EvaluationLog([1, 2], 2, [1, 1], [4, 6], [0.5, math.nan], [False, True])
+        b = EvaluationLog.of(list(a))
+        assert a == b
+        assert a != a[:1]
+        assert a != EvaluationLog([1, 2], 2, [1, 1], [4, 6], [0.5, math.nan], [False, False])
+        assert a != EvaluationLog([1, 2], 2, [1, 1], [4, 6], [0.5, 0.75], [False, True])
+        assert a != list(a)
+
+    def test_of_round_trips_rows(self):
+        rows = [Evaluation(TileParams(3, 2, 1, 8), 1.5, True),
+                Evaluation(TileParams(1, 4, 2, 8), None)]
+        log = EvaluationLog.of(rows)
+        assert list(log) == rows
+        assert EvaluationLog.of(log) is log
+        assert len(EvaluationLog.of([])) == 0
+
+    def test_search_logs_flag_repeats_as_cache_hits(self, toy_space):
+        dag, hw, space = toy_space
+        result = heuristic_search(dag, hw, space,
+                                  SearchConfig(seed=5, set_size=30, iterations=10,
+                                               preservation_size=5))
+        seen = set()
+        for e in result.all_evaluated:
+            assert e.from_cache == (e.tiles.astuple() in seen)
+            seen.add(e.tiles.astuple())
+        assert not any(e.from_cache for e in exhaustive_search(dag, hw, space).all_evaluated)
+
 
 class TestCompareSearches:
     def test_self_comparison(self, toy_space):
@@ -287,6 +424,22 @@ class TestCompareSearches:
         assert 0.0 <= report.pareto_coverage <= 1.0
         assert report.heuristic_evaluations <= 2
 
+    def test_coverage_counts_objective_pairs_and_points(self, toy_space):
+        # Front: a and b tie on (1.0, 2); c alone at (2.0, 4); d is dominated.
+        # The heuristic saw b and d, so it covers one of two objective pairs
+        # and one of three front points.
+        space = toy_space[2]
+        a, b, c, d = (2, 1, 1, 4, 1.0), (2, 1, 2, 4, 1.0), (4, 1, 1, 8, 2.0), (1, 1, 1, 4, 3.0)
+
+        def result(log):
+            return SearchResult(best=log[0], evaluations_used=len(log), history=(),
+                                all_evaluated=log, wall_time_s=1.0, space=space)
+
+        report = compare_searches(result(_log(a, b, c, d)), result(_log(b, d)))
+        assert report.pareto_front_size == 3
+        assert report.pareto_coverage == 0.5
+        assert report.pareto_point_coverage == 1 / 3
+
     def test_mismatched_spaces_rejected(self, toy_space):
         dag, hw, space = toy_space
         other_space = enumerate_space(dag, hw, SpaceCaps(tn_max=5))
@@ -308,6 +461,17 @@ class TestCsvExport:
         assert lines[0] == "pn,pm,tn,tm,latency_s,feasible,from_cache"
         assert len(lines) == 1 + len(result.all_evaluated)
         assert any(line.endswith("True") for line in lines[1:])  # cache hits logged
+
+    def test_rows_match_csv_writer_format(self, toy_space):
+        # An infeasible row has an empty latency; floats are written as repr.
+        log = EvaluationLog([3, 1], 2, [10, 2], [8, 4], [1 / 3, math.nan], [True, False])
+        result = SearchResult(best=log[0], evaluations_used=2, history=(),
+                              all_evaluated=log, wall_time_s=1.0, space=toy_space[2])
+        assert evaluations_to_csv(result) == (
+            "pn,pm,tn,tm,latency_s,feasible,from_cache\n"
+            f"3,2,10,8,{1 / 3!r},True,True\n"
+            "1,2,2,4,,False,False\n"
+        )
 
 
 class TestRandomSpaces:

@@ -1,12 +1,17 @@
 """The jitted kernels and their numpy fallbacks must agree bit for bit."""
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from conftest import toy_hw
 from vitmap import _latency
 from vitmap.approx import ApproxConfig, _fixmath
-from vitmap.model_ir import Dag, OpKind, OpNode
+from vitmap.dse import enumerate_space
+from vitmap.hw import parse_hardware
+from vitmap.model_ir import Dag, OpKind, OpNode, batch_expand, build_dag, fuse_qkv, parse_model
 
 needs_numba = pytest.mark.skipif(not _fixmath.HAVE_NUMBA, reason="numba not importable")
 
@@ -34,6 +39,54 @@ def test_latency_batch_parity():
     jit = _latency.latency_batch(arrays, tn, tm, pn, impl="numba")
     ref = _latency.latency_batch(arrays, tn, tm, pn, impl="numpy")
     assert np.array_equal(jit, ref)
+
+
+def _preset(name):
+    return json.loads(resources.files("vitmap.presets").joinpath(name).read_text())
+
+
+@pytest.fixture(scope="module")
+def deit_base_reference():
+    """deit-base cost arrays, sampled feasible points, and the loop kernel's
+    latencies for them, computed by ``_latency_batch_loops`` as plain Python."""
+    hw = parse_hardware(_preset("vu9p.json"))
+    spec = parse_model(_preset("deit_base.json"))
+    dag = batch_expand(fuse_qkv(build_dag(spec), hw), spec.batch)
+    arrays = _latency.extract_cost_arrays(dag, hw)
+    pn, tn, tm = enumerate_space(dag, hw).point_arrays()
+    idx = np.random.default_rng(0).integers(0, pn.shape[0], 3001)
+    tn, tm, pn = tn[idx], tm[idx], pn[idx]
+    out = np.empty(idx.shape[0], dtype=np.float64)
+    ref = _latency._latency_batch_loops(tn, tm, pn, *arrays.per_matmul(), arrays.pm,
+                                        arrays.nl_cycles, arrays.inv_freq, out)
+    return arrays, tn, tm, pn, ref
+
+
+@pytest.mark.parametrize("block", [None, 256])
+def test_latency_batch_numpy_matches_loops_on_deit_base(deit_base_reference, block,
+                                                        monkeypatch):
+    # 3001 points: a partial tail block at both the default block size and 256.
+    arrays, tn, tm, pn, ref = deit_base_reference
+    assert arrays.mm_class.shape[0] == 98 and arrays.cls_n.shape[0] == 6
+    if block is not None:
+        monkeypatch.setattr(_latency, "_BLOCK", block)
+    assert tn.shape[0] % _latency._BLOCK != 0
+    got = _latency.latency_batch(arrays, tn, tm, pn, impl="numpy")
+    assert np.array_equal(got, ref)
+
+
+def test_cost_classes_keep_matmul_order():
+    dag = Dag((
+        OpNode("a", OpKind.MATMUL, (), (8, 8), dims=(8, 4, 8)),
+        OpNode("b", OpKind.MATMUL, (), (8, 8), dims=(8, 8, 8)),
+        OpNode("c", OpKind.MATMUL, (), (8, 8), dims=(8, 4, 8)),
+        OpNode("d", OpKind.MATMUL, (), (8, 8), dims=(8, 4, 8), head_scoped=True, heads=2),
+    ))
+    arrays = _latency.extract_cost_arrays(dag, toy_hw())
+    assert arrays.mm_class.tolist() == [0, 1, 0, 2]
+    n, k, m, kf = arrays.per_matmul()
+    assert k.tolist() == [4, 8, 4, 4]
+    assert kf.tolist() == [0.25, 0.25, 0.25, 1.0]
 
 
 @needs_numba
