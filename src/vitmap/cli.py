@@ -29,8 +29,12 @@ from .dse import (
 )
 from .errors import StageError, VitmapError
 from .hw import graph_latency, parse_hardware
-from .layout import (
-    ScheduleKind,
+from .layout import ScheduleDescriptor, ScheduleKind
+# Not called here: ScheduleDescriptor.expand runs the generators. The names
+# stay importable from this module because perfbench's tracer resolves them
+# here, so its layout.schedule span reads 0 calls for compile instead of
+# vanishing.
+from .layout import (  # noqa: F401
     schedule_layernorm,
     schedule_row_parallel,
     schedule_softmax,
@@ -104,28 +108,44 @@ def _search_config(args) -> SearchConfig:
     return _stage("search", SearchConfig.from_doc, doc)
 
 
-def _build_schedules(spec, hw) -> dict:
-    """Static schedules per op kind; one bank feeds one kernel per step."""
-    rows = spec.num_tokens * spec.batch
+def _front_end(args, model_doc: dict):
+    """Parse and lower the inputs every command starts from.
+
+    Returns ``(spec, batch, dag, hw, fusion)``: ``batch`` is the effective
+    batch (``--batch`` or the model's), ``dag`` is fused and batch-expanded,
+    and ``fusion`` says whether QKV fusion was ``applied``, ``skipped``
+    (the fused weights exceed on-chip capacity) or ``disabled`` (``--no-fuse``).
+    """
+    spec = _stage("model", parse_model, model_doc)
+    dag = _stage("model", build_dag, spec)
+    hw = _stage("hardware", parse_hardware, _load_doc(args.hw, "hardware"))
+    fusion = "disabled"
+    if args.fuse:
+        fused = _stage("model", fuse_qkv, dag, hw)
+        fusion = "skipped" if fused is dag else "applied"
+        dag = fused
+    batch = args.batch if args.batch is not None else spec.batch
+    dag = _stage("model", batch_expand, dag, batch)
+    return spec, batch, dag, hw, fusion
+
+
+def _build_schedules(spec, batch: int, hw) -> dict[ScheduleKind, ScheduleDescriptor]:
+    """Closed-form schedules per op kind over every batch row.
+
+    One bank feeds one kernel per step, so every kind runs ``banks`` kernels.
+    """
+    rows = spec.num_tokens * batch
     bn = hw.ddr_banks
-    kinds = {
-        ScheduleKind.MATMUL_ROW_PARALLEL: lambda: schedule_row_parallel(rows, bn, bn),
-        ScheduleKind.GELU: lambda: schedule_row_parallel(rows, bn, bn, ScheduleKind.GELU),
-        ScheduleKind.SOFTMAX: lambda: schedule_softmax(spec.num_heads, bn, rows),
-        ScheduleKind.LAYERNORM: lambda: schedule_layernorm(rows, bn, bn),
+    return {
+        kind: ScheduleDescriptor(kind, rows, bn, bn,
+                                 spec.num_heads if kind is ScheduleKind.SOFTMAX else 0)
+        for kind in ScheduleKind
     }
-    return {kind.value: json.loads(make().to_json()) for kind, make in kinds.items()}
 
 
 def cmd_compile(args) -> int:
     model_doc = _load_doc(args.model, "model")
-    spec = _stage("model", parse_model, model_doc)
-    dag = _stage("model", build_dag, spec)
-    hw = _stage("hardware", parse_hardware, _load_doc(args.hw, "hardware"))
-    if args.fuse:
-        dag = _stage("model", fuse_qkv, dag, hw)
-    batch = args.batch if args.batch is not None else spec.batch
-    dag = _stage("model", batch_expand, dag, batch)
+    spec, batch, dag, hw, fusion = _front_end(args, model_doc)
 
     space = _stage("search", enumerate_space, dag, hw, _space_caps(args))
     if args.exhaustive:
@@ -141,12 +161,14 @@ def cmd_compile(args) -> int:
 
     tiles = result.best.tiles
     cost = _stage("search", graph_latency, dag, tiles, hw)
-    schedules = _stage("schedule", _build_schedules, spec, hw)
+    schedules = _stage("schedule", _build_schedules, spec, batch, hw)
     approx_cfg = _approx_config(args)
     manifest = build_manifest(
         model_doc=model_doc, hw=hw, tiles=tiles, graph_cost=cost,
-        schedules=schedules, approx_summary=approx_cfg.describe(),
+        schedules={kind.value: desc.to_doc() for kind, desc in schedules.items()},
+        approx_summary=approx_cfg.describe(),
         seed=args.seed, tool_version=__version__,
+        compile_meta={"batch": batch, "qkv_fusion": fusion},
         search_meta={
             "mode": mode,
             "space_size": space.feasible_size(),
@@ -166,12 +188,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_search(args) -> int:
-    spec = _stage("model", parse_model, _load_doc(args.model, "model"))
-    dag = _stage("model", build_dag, spec)
-    hw = _stage("hardware", parse_hardware, _load_doc(args.hw, "hardware"))
-    if args.fuse:
-        dag = _stage("model", fuse_qkv, dag, hw)
-    dag = _stage("model", batch_expand, dag, spec.batch)
+    _, _, dag, hw, _ = _front_end(args, _load_doc(args.model, "model"))
     space = _stage("search", enumerate_space, dag, hw, _space_caps(args))
     out_dir = Path(args.out_dir)
 
@@ -203,19 +220,20 @@ def cmd_search(args) -> int:
     return 0
 
 
+_TRACE_NAMES = {
+    ScheduleKind.MATMUL_ROW_PARALLEL: "row_parallel",
+    ScheduleKind.GELU: "gelu",
+    ScheduleKind.SOFTMAX: "softmax",
+    ScheduleKind.LAYERNORM: "layernorm",
+}
+
+
 def cmd_schedule(args) -> int:
-    spec = _stage("model", parse_model, _load_doc(args.model, "model"))
-    hw = _stage("hardware", parse_hardware, _load_doc(args.hw, "hardware"))
-    rows = spec.num_tokens * spec.batch
-    bn = hw.ddr_banks
-    schedules = {
-        "row_parallel": schedule_row_parallel(rows, bn, bn),
-        "gelu": schedule_row_parallel(rows, bn, bn, ScheduleKind.GELU),
-        "softmax": schedule_softmax(spec.num_heads, bn, rows),
-        "layernorm": schedule_layernorm(rows, bn, bn),
-    }
+    spec, batch, _, hw, _ = _front_end(args, _load_doc(args.model, "model"))
     out_dir = Path(args.out_dir)
-    for name, sched in schedules.items():
+    for kind, desc in _stage("schedule", _build_schedules, spec, batch, hw).items():
+        sched = _stage("schedule", desc.expand)
+        name = _TRACE_NAMES[kind]
         _write(out_dir / f"schedule_{name}.trace", sched.to_trace())
         _write(out_dir / f"schedule_{name}.json", sched.to_json())
         print(f"{name}: {len(sched.steps)} steps, kernels={sched.kernels} banks={sched.banks}")
@@ -307,11 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_space(p)
     p.add_argument("--mode", choices=("exhaustive", "heuristic", "both"), default="both")
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=cmd_search, batch=None)
 
     p = sub.add_parser("schedule", help="emit static schedules and traces")
     add_common(p)
-    p.set_defaults(func=cmd_schedule)
+    p.set_defaults(func=cmd_schedule, batch=None, fuse=True)
 
     p = sub.add_parser("approx-report", help="measure approximation error vs oracles")
     p.add_argument("--out-dir", default="out")

@@ -350,10 +350,13 @@ def _point_feasible(space: SearchSpace, pt: tuple[int, int, int]) -> bool:
 
 
 def _mutate(space: SearchSpace, sampler: _Sampler, parent: tuple[int, int, int],
-            bias: tuple[float, float, float, float], rng: np.random.Generator,
+            cum_bias: tuple[float, float, float, float], rng: np.random.Generator,
             ) -> tuple[int, int, int]:
-    """Step one parameter to a neighboring candidate; resample on dead ends."""
-    c_pn, c_tm, c_tn, _ = np.cumsum(bias)
+    """Step one parameter to a neighboring candidate; resample on dead ends.
+
+    ``cum_bias`` is the running sum of ``SearchConfig.mutation_bias``.
+    """
+    c_pn, c_tm, c_tn, _ = cum_bias
     for _ in range(_MUTATION_RETRIES):
         r = rng.random()
         step = -1 if rng.random() < 0.5 else 1
@@ -397,6 +400,7 @@ def heuristic_search(dag: Dag, hw: HardwareSpec, space: SearchSpace,
         # Reserve part of the budget for the line-sweep refinement phase.
         main_budget = max(cfg.set_size, (cfg.max_evaluations * 3) // 5)
     ev = _Evaluator(arrays, space, use_cache=cfg.use_cache, budget=main_budget)
+    cum_bias = tuple(np.cumsum(cfg.mutation_bias).tolist())
 
     rows: list[tuple[int, int, int, float, bool]] = []  # pn, tn, tm, latency, from_cache
     seen_points: set[tuple[int, int, int]] = set()
@@ -427,8 +431,7 @@ def heuristic_search(dag: Dag, hw: HardwareSpec, space: SearchSpace,
             break
         elites = [population[i] for _, i in ranked[: cfg.preservation_size]]
         offspring = [
-            _mutate(space, sampler, elites[int(rng.integers(len(elites)))],
-                    cfg.mutation_bias, rng)
+            _mutate(space, sampler, elites[int(rng.integers(len(elites)))], cum_bias, rng)
             for _ in range(cfg.set_size - len(elites))
         ]
         population = elites + offspring

@@ -11,8 +11,12 @@ burst. Three schedule families cover the operation kinds:
 * layernorm: a rotating pattern where kernel i owns row ``base + i`` and at
   step t reads bank ``(i + t) mod BN``, so every step touches all banks.
 
-``validate_schedule`` checks bank-conflict freedom, kernel occupancy, and
-exact coverage of the required (row, segment/head) units.
+Each schedule is closed-form in its shape ``(op kind, rows, banks, kernels,
+heads)``: ``ScheduleDescriptor`` holds that shape, checks it and counts its
+steps in O(1), and ``expand`` runs the generator below that lists every
+(step, kernel, bank, row, unit) assignment. ``validate_schedule`` checks an
+expanded schedule for bank-conflict freedom, kernel occupancy, and exact
+coverage of the required (row, segment/head) units.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -132,6 +137,36 @@ class Schedule:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _shape_steps(kind: ScheduleKind, rows: int, banks: int, kernels: int,
+                 heads: int = 0) -> int:
+    """Check a schedule shape's preconditions and return its step count.
+
+    The one statement of each family's rules, shared by the generators and
+    ``ScheduleDescriptor``. Row-parallel kinds need ``1 <= kernels <= banks``
+    and take ``rows * ceil(banks / kernels)`` steps; softmax needs ``kernels
+    == banks`` and takes ``rows * ceil(heads / banks)``; layernorm needs
+    ``1 <= kernels <= banks`` and takes ``ceil(rows / kernels) * banks``.
+    Only softmax has head units; the other kinds need ``heads == 0``.
+    """
+    if kind is ScheduleKind.SOFTMAX:
+        if heads < 1 or banks < 1 or rows < 1:
+            raise SchemaError("num_heads, bn, rows must be >= 1")
+        if kernels != banks:
+            raise SchemaError(f"softmax schedule requires kernels == banks, "
+                              f"got {kernels} != {banks}")
+        return rows * -(-heads // banks)
+    if rows < 1 or banks < 1 or kernels < 1:
+        raise SchemaError("rows, bn, kernels must be >= 1")
+    if kernels > banks:
+        raise SchemaError(f"kernels {kernels} > banks {banks}: one bank feeds one kernel per step")
+    if heads:
+        raise SchemaError(f"{kind.value} schedule has one unit per bank segment, "
+                          f"got heads={heads}")
+    if kind is ScheduleKind.LAYERNORM:
+        return -(-rows // kernels) * banks
+    return rows * -(-banks // kernels)
+
+
 def schedule_row_parallel(rows: int, bn: int, kernels: int,
                           op_kind: ScheduleKind = ScheduleKind.MATMUL_ROW_PARALLEL) -> Schedule:
     """Same row, different banks, one kernel per bank segment.
@@ -139,10 +174,7 @@ def schedule_row_parallel(rows: int, bn: int, kernels: int,
     With fewer kernels than banks a row takes ``ceil(bn / kernels)`` passes;
     the kernel-to-bank map stays constant across rows.
     """
-    if rows < 1 or bn < 1 or kernels < 1:
-        raise SchemaError("rows, bn, kernels must be >= 1")
-    if kernels > bn:
-        raise SchemaError(f"kernels {kernels} > banks {bn}: one bank feeds one kernel per step")
+    _shape_steps(ScheduleKind.MATMUL_ROW_PARALLEL, rows, bn, kernels)
     steps = []
     index = 0
     for row in range(rows):
@@ -163,12 +195,9 @@ def schedule_softmax(num_heads: int, bn: int, rows: int, kernels: int | None = N
     head-concatenated matrix), so round r of a row covers heads
     ``r*BN .. r*BN+BN-1``. Total steps = rows * ceil(heads / BN).
     """
-    if num_heads < 1 or bn < 1 or rows < 1:
-        raise SchemaError("num_heads, bn, rows must be >= 1")
     if kernels is None:
         kernels = bn
-    if kernels != bn:
-        raise SchemaError(f"softmax schedule requires kernels == banks, got {kernels} != {bn}")
+    _shape_steps(ScheduleKind.SOFTMAX, rows, bn, kernels, num_heads)
     rounds_per_row = -(-num_heads // bn)
     steps = []
     index = 0
@@ -187,23 +216,20 @@ def schedule_softmax(num_heads: int, bn: int, rows: int, kernels: int | None = N
 def schedule_layernorm(rows: int, bn: int, kernels: int, strict: bool = True) -> Schedule:
     """Rotating schedule: kernel i works row base+i, reading bank (i+t) mod BN.
 
-    Rows advance in blocks of BN; within a block, BN rotation steps give each
-    kernel every segment of its row while no two kernels share a bank in any
-    step. Strict mode rejects kernels != banks, since the rotation assumes
-    one bank per kernel per step.
+    Rows advance in blocks of the kernel count; within a block, BN rotation
+    steps give each kernel every segment of its row while no two kernels
+    share a bank in any step. Strict mode rejects kernels != banks, since the
+    rotation assumes one bank per kernel per step; relaxed mode clamps the
+    kernel count to the bank count.
     """
-    if rows < 1 or bn < 1 or kernels < 1:
-        raise SchemaError("rows, bn, kernels must be >= 1")
-    if kernels != bn:
-        if strict:
-            raise SchemaError(f"rotating schedule requires kernels == banks, got {kernels} != {bn}")
-        kernels_used = min(kernels, bn)
-    else:
-        kernels_used = kernels
+    if strict and kernels != bn:
+        raise SchemaError(f"rotating schedule requires kernels == banks, got {kernels} != {bn}")
+    kernels = min(kernels, bn)
+    _shape_steps(ScheduleKind.LAYERNORM, rows, bn, kernels)
     steps = []
     index = 0
-    for base in range(0, rows, kernels_used):
-        active = min(kernels_used, rows - base)
+    for base in range(0, rows, kernels):
+        active = min(kernels, rows - base)
         for t in range(bn):
             assignments = tuple(
                 Assignment(kernel=i, bank=(i + t) % bn, row=base + i, unit=(i + t) % bn)
@@ -211,7 +237,65 @@ def schedule_layernorm(rows: int, bn: int, kernels: int, strict: bool = True) ->
             )
             steps.append(ScheduleStep(index, assignments))
             index += 1
-    return Schedule(ScheduleKind.LAYERNORM, tuple(steps), kernels_used, bn, rows)
+    return Schedule(ScheduleKind.LAYERNORM, tuple(steps), kernels, bn, rows)
+
+
+_SHAPE_FIELDS = ("rows", "banks", "kernels", "heads")
+
+
+@dataclass(frozen=True)
+class ScheduleDescriptor:
+    """A static schedule in closed form, as the manifest stores it.
+
+    The shape determines the expanded schedule completely, so a descriptor
+    is checked and its steps counted in O(1), whatever the row count;
+    ``expand`` lists the steps only when a trace is wanted.
+    """
+
+    op_kind: ScheduleKind
+    rows: int
+    banks: int
+    kernels: int
+    heads: int = 0  # 0 for segment-unit schedules
+
+    def __post_init__(self):
+        if not isinstance(self.op_kind, ScheduleKind):
+            raise SchemaError(f"op_kind must be a ScheduleKind, got {self.op_kind!r}")
+        _shape_steps(self.op_kind, self.rows, self.banks, self.kernels, self.heads)
+
+    @property
+    def step_count(self) -> int:
+        return _shape_steps(self.op_kind, self.rows, self.banks, self.kernels, self.heads)
+
+    def to_doc(self) -> dict:
+        doc = {name: getattr(self, name) for name in _SHAPE_FIELDS}
+        doc.update(op_kind=self.op_kind.value, steps=self.step_count)
+        return doc
+
+    @classmethod
+    def from_doc(cls, doc: Mapping) -> ScheduleDescriptor:
+        """Inverse of ``to_doc``; ``steps`` must match the shape's step count."""
+        try:
+            kind = ScheduleKind(doc["op_kind"])
+            shape = [doc[name] for name in _SHAPE_FIELDS]
+            steps = doc["steps"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed schedule descriptor {doc!r}: {exc!r}") from exc
+        if any(type(v) is not int for v in (*shape, steps)):
+            raise SchemaError(f"schedule descriptor fields must be integers: {doc!r}")
+        desc = cls(kind, *shape)
+        if steps != desc.step_count:
+            raise SchemaError(f"schedule descriptor says {steps} steps, its shape has "
+                              f"{desc.step_count}")
+        return desc
+
+    def expand(self) -> Schedule:
+        """Every step of the schedule, from the generator of its kind."""
+        if self.op_kind is ScheduleKind.SOFTMAX:
+            return schedule_softmax(self.heads, self.banks, self.rows, self.kernels)
+        if self.op_kind is ScheduleKind.LAYERNORM:
+            return schedule_layernorm(self.rows, self.banks, self.kernels, strict=False)
+        return schedule_row_parallel(self.rows, self.banks, self.kernels, self.op_kind)
 
 
 @dataclass(frozen=True)

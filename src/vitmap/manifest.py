@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import SchemaError
 from .hw import HardwareSpec, TileParams, compute_pm
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 _TEMPLATE_KEYS = ("pn", "pm", "tn", "tm", "bn", "kernels", "lop", "pack_factor")
 
@@ -54,8 +54,13 @@ class TemplateParams:
 
 def build_manifest(*, model_doc: dict, hw: HardwareSpec, tiles: TileParams,
                    graph_cost, schedules: dict, approx_summary: dict,
-                   seed: int, tool_version: str, search_meta: dict) -> dict:
-    """Assemble the manifest document (plain JSON-ready dict)."""
+                   seed: int, tool_version: str, compile_meta: dict,
+                   search_meta: dict) -> dict:
+    """Assemble the manifest document (plain JSON-ready dict).
+
+    ``schedules`` maps each op kind to its closed-form schedule descriptor
+    document; ``compile_meta`` records the inputs the compile actually used.
+    """
     return {
         "manifest_version": MANIFEST_VERSION,
         "tool_version": tool_version,
@@ -82,6 +87,7 @@ def build_manifest(*, model_doc: dict, hw: HardwareSpec, tiles: TileParams,
         "schedules": schedules,
         "approx": approx_summary,
         "search": search_meta,
+        "compile": compile_meta,
     }
 
 

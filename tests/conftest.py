@@ -4,6 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so a verdict does not
+# depend on the seed or on how fast the machine runs the examples; tests
+# keep their own max_examples.
+settings.register_profile("vitmap", derandomize=True, deadline=None)
+settings.load_profile("vitmap")
 
 # One line per acceptance criterion, echoed at the end of the pytest run.
 ACCEPTANCE_LINES: list[str] = []

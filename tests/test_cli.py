@@ -4,6 +4,13 @@ import pytest
 
 from vitmap.cli import main
 from vitmap.errors import SchemaError
+from vitmap.layout import (
+    ScheduleDescriptor,
+    ScheduleKind,
+    schedule_layernorm,
+    schedule_row_parallel,
+    schedule_softmax,
+)
 from vitmap.manifest import (
     TemplateParams,
     emit_template_params,
@@ -48,6 +55,50 @@ class TestCompile:
         assert set(manifest["schedules"]) == {
             "MatMulRowParallel", "Gelu", "Softmax", "LayerNorm"}
         assert (out / "analysis.csv").exists()
+
+    def test_batch_flag_reaches_schedules_and_compile_block(self, docs, tmp_path):
+        model, hw = docs
+        out = tmp_path / "out"
+        assert run("compile", "--model", model, "--hw", hw, "--batch", 64,
+                   "--out-dir", out, "--max-evals", 300) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["manifest_version"] == 2
+        assert manifest["compile"] == {"batch": 64, "qkv_fusion": "applied"}
+        rows = TOY_MODEL["num_tokens"] * 64
+        for kind, doc in manifest["schedules"].items():
+            assert doc["rows"] == rows, kind
+            assert ScheduleDescriptor.from_doc(doc).op_kind.value == kind
+
+    def test_model_batch_is_the_default(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**TOY_MODEL, "batch": 3}))
+        hw = tmp_path / "hw.json"
+        hw.write_text(json.dumps(TOY_HW))
+        out = tmp_path / "out"
+        assert run("compile", "--model", model, "--hw", hw, "--no-fuse",
+                   "--out-dir", out, "--max-evals", 300) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["compile"] == {"batch": 3, "qkv_fusion": "disabled"}
+        assert {d["rows"] for d in manifest["schedules"].values()} == {16 * 3}
+
+    def test_compile_never_expands_schedules(self, tmp_path, monkeypatch):
+        import vitmap.cli
+        import vitmap.layout
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile expanded a schedule")
+
+        for module in (vitmap.cli, vitmap.layout):
+            for name in ("schedule_row_parallel", "schedule_softmax", "schedule_layernorm"):
+                monkeypatch.setattr(module, name, refuse)
+        out = tmp_path / "out"
+        assert run("compile", "--model", "deit-base", "--hw", "vu9p", "--batch", 64,
+                   "--out-dir", out, "--max-evals", 300) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # deit-base's fused QKV weights (768 x 2304) exceed vu9p's on-chip capacity
+        assert manifest["compile"] == {"batch": 64, "qkv_fusion": "skipped"}
+        softmax = manifest["schedules"]["Softmax"]
+        assert (softmax["rows"], softmax["steps"]) == (197 * 64, 197 * 64 * 3)
 
     def test_identical_runs_byte_identical(self, docs, tmp_path):
         model, hw = docs
@@ -132,6 +183,26 @@ class TestSchedule:
         for name in ("row_parallel", "gelu", "softmax", "layernorm"):
             assert (out / f"schedule_{name}.trace").exists()
             assert (out / f"schedule_{name}.json").exists()
+
+    @pytest.mark.parametrize("model_name", ["toy", "deit-base"])
+    def test_files_equal_generator_output(self, docs, tmp_path, model_name):
+        model, hw = docs
+        if model_name == "toy":
+            argv, rows, heads = ["--model", model, "--hw", hw], 16, 2
+        else:
+            argv, rows, heads = ["--model", "deit-base", "--hw", "vu9p"], 197, 12
+        out = tmp_path / "sched"
+        assert run("schedule", *argv, "--out-dir", out) == 0
+        bn = 4  # both boards have 4 DDR banks
+        expected = {
+            "row_parallel": schedule_row_parallel(rows, bn, bn),
+            "gelu": schedule_row_parallel(rows, bn, bn, ScheduleKind.GELU),
+            "softmax": schedule_softmax(heads, bn, rows),
+            "layernorm": schedule_layernorm(rows, bn, bn),
+        }
+        for name, sched in expected.items():
+            assert (out / f"schedule_{name}.trace").read_text() == sched.to_trace()
+            assert (out / f"schedule_{name}.json").read_text() == sched.to_json()
 
 
 class TestApproxReport:

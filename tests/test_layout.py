@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vitmap.errors import SchemaError
 from vitmap.layout import (
     Assignment,
     Schedule,
+    ScheduleDescriptor,
     ScheduleKind,
     ScheduleStep,
     pack_row,
@@ -233,3 +236,96 @@ class TestExports:
         payload = json.loads(s.to_json())
         assert payload["heads"] == 6
         assert len(payload["steps"]) == len(s.steps)
+
+
+def generate(kind, rows, banks, kernels, heads):
+    """The generator call for a schedule shape, with the generators' defaults."""
+    if kind is ScheduleKind.SOFTMAX:
+        return schedule_softmax(heads, banks, rows, kernels)
+    if kind is ScheduleKind.LAYERNORM:
+        return schedule_layernorm(rows, banks, kernels)
+    return schedule_row_parallel(rows, banks, kernels, kind)
+
+
+@st.composite
+def valid_shapes(draw):
+    kind = draw(st.sampled_from(list(ScheduleKind)))
+    rows = draw(st.integers(1, 40))
+    banks = draw(st.integers(1, 8))
+    if kind is ScheduleKind.SOFTMAX:
+        return kind, rows, banks, banks, draw(st.integers(1, 24))
+    return kind, rows, banks, draw(st.integers(1, banks)), 0
+
+
+class TestScheduleDescriptor:
+    @settings(max_examples=300)
+    @given(valid_shapes())
+    def test_expansion_matches_closed_form(self, shape):
+        desc = ScheduleDescriptor(*shape)
+        sched = desc.expand()
+        assert len(sched.steps) == desc.step_count
+        verdict = validate_schedule(sched)
+        assert verdict.ok, verdict.violations
+        assert (sched.op_kind, sched.rows, sched.banks, sched.kernels, sched.heads) == shape
+        assert ScheduleDescriptor.from_doc(desc.to_doc()) == desc
+
+    @settings(max_examples=400)
+    @given(st.sampled_from(list(ScheduleKind)), st.integers(-1, 12), st.integers(-1, 6),
+           st.integers(-1, 8), st.one_of(st.just(0), st.integers(-1, 12)))
+    def test_violations_rejected_by_descriptor_and_generator(self, kind, rows, banks,
+                                                             kernels, heads):
+        if kind is ScheduleKind.SOFTMAX:
+            valid = min(rows, banks, heads) >= 1 and kernels == banks
+        else:
+            valid = min(rows, banks, kernels) >= 1 and kernels <= banks and heads == 0
+        try:
+            ScheduleDescriptor(kind, rows, banks, kernels, heads)
+        except SchemaError:
+            assert not valid
+            if kind is ScheduleKind.SOFTMAX or heads == 0:  # segment generators take no heads
+                with pytest.raises(SchemaError):
+                    generate(kind, rows, banks, kernels, heads)
+        else:
+            assert valid
+
+    def test_published_step_counts(self):
+        assert ScheduleDescriptor(ScheduleKind.SOFTMAX, 197, 4, 4, 12).step_count == 591
+        assert ScheduleDescriptor(ScheduleKind.LAYERNORM, 197, 4, 4).step_count == 200
+        assert ScheduleDescriptor(ScheduleKind.GELU, 197, 4, 2).step_count == 394
+
+    def test_counts_without_expanding(self, monkeypatch):
+        import vitmap.layout as layout
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("expanded")
+
+        for name in ("schedule_row_parallel", "schedule_softmax", "schedule_layernorm"):
+            monkeypatch.setattr(layout, name, refuse)
+        desc = ScheduleDescriptor(ScheduleKind.SOFTMAX, 197 * 10**6, 4, 4, 12)
+        assert desc.step_count == 591 * 10**6
+        assert desc.to_doc()["steps"] == desc.step_count
+
+    def test_plain_string_kind_rejected(self):
+        with pytest.raises(SchemaError):
+            ScheduleDescriptor("Softmax", 4, 4, 4, 2)
+
+    @pytest.mark.parametrize("change", [
+        {"steps": 5},
+        {"steps": "4"},
+        {"rows": 4.0},
+        {"heads": True},
+        {"op_kind": "Conv"},
+        {"banks": 0},
+        {"rows": None},
+    ])
+    def test_from_doc_rejects_inconsistent_documents(self, change):
+        doc = ScheduleDescriptor(ScheduleKind.GELU, 4, 4, 4).to_doc()
+        assert doc["steps"] == 4
+        with pytest.raises(SchemaError):
+            ScheduleDescriptor.from_doc({**doc, **change})
+
+    def test_from_doc_rejects_missing_field(self):
+        doc = ScheduleDescriptor(ScheduleKind.GELU, 4, 4, 4).to_doc()
+        del doc["kernels"]
+        with pytest.raises(SchemaError):
+            ScheduleDescriptor.from_doc(doc)
