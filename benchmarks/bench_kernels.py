@@ -5,8 +5,10 @@ Runs every hot kernel both ways on identical inputs, checks the outputs
 match bit for bit, and prints per-implementation timings. The first numba
 call per kernel compiles and is excluded by the warmup round. The latency
 kernel runs on feasible points of deit-base's search space (98 matmuls in
-6 shape classes) and also reports nanoseconds per point. vitmap is imported
-from ``src/`` of this checkout.
+6 shape classes) and also reports nanoseconds per point. The last lines
+time ``exact_search`` against ``heuristic_search`` (default config) on
+deit-base's full space at batch 1 and 64. vitmap is imported from ``src/``
+of this checkout.
 
     python3 benchmarks/bench_kernels.py [--points N] [--rows R] [--repeat K]
 """
@@ -24,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from vitmap import _latency  # noqa: E402
 from vitmap.approx import ApproxConfig, _fixmath  # noqa: E402
-from vitmap.dse import enumerate_space  # noqa: E402
+from vitmap.dse import SearchConfig, enumerate_space, exact_search, heuristic_search  # noqa: E402
 from vitmap.hw import parse_hardware  # noqa: E402
 from vitmap.model_ir import batch_expand, build_dag, fuse_qkv, parse_model  # noqa: E402
 
@@ -53,14 +55,29 @@ def bench(label, fn, args, impls, repeat, count=None):
     print(line)
 
 
-def deit_base_points(count, rng):
-    """deit-base cost arrays and ``count`` points drawn from its feasible space."""
+def best_of(fn, repeat):
+    """Fastest of ``repeat`` timed calls, with the last call's result."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, out
+
+
+def deit_base(batch):
+    """deit-base's DAG at ``batch`` and the vu9p board."""
     def preset(name):
         return json.loads(resources.files("vitmap.presets").joinpath(name).read_text())
 
     hw = parse_hardware(preset("vu9p.json"))
-    spec = parse_model(preset("deit_base.json"))
-    dag = batch_expand(fuse_qkv(build_dag(spec), hw), spec.batch)
+    dag = batch_expand(fuse_qkv(build_dag(parse_model(preset("deit_base.json"))), hw), batch)
+    return dag, hw
+
+
+def deit_base_points(count, rng):
+    """deit-base cost arrays and ``count`` points drawn from its feasible space."""
+    dag, hw = deit_base(1)
     pn, tn, tm = enumerate_space(dag, hw).point_arrays()
     idx = rng.integers(0, pn.shape[0], count)
     return _latency.extract_cost_arrays(dag, hw), tn[idx], tm[idx], pn[idx]
@@ -123,6 +140,16 @@ def main():
            cfg.table_bits, cfg.inv_sqrt2_q15, fmt.min_int, fmt.max_int),
           impls, args.repeat)
 
+    for batch in (1, 64):
+        dag, hw = deit_base(batch)
+        space = enumerate_space(dag, hw)
+        t_exact, exact = best_of(lambda: exact_search(dag, hw, space), args.repeat)
+        t_heur, heur = best_of(lambda: heuristic_search(dag, hw, space, SearchConfig()),
+                               args.repeat)
+        print(f"{f'search (deit-base b{batch})':<28}  exact: {t_exact * 1e3:9.3f} ms "
+              f"({exact.evaluations_used} (tn, tm) pairs)  heuristic: {t_heur * 1e3:9.3f} ms "
+              f"({heur.evaluations_used} evaluations)  same tiles: "
+              f"{exact.best.tiles == heur.best.tiles}")
 
 if __name__ == "__main__":
     main()

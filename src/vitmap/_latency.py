@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -98,7 +99,14 @@ class DagCostArrays:
     """Matmul classes plus the tile-independent non-linear cost.
 
     ``cls_*`` hold one entry per distinct (n, k, m, kernel factor) class;
-    ``mm_class`` maps each matmul, in DAG order, to its class.
+    ``mm_class`` maps each matmul, in DAG order, to its class. The float
+    kernel reads ``cls_kf`` and ``nl_cycles``. The exact fields serve the
+    integer search: ``cls_weight`` is each class's matmul count × k ×
+    kernel factor × kernels as an exact ``Fraction`` (a whole number for
+    both kernel-factor forms), and
+    ``nl_cycles_exact`` is the integer non-linear cycle count, so a matmul
+    class contributes ``cls_weight · R(tn) · C(tm) / (pn · pm · kernels)``
+    cycles with ``R = ceil(n/tn)·tn`` and ``C = ceil(m/tm)·tm``.
     """
 
     cls_n: np.ndarray
@@ -110,6 +118,8 @@ class DagCostArrays:
     inv_freq: float
     pm: int
     capacity: int
+    cls_weight: tuple[Fraction, ...]
+    nl_cycles_exact: int
 
     def per_matmul(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(n, k, m, kernel factor) arrays with one entry per matmul in DAG order."""
@@ -118,23 +128,26 @@ class DagCostArrays:
 
 
 def extract_cost_arrays(dag: Dag, hw: HardwareSpec) -> DagCostArrays:
-    classes: dict[tuple[int, int, int, float], int] = {}
-    mm_class = [
+    classes: dict[tuple[int, int, int, Fraction], int] = {}
+    mm_class = np.array([
         classes.setdefault(
-            (*n.dims, float(kernel_factor(n.heads, hw.num_kernels, n.head_scoped))),
-            len(classes))
+            (*n.dims, kernel_factor(n.heads, hw.num_kernels, n.head_scoped)), len(classes))
         for n in dag.matmuls()
-    ]
+    ], dtype=np.intp)
     cls_n, cls_k, cls_m, cls_kf = (zip(*classes) if classes else ((),) * 4)
+    counts = np.bincount(mm_class, minlength=len(classes)).tolist()
+    cls_weight = tuple(count * k * kf * hw.num_kernels
+                       for count, k, kf in zip(counts, cls_k, cls_kf))
     nl_cycles = sum(
         nonlinear_cycles(n.work_elems, hw) for n in dag.nodes if n.kind is not OpKind.MATMUL
     )
     return DagCostArrays(
         cls_n=np.array(cls_n, dtype=np.int64), cls_k=np.array(cls_k, dtype=np.int64),
         cls_m=np.array(cls_m, dtype=np.int64), cls_kf=np.array(cls_kf, dtype=np.float64),
-        mm_class=np.array(mm_class, dtype=np.intp),
+        mm_class=mm_class,
         nl_cycles=float(nl_cycles), inv_freq=1.0 / hw.frequency_hz,
         pm=hw.pack_factor, capacity=hw.onchip_capacity_elems,
+        cls_weight=cls_weight, nl_cycles_exact=nl_cycles,
     )
 
 

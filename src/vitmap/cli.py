@@ -21,6 +21,7 @@ from .dse import (
     compare_searches,
     enumerate_space,
     evaluations_to_csv,
+    exact_search,
     exhaustive_search,
     heuristic_search,
     pareto_front,
@@ -108,6 +109,13 @@ def _search_config(args) -> SearchConfig:
     return _stage("search", SearchConfig.from_doc, doc)
 
 
+def _check_exhaustive_cap(args, space) -> None:
+    size = space.feasible_size()
+    if size > args.exhaustive_cap and not args.force:
+        raise StageError("search", f"space has {size} points > cap "
+                                   f"{args.exhaustive_cap}; pass --force to override")
+
+
 def _front_end(args, model_doc: dict):
     """Parse and lower the inputs every command starts from.
 
@@ -149,15 +157,12 @@ def cmd_compile(args) -> int:
 
     space = _stage("search", enumerate_space, dag, hw, _space_caps(args))
     if args.exhaustive:
-        size = space.feasible_size()
-        if size > args.exhaustive_cap and not args.force:
-            raise StageError("search", f"space has {size} points > cap "
-                                       f"{args.exhaustive_cap}; pass --force to override")
+        _check_exhaustive_cap(args, space)
         result = _stage("search", exhaustive_search, dag, hw, space)
         mode = "exhaustive"
     else:
-        result = _stage("search", heuristic_search, dag, hw, space, _search_config(args))
-        mode = "heuristic"
+        result = _stage("search", exact_search, dag, hw, space)
+        mode = "exact"
 
     tiles = result.best.tiles
     cost = _stage("search", graph_latency, dag, tiles, hw)
@@ -194,10 +199,7 @@ def cmd_search(args) -> int:
 
     results = {}
     if args.mode in ("exhaustive", "both"):
-        size = space.feasible_size()
-        if size > args.exhaustive_cap and not args.force:
-            raise StageError("search", f"space has {size} points > cap "
-                                       f"{args.exhaustive_cap}; pass --force to override")
+        _check_exhaustive_cap(args, space)
         results["exhaustive"] = _stage("search", exhaustive_search, dag, hw, space)
     if args.mode in ("heuristic", "both"):
         results["heuristic"] = _stage("search", heuristic_search, dag, hw, space,
@@ -305,6 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run exhaustive search past the safety cap")
         p.add_argument("--no-fuse", dest="fuse", action="store_false",
                        help="disable QKV weight fusion")
+
+    def add_heuristic(p):
         p.add_argument("--search-config", default=None, help="SearchConfig JSON file")
         p.add_argument("--set-size", type=int, default=None)
         p.add_argument("--iterations", type=int, default=None)
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_space(p)
     p.add_argument("--exhaustive", action="store_true",
-                   help="use the exhaustive search instead of the heuristic")
+                   help="evaluate every feasible point instead of the exact pn-pinned search")
     p.add_argument("--batch", type=int, default=None, help="override the model batch size")
     p.add_argument("--format", default=None, help="fixed-point format, e.g. Q8.8")
     p.add_argument("--approx-config", default=None, help="approximation config JSON")
@@ -324,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run and log the design-space searches")
     add_common(p)
     add_space(p)
+    add_heuristic(p)
     p.add_argument("--mode", choices=("exhaustive", "heuristic", "both"), default="both")
     p.set_defaults(func=cmd_search, batch=None)
 

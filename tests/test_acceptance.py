@@ -330,8 +330,7 @@ def test_criterion_10_compile_determinism(tmp_path):
     for d in ("one", "two"):
         out = tmp_path / d
         code = cli_main(["compile", "--model", str(model), "--hw", str(hw),
-                         "--seed", "5", "--out-dir", str(out),
-                         "--max-evals", "300"])
+                         "--seed", "5", "--out-dir", str(out)])
         assert code == 0
         blobs.append((out / "manifest.json").read_bytes())
     check(10, "cmd_compile is byte-identical for identical inputs and seed",

@@ -48,10 +48,10 @@ class TestCompile:
         model, hw = docs
         out = tmp_path / "out"
         assert run("compile", "--model", model, "--hw", hw, "--seed", 7,
-                   "--out-dir", out, "--max-evals", 400) == 0
+                   "--out-dir", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7
-        assert manifest["search"]["mode"] == "heuristic"
+        assert manifest["search"]["mode"] == "exact"
         assert set(manifest["schedules"]) == {
             "MatMulRowParallel", "Gelu", "Softmax", "LayerNorm"}
         assert (out / "analysis.csv").exists()
@@ -60,7 +60,7 @@ class TestCompile:
         model, hw = docs
         out = tmp_path / "out"
         assert run("compile", "--model", model, "--hw", hw, "--batch", 64,
-                   "--out-dir", out, "--max-evals", 300) == 0
+                   "--out-dir", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["manifest_version"] == 2
         assert manifest["compile"] == {"batch": 64, "qkv_fusion": "applied"}
@@ -76,7 +76,7 @@ class TestCompile:
         hw.write_text(json.dumps(TOY_HW))
         out = tmp_path / "out"
         assert run("compile", "--model", model, "--hw", hw, "--no-fuse",
-                   "--out-dir", out, "--max-evals", 300) == 0
+                   "--out-dir", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["compile"] == {"batch": 3, "qkv_fusion": "disabled"}
         assert {d["rows"] for d in manifest["schedules"].values()} == {16 * 3}
@@ -93,7 +93,7 @@ class TestCompile:
                 monkeypatch.setattr(module, name, refuse)
         out = tmp_path / "out"
         assert run("compile", "--model", "deit-base", "--hw", "vu9p", "--batch", 64,
-                   "--out-dir", out, "--max-evals", 300) == 0
+                   "--out-dir", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         # deit-base's fused QKV weights (768 x 2304) exceed vu9p's on-chip capacity
         assert manifest["compile"] == {"batch": 64, "qkv_fusion": "skipped"}
@@ -104,7 +104,7 @@ class TestCompile:
         model, hw = docs
         for d in ("a", "b"):
             assert run("compile", "--model", model, "--hw", hw, "--seed", 3,
-                       "--out-dir", tmp_path / d, "--max-evals", 300) == 0
+                       "--out-dir", tmp_path / d) == 0
         assert (tmp_path / "a" / "manifest.json").read_bytes() == \
                (tmp_path / "b" / "manifest.json").read_bytes()
 
@@ -125,6 +125,31 @@ class TestCompile:
         best = exhaustive_search(dag, hw, enumerate_space(dag, hw)).best
         assert manifest["tiles"] == {"pn": best.tiles.pn, "pm": best.tiles.pm,
                                      "tn": best.tiles.tn, "tm": best.tiles.tm}
+
+    def test_default_compile_is_exact(self, docs, tmp_path):
+        model, hw = docs
+        assert run("compile", "--model", model, "--hw", hw, "--out-dir", tmp_path / "exact") == 0
+        assert run("compile", "--model", model, "--hw", hw, "--out-dir", tmp_path / "exhaustive",
+                   "--exhaustive") == 0
+        exact, exhaustive = (json.loads((tmp_path / d / "manifest.json").read_text())
+                             for d in ("exact", "exhaustive"))
+        assert exact["search"]["mode"] == "exact"
+        assert exact["search"]["best_latency_s"] == exact["latency"]["total_s"]
+        assert set(exact["search"]) == set(exhaustive["search"])
+        assert exact["tiles"] == exhaustive["tiles"]
+        assert exact["latency"] == exhaustive["latency"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--heuristic"], ["--max-evals", "300"], ["--set-size", "20"], ["--iterations", "3"],
+        ["--preservation", "2"], ["--search-config", "cfg.json"],
+    ], ids=lambda flags: flags[0].lstrip("-"))
+    def test_compile_rejects_heuristic_flags(self, docs, tmp_path, capsys, flags):
+        model, hw = docs
+        with pytest.raises(SystemExit) as exc:
+            run("compile", "--model", model, "--hw", hw, "--out-dir", tmp_path / "out", *flags)
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_model_exits_2(self, docs, tmp_path):
         _, hw = docs
@@ -269,8 +294,7 @@ class TestEmit:
     def test_emit_command_round_trip(self, docs, tmp_path):
         model, hw = docs
         out = tmp_path / "c"
-        assert run("compile", "--model", model, "--hw", hw, "--out-dir", out,
-                   "--max-evals", 200) == 0
+        assert run("compile", "--model", model, "--hw", hw, "--out-dir", out) == 0
         assert run("emit", "--manifest", out / "manifest.json", "--out-dir", out) == 0
         params = parse_template_params((out / "template_params.env").read_text())
         manifest = json.loads((out / "manifest.json").read_text())

@@ -1,11 +1,18 @@
+import dataclasses
+import json
 import math
+from collections import Counter
+from fractions import Fraction
+from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_space, single_matmul_dag, toy_hw
+from conftest import random_space, single_matmul_dag, tiny_model, toy_hw
+from vitmap import dse
 from vitmap.dse import (
     Evaluation,
     EvaluationLog,
@@ -16,13 +23,14 @@ from vitmap.dse import (
     compare_searches,
     enumerate_space,
     evaluations_to_csv,
+    exact_search,
     exhaustive_search,
     heuristic_search,
     pareto_front,
 )
 from vitmap.errors import EmptySearchSpaceError, SchemaError
-from vitmap.hw import TileParams, validate_tiles
-from vitmap.model_ir import OpKind
+from vitmap.hw import TileParams, graph_latency, parse_hardware, validate_tiles
+from vitmap.model_ir import OpKind, batch_expand, build_dag, fuse_qkv, parse_model
 
 
 def brute_force_points(dag, hw, caps=None):
@@ -112,6 +120,63 @@ def brute_force_latency(dag, hw, pn, pm, tn, tm):
     return total
 
 
+def fraction_oracle(dag, hw, space):
+    """Exact cycles of every feasible (pn, tn, tm) triple, in exhaustive loop order.
+
+    Straight from the cost formulas in Fractions: no pn pinning, no integer
+    numerators.
+    """
+    kernels = hw.num_kernels
+    classes = Counter((n.dims, n.heads, n.head_scoped) for n in dag.matmuls())
+    terms = [
+        (count * k * (Fraction(-(-heads // kernels)) if scoped else Fraction(1, kernels)), n, m)
+        for ((n, k, m), heads, scoped), count in classes.items()
+    ]
+    nl = sum(-(-node.work_elems // (hw.lop * kernels))
+             for node in dag.nodes if node.kind is not OpKind.MATMUL)
+    return [
+        ((pn, tn, tm),
+         sum(c * (-(-n // tn) * tn) * (-(-m // tm) * tm) for c, n, m in terms) / (pn * space.pm)
+         + nl)
+        for pn, tn, tm in space.iter_points()
+    ]
+
+
+@st.composite
+def small_models_and_boards(draw):
+    """A small random DAG (optionally QKV-fused) and board."""
+    heads = draw(st.integers(1, 3))
+    spec = tiny_model(
+        embed_dim=heads * draw(st.integers(1, 6)), num_heads=heads,
+        num_layers=draw(st.integers(1, 2)), num_tokens=draw(st.integers(1, 16)),
+        mlp_ratio=draw(st.sampled_from([1.0, 2.0, 4.0])),
+        patch_pixels=draw(st.integers(1, 24)), num_classes=draw(st.integers(1, 24)))
+    hw = toy_hw(axi_width_bits=draw(st.sampled_from([64, 128])),
+                onchip_capacity_elems=draw(st.integers(16, 512)),
+                num_kernels=draw(st.integers(1, 4)), lop=draw(st.integers(1, 16)),
+                frequency_hz=float(draw(st.integers(10 ** 6, 4 * 10 ** 8))))
+    dag = build_dag(spec)
+    if draw(st.booleans()):
+        dag = fuse_qkv(dag, hw)
+    return dag, hw
+
+
+_small_caps = st.builds(
+    SpaceCaps,
+    tn_max=st.none() | st.integers(1, 16), tm_max=st.none() | st.integers(1, 64),
+    pn_max=st.none() | st.integers(1, 16), tn_step=st.integers(1, 2),
+    tm_step=st.integers(1, 2))
+
+
+def preset_dag(name, batch=1):
+    def doc(file):
+        return json.loads(resources.files("vitmap.presets").joinpath(file).read_text())
+
+    hw = parse_hardware(doc("vu9p.json"))
+    dag = build_dag(parse_model(doc(name.replace("-", "_") + ".json")))
+    return batch_expand(fuse_qkv(dag, hw), batch), hw
+
+
 class TestEnumerateSpace:
     def test_matches_independent_enumerator(self, toy_space):
         dag, hw, space = toy_space
@@ -183,6 +248,137 @@ class TestExhaustiveSearch:
         ties = [e for e in result.all_evaluated if e.latency_s == result.best.latency_s]
         assert len(ties) > 1
         assert result.best.tiles == ties[0].tiles
+
+
+class TestExactSearch:
+    @settings(max_examples=150)
+    @given(small_models_and_boards(), _small_caps, st.sampled_from([1, 16, 8192]))
+    def test_first_minimum_of_fraction_oracle(self, model_and_board, caps, block_elems):
+        dag, hw = model_and_board
+        try:
+            space = enumerate_space(dag, hw, caps)
+        except EmptySearchSpaceError:
+            assume(False)
+        # Small blocks split each tm column's tn range across several blocks.
+        with mock.patch.object(dse, "_BLOCK_ELEMS", block_elems):
+            result = exact_search(dag, hw, space)
+        oracle = fraction_oracle(dag, hw, space)
+        # min keeps the first of equal keys: the first minimum in loop order.
+        (pn, tn, tm), cycles = min(oracle, key=lambda point: point[1])
+        assert result.best.tiles == TileParams(pn, space.pm, tn, tm)
+        assert result.best.latency_s == float(cycles / Fraction(hw.frequency_hz))
+        assert result.best.latency_s == graph_latency(dag, result.best.tiles, hw).total_latency_s
+        feasible_tms = {tm for _, _, tm in space.iter_points()}
+        assert len(result.all_evaluated) == len(feasible_tms)
+        assert result.evaluations_used == sum(map(space.tn_count, feasible_tms))
+
+    @pytest.mark.parametrize("dims, caps, tied", [
+        # tn in {1, 2, 4} pads n=4 to 4: ties within a tm column.
+        ((4, 4, 4), SpaceCaps(), "tn"),
+        # pn capped at 1 and C(tm) = 12 for tm in {4, 6, 12}: ties across columns.
+        ((1, 4, 12), SpaceCaps(pn_max=1), "tm"),
+    ], ids=["tn-tie", "tm-tie"])
+    def test_ties_keep_first_in_loop_order(self, dims, caps, tied):
+        dag = single_matmul_dag(*dims)
+        hw = toy_hw(onchip_capacity_elems=64)
+        space = enumerate_space(dag, hw, caps)
+        oracle = fraction_oracle(dag, hw, space)
+        low = min(cycles for _, cycles in oracle)
+        minima = [point for point, cycles in oracle if cycles == low]
+        assert len({point[1 if tied == "tn" else 2] for point in minima}) > 1
+        pn, tn, tm = minima[0]
+        assert exact_search(dag, hw, space).best.tiles == TileParams(pn, space.pm, tn, tm)
+        with mock.patch.object(dse, "_BLOCK_ELEMS", 1):  # one tn per block
+            assert exact_search(dag, hw, space).best.tiles == TileParams(pn, space.pm, tn, tm)
+        assert exhaustive_search(dag, hw, space).best.tiles == TileParams(pn, space.pm, tn, tm)
+
+    @pytest.mark.parametrize("block_elems", [1, 2, 8192])
+    def test_winner_beyond_first_tn_block(self, block_elems):
+        # Enumerated spaces always hold tn=1, which pads nothing and wins;
+        # without it the optimum (tn=4, the only divisor of n=8 here) sits in
+        # a later block when blocks are small.
+        dag = single_matmul_dag(n=8, k=3, m=8)
+        space = dse.SearchSpace(tn_range=(3, 4, 5, 6, 7), tm_range=(4, 6, 8),
+                                pn_range=(1, 2, 3), pm=2, capacity=64)
+        (pn, tn, tm), cycles = min(fraction_oracle(dag, toy_hw(), space),
+                                   key=lambda point: point[1])
+        assert tn == 4
+        with mock.patch.object(dse, "_BLOCK_ELEMS", block_elems):
+            result = exact_search(dag, toy_hw(), space)
+        assert result.best.tiles == TileParams(pn, space.pm, tn, tm)
+        assert result.all_evaluated.tn.tolist() == [4, 4, 4]
+
+    @pytest.mark.parametrize("model", ["deit-tiny", "deit-small", "deit-base"])
+    def test_matches_exhaustive_on_presets(self, model):
+        dag, hw = preset_dag(model)
+        space = enumerate_space(dag, hw)
+        assert exact_search(dag, hw, space).best.tiles == \
+            exhaustive_search(dag, hw, space).best.tiles
+
+    def test_per_tm_winners_in_tm_order(self):
+        dag, hw = preset_dag("deit-tiny")
+        space = enumerate_space(dag, hw)
+        log = exact_search(dag, hw, space).all_evaluated
+        assert log.tm.tolist() == [tm for tm in space.tm_range if space.pn_count(tm) > 0]
+        assert log.pn.tolist() == [space.pn_range[space.pn_count(tm) - 1]
+                                   for tm in log.tm.tolist()]
+        assert not log.from_cache.any()
+
+    def test_int64_fallback_gives_same_result(self, monkeypatch):
+        dag, hw = preset_dag("deit-base", batch=64)
+        space = enumerate_space(dag, hw)
+        fast = exact_search(dag, hw, space)
+        monkeypatch.setattr(dse, "_INT64_MAX", 1)
+        slow = exact_search(dag, hw, space)
+        assert slow.best == fast.best
+        assert slow.all_evaluated == fast.all_evaluated
+        assert slow.evaluations_used == fast.evaluations_used
+
+    def test_numerators_beyond_int64_stay_exact(self):
+        # k * R * C is about 2^67: int64 products would wrap.
+        dag = single_matmul_dag(n=2 ** 20 + 1, k=2 ** 26, m=2 ** 21 + 3)
+        hw = toy_hw(onchip_capacity_elems=64)
+        space = enumerate_space(dag, hw)
+        result = exact_search(dag, hw, space)
+        (pn, tn, tm), cycles = min(fraction_oracle(dag, hw, space), key=lambda point: point[1])
+        assert result.best.tiles == TileParams(pn, space.pm, tn, tm)
+        assert result.best.latency_s == float(cycles / Fraction(hw.frequency_hz))
+
+    def test_fractional_class_weight_rejected(self, monkeypatch):
+        extract = dse.extract_cost_arrays
+
+        def halve_weights(dag, hw):
+            arrays = extract(dag, hw)
+            return dataclasses.replace(
+                arrays, cls_weight=tuple(w / 2 for w in arrays.cls_weight))
+
+        monkeypatch.setattr(dse, "extract_cost_arrays", halve_weights)
+        dag = single_matmul_dag(n=8, k=3, m=8)
+        hw = toy_hw()
+        with pytest.raises(ValueError, match="whole numbers"):
+            exact_search(dag, hw, enumerate_space(dag, hw))
+
+    def test_no_feasible_tm_rejected(self):
+        space = dse.SearchSpace(tn_range=(1,), tm_range=(2,), pn_range=(1,), pm=2, capacity=64)
+        with pytest.raises(EmptySearchSpaceError):
+            exact_search(single_matmul_dag(), toy_hw(), space)
+
+
+@settings(max_examples=150)
+@given(small_models_and_boards(), st.data())
+def test_graph_latency_strictly_decreases_in_pn(model_and_board, data):
+    """exact_search pins pn at its bound; this is the property that licenses it."""
+    dag, hw = model_and_board
+    pm = hw.pack_factor
+    tm = pm * data.draw(st.integers(3, 32), label="tm / pm")
+    tn = data.draw(st.integers(1, max(1, hw.onchip_capacity_elems // tm)), label="tn")
+    assume(tn * tm <= hw.onchip_capacity_elems)
+    pn = data.draw(st.integers(1, tm // pm - 2), label="pn")
+    more = data.draw(st.integers(pn + 1, tm // pm - 1), label="larger pn")
+    slow = graph_latency(dag, TileParams(pn, pm, tn, tm), hw)
+    fast = graph_latency(dag, TileParams(more, pm, tn, tm), hw)
+    assert slow.feasible and fast.feasible
+    assert fast.total_latency_s < slow.total_latency_s
 
 
 class TestHeuristicSearch:
