@@ -5,10 +5,13 @@ Runs every hot kernel both ways on identical inputs, checks the outputs
 match bit for bit, and prints per-implementation timings. The first numba
 call per kernel compiles and is excluded by the warmup round. The latency
 kernel runs on feasible points of deit-base's search space (98 matmuls in
-6 shape classes) and also reports nanoseconds per point. The last lines
-time ``exact_search`` against ``heuristic_search`` (default config) on
-deit-base's full space at batch 1 and 64. vitmap is imported from ``src/``
-of this checkout.
+6 shape classes) and also reports nanoseconds per point. The table lines
+time the public exp, softmax, GELU and isqrt functions on a deit-base
+layer's shapes (Q8.8) through the config's whole-domain tables against
+``impl="numpy"``, and check the two agree bit for bit; the tables are
+built in the warmup round. The last lines time ``exact_search`` against
+``heuristic_search`` (default config) on deit-base's full space at batch 1
+and 64. vitmap is imported from ``src/`` of this checkout.
 
     python3 benchmarks/bench_kernels.py [--points N] [--rows R] [--repeat K]
 """
@@ -25,6 +28,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from vitmap import _latency  # noqa: E402
+from vitmap import approx  # noqa: E402
 from vitmap.approx import ApproxConfig, _fixmath  # noqa: E402
 from vitmap.dse import SearchConfig, enumerate_space, exact_search, heuristic_search  # noqa: E402
 from vitmap.hw import parse_hardware  # noqa: E402
@@ -47,11 +51,11 @@ def bench(label, fn, args, impls, repeat, count=None):
         assert np.array_equal(outputs[impls[0]], outputs[impls[1]]), label
     line = f"{label:<28}"
     for impl in impls:
-        line += f"  {impl}: {results[impl] * 1e3:9.3f} ms"
+        line += f"  {impl or 'table'}: {results[impl] * 1e3:9.3f} ms"
         if count:
             line += f" ({results[impl] * 1e9 / count:.1f} ns/point)"
     if len(impls) == 2:
-        line += f"  speedup: {results['numpy'] / results['numba']:6.2f}x"
+        line += f"  speedup: {results['numpy'] / results[impls[0]]:6.2f}x"
     print(line)
 
 
@@ -139,6 +143,21 @@ def main():
           (ln_rows, gamma, beta, cfg.ln_eps, fmt.frac_bits, cfg.isqrt_table,
            cfg.table_bits, cfg.inv_sqrt2_q15, fmt.min_int, fmt.max_int),
           impls, args.repeat)
+
+    # One deit-base layer: 12 heads of 197x197 scores, a 197x3072 MLP
+    # activation and the 197x768 layernorm input (its magnitudes feed isqrt).
+    scores = fmt.quantize(rng.normal(0.0, 2.0, (12 * 197, 197)))
+    ln_in = fmt.quantize(rng.normal(0.0, 1.0, (197, 768)))
+    layer = {
+        "softmax": (approx.softmax_approx, scores),
+        "exp": (approx.pade_exp, np.maximum(scores - scores.max(axis=1, keepdims=True),
+                                            cfg.exp_lo_fixed)),
+        "gelu": (approx.gelu_pwl, fmt.quantize(rng.normal(0.0, 1.5, (197, 3072)))),
+        "isqrt": (approx.isqrt_approx, np.maximum(np.abs(ln_in), 1)),
+    }
+    for name, (fn, x) in layer.items():
+        bench(f"{name} table {x.shape[0]}x{x.shape[1]}", lambda a, impl: fn(a, cfg, impl=impl),
+              (x,), [None, "numpy"], args.repeat)
 
     for batch in (1, 64):
         dag, hw = deit_base(batch)

@@ -5,7 +5,9 @@ vectorized numpy fallback (``VITMAP_NO_NUMBA=1`` selects numpy; it is also
 used when numba is not importable). All arithmetic is int64 with floor
 shifts and floor division, so the two paths produce identical integers;
 a parity test asserts this and ``benchmarks/bench_kernels.py`` compares
-their speed.
+their speed. ``ApproxConfig`` tabulates the numpy exp, GELU and isqrt
+kernels over their whole input domains; those tables memoise the kernels
+here and hold no arithmetic of their own.
 
 Conventions: activations are Q(total-frac).frac two's complement integers;
 exponential and softmax outputs use 15 fractional bits; lookup tables hold
@@ -168,11 +170,17 @@ def _softmax_loops(rows, lo_fixed, log2e_q15, ln2_qf, frac_bits,
     return out
 
 
-def _softmax_numpy(rows, lo_fixed, log2e_q15, ln2_qf, frac_bits,
-                   rtab, rt_bits, refine, renorm, out):
-    z = rows - rows.max(axis=1, keepdims=True)
-    z = np.maximum(z, lo_fixed)
-    _exp_numpy(z.reshape(-1), log2e_q15, ln2_qf, frac_bits, out.reshape(-1))
+def softmax_shift(rows, lo_fixed):
+    """Exponent inputs of a softmax: each row minus its max, clamped at ``lo_fixed``."""
+    return np.maximum(rows - rows.max(axis=1, keepdims=True), lo_fixed)
+
+
+def softmax_normalize(out, rtab, rt_bits, refine, renorm):
+    """Scale rows of exponentials in place by the reciprocal of their sum.
+
+    The reciprocal is a table seed at the sum's leading-one position,
+    optionally Newton-refined; ``renorm`` rescales the rows to sum to one.
+    """
     total = out.sum(axis=1)
     msb = (np.frexp(total.astype(np.float64))[1] - 1).astype(np.int64)
     norm = total >> (msb - EXP_FRAC)
@@ -185,6 +193,13 @@ def _softmax_numpy(rows, lo_fixed, log2e_q15, ln2_qf, frac_bits,
         ok = scaled > 0
         out[ok] = (out[ok] << EXP_FRAC) // scaled[ok, None]
     return out
+
+
+def _softmax_numpy(rows, lo_fixed, log2e_q15, ln2_qf, frac_bits,
+                   rtab, rt_bits, refine, renorm, out):
+    z = softmax_shift(rows, lo_fixed)
+    _exp_numpy(z.reshape(-1), log2e_q15, ln2_qf, frac_bits, out.reshape(-1))
+    return softmax_normalize(out, rtab, rt_bits, refine, renorm)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +218,10 @@ def _gelu_loops(x, px, pslope, pintercept, frac_bits, min_int, max_int, out):
             else:
                 hi = mid
         idx = lo - 1
-        y = ((pslope[idx] * xi) >> frac_bits) + pintercept[idx]
+        if idx < 0:  # zero below the first piece
+            y = 0
+        else:
+            y = ((pslope[idx] * xi) >> frac_bits) + pintercept[idx]
         if y > max_int:
             y = max_int
         elif y < min_int:
@@ -214,7 +232,10 @@ def _gelu_loops(x, px, pslope, pintercept, frac_bits, min_int, max_int, out):
 
 def _gelu_numpy(x, px, pslope, pintercept, frac_bits, min_int, max_int, out):
     idx = np.searchsorted(px, x, side="right") - 1
+    below = idx < 0  # zero below the first piece
+    idx[below] = 0
     y = ((pslope[idx] * x) >> frac_bits) + pintercept[idx]
+    y[below] = 0
     out[:] = np.clip(y, min_int, max_int)
     return out
 

@@ -4,6 +4,13 @@ All functions take and return fixed-point integers in the configuration's
 format (softmax and the exponential return 15-fractional-bit integers, the
 resolution of their internal datapath). Scalar inputs come back as scalars.
 Use ``cfg.fmt.quantize`` / ``dequantize`` to cross the float boundary.
+
+The exponential (also inside softmax), GELU and the inverse square root
+are element-wise over a small integer domain. Called without ``impl``,
+they gather from the config's whole-domain table of the numpy kernel
+(``ApproxConfig.domain_table``) once it exists, so the outputs equal the
+kernel's bit for bit; inputs outside the table, and explicit ``impl``
+requests, run the kernel itself.
 """
 
 from __future__ import annotations
@@ -17,9 +24,46 @@ from .config import ApproxConfig
 
 
 def _as_flat(x):
-    """Flattened contiguous int64 array plus the original shape."""
-    arr = np.ascontiguousarray(x, dtype=np.int64)
-    return arr.reshape(-1), arr.shape, arr.ndim == 0
+    """Flattened contiguous int64 array, the original shape, and whether x is a scalar."""
+    arr = np.asarray(x, dtype=np.int64)
+    return np.ascontiguousarray(arr).reshape(-1), arr.shape, arr.ndim == 0
+
+
+def _exp_direct(z, cfg, impl):
+    return _fixmath.exp_fixed(z, cfg.log2e_q15, cfg.ln2_qf, cfg.fmt.frac_bits, impl=impl)
+
+
+def _gelu_direct(x, cfg, impl):
+    px, ps, pb = cfg.gelu_pieces
+    return _fixmath.gelu_fixed(x, px, ps, pb, cfg.fmt.frac_bits,
+                               cfg.fmt.min_int, cfg.fmt.max_int, impl=impl)
+
+
+def _isqrt_direct(x, cfg, impl):
+    return _fixmath.isqrt_fixed(x, cfg.isqrt_table, cfg.table_bits, cfg.inv_sqrt2_q15,
+                                cfg.fmt.frac_bits, cfg.fmt.max_int, impl=impl)
+
+
+_DIRECT = {"exp": _exp_direct, "gelu": _gelu_direct, "isqrt": _isqrt_direct}
+
+
+def _table(kind, cfg, n, impl):
+    """``(lo, table)`` of ``kind`` for a call of ``n`` elements, or None."""
+    if impl is not None:
+        return None
+    return cfg.domain_table(kind, n, lambda x: _DIRECT[kind](x, cfg, "numpy"))
+
+
+def _elementwise(kind, flat, cfg, impl):
+    """``kind``'s kernel on ``flat``: a table gather when every input is in it."""
+    found = _table(kind, cfg, flat.size, impl)
+    if found is not None:
+        lo, table = found
+        idx = flat - lo
+        # Seen as unsigned, offsets below lo (wrapped or not) exceed the table too.
+        if idx.size == 0 or idx.view(np.uint64).max() < table.shape[0]:
+            return table[idx]
+    return _DIRECT[kind](flat, cfg, impl)
 
 
 def isqrt_approx(x, cfg: ApproxConfig, impl=None):
@@ -31,9 +75,7 @@ def isqrt_approx(x, cfg: ApproxConfig, impl=None):
     flat, shape, scalar = _as_flat(x)
     if np.any(flat <= 0):
         raise SchemaError("isqrt_approx requires x > 0")
-    out = _fixmath.isqrt_fixed(flat, cfg.isqrt_table, cfg.table_bits,
-                               cfg.inv_sqrt2_q15, cfg.fmt.frac_bits,
-                               cfg.fmt.max_int, impl=impl)
+    out = _elementwise("isqrt", flat, cfg, impl)
     return out[0] if scalar else out.reshape(shape)
 
 
@@ -48,9 +90,7 @@ def pade_exp(x, cfg: ApproxConfig, return_flag: bool = False, impl=None):
     flat, shape, scalar = _as_flat(x)
     lo = cfg.exp_lo_fixed
     flag = (flat < lo) | (flat > 0)
-    clamped = np.clip(flat, lo, 0)
-    out = _fixmath.exp_fixed(clamped, cfg.log2e_q15, cfg.ln2_qf,
-                             cfg.fmt.frac_bits, impl=impl)
+    out = _elementwise("exp", np.clip(flat, lo, 0), cfg, impl)
     if scalar:
         return (out[0], bool(flag[0])) if return_flag else out[0]
     out = out.reshape(shape)
@@ -72,19 +112,25 @@ def softmax_approx(row, cfg: ApproxConfig, impl=None):
         raise SchemaError("softmax_approx requires a non-empty row")
     squeeze = arr.ndim == 1
     rows = np.atleast_2d(arr)
-    out = _fixmath.softmax_fixed(rows, cfg.exp_lo_fixed, cfg.log2e_q15,
-                                 cfg.ln2_qf, cfg.fmt.frac_bits,
-                                 cfg.recip_table, cfg.recip_bits,
-                                 cfg.recip_refine, cfg.renormalize, impl=impl)
+    found = _table("exp", cfg, rows.size, impl)
+    if found is None:
+        out = _fixmath.softmax_fixed(rows, cfg.exp_lo_fixed, cfg.log2e_q15,
+                                     cfg.ln2_qf, cfg.fmt.frac_bits,
+                                     cfg.recip_table, cfg.recip_bits,
+                                     cfg.recip_refine, cfg.renormalize, impl=impl)
+    else:
+        # The shifted inputs lie in [lo, 0], the exp table's whole domain.
+        lo, table = found
+        out = _fixmath.softmax_normalize(table[_fixmath.softmax_shift(rows, lo) - lo],
+                                         cfg.recip_table, cfg.recip_bits,
+                                         cfg.recip_refine, cfg.renormalize)
     return out[0] if squeeze else out
 
 
 def gelu_pwl(x, cfg: ApproxConfig, impl=None):
     """Piecewise-linear GELU: zero below the pieces, identity above them."""
     flat, shape, scalar = _as_flat(x)
-    px, ps, pb = cfg.gelu_pieces
-    out = _fixmath.gelu_fixed(flat, px, ps, pb, cfg.fmt.frac_bits,
-                              cfg.fmt.min_int, cfg.fmt.max_int, impl=impl)
+    out = _elementwise("gelu", flat, cfg, impl)
     return out[0] if scalar else out.reshape(shape)
 
 

@@ -192,7 +192,15 @@ def cmd_compile(args) -> int:
     return 0
 
 
+# Destinations of the heuristic search's options, which --mode exhaustive rejects.
+_HEURISTIC_OPTIONS = ("search_config", "set_size", "iterations", "preservation", "max_evals")
+
+
 def cmd_search(args) -> int:
+    unused = ["--" + dest.replace("_", "-") for dest in _HEURISTIC_OPTIONS
+              if getattr(args, dest) is not None]
+    if args.mode == "exhaustive" and unused:
+        args.usage_error(f"{', '.join(unused)}: not allowed with --mode exhaustive")
     _, _, dag, hw, _ = _front_end(args, _load_doc(args.model, "model"))
     space = _stage("search", enumerate_space, dag, hw, _space_caps(args))
     out_dir = Path(args.out_dir)
@@ -205,16 +213,18 @@ def cmd_search(args) -> int:
         results["heuristic"] = _stage("search", heuristic_search, dag, hw, space,
                                       _search_config(args))
 
+    fronts = {}
     for name, result in results.items():
         _write(out_dir / f"evals_{name}.csv", evaluations_to_csv(result))
         _write(out_dir / f"search_{name}.json", search_summary_json(result))
-        front = pareto_front(result.all_evaluated)
-        _write(out_dir / f"pareto_{name}.csv", pareto_to_csv(front))
+        fronts[name] = pareto_front(result.all_evaluated)
+        _write(out_dir / f"pareto_{name}.csv", pareto_to_csv(fronts[name]))
         print(f"{name}: best latency {result.best.latency_s:.6g} s at "
               f"pn={result.best.tiles.pn} tn={result.best.tiles.tn} "
               f"tm={result.best.tiles.tm} ({result.evaluations_used} evaluations)")
     if args.mode == "both":
-        report = compare_searches(results["exhaustive"], results["heuristic"])
+        report = compare_searches(results["exhaustive"], results["heuristic"],
+                                  fronts["exhaustive"])
         _write(out_dir / "comparison.json", report.to_json())
         print(f"comparison: evaluation ratio {report.evaluation_ratio:.4f}, "
               f"latency gap {report.best_latency_gap_rel:.4%}, "
@@ -330,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_space(p)
     add_heuristic(p)
     p.add_argument("--mode", choices=("exhaustive", "heuristic", "both"), default="both")
-    p.set_defaults(func=cmd_search, batch=None)
+    p.set_defaults(func=cmd_search, batch=None, usage_error=p.error)
 
     p = sub.add_parser("schedule", help="emit static schedules and traces")
     add_common(p)

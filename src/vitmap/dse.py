@@ -319,10 +319,6 @@ def exhaustive_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchR
     """Evaluate every feasible triple; global minimum, first-in-order ties."""
     start = time.perf_counter()
     arrays = extract_cost_arrays(dag, hw)
-    if any(w.denominator != 1 for w in arrays.cls_weight):
-        raise ValueError(f"matmul class weights {list(map(str, arrays.cls_weight))} are not "
-                         "all whole numbers; the exact search needs integer numerators")
-    weights = [int(w) for w in arrays.cls_weight]
     pn, tn, tm = space.point_arrays()
     if pn.shape[0] == 0:
         raise EmptySearchSpaceError("search space has no feasible points")
@@ -498,10 +494,6 @@ def heuristic_search(dag: Dag, hw: HardwareSpec, space: SearchSpace,
     """
     start = time.perf_counter()
     arrays = extract_cost_arrays(dag, hw)
-    if any(w.denominator != 1 for w in arrays.cls_weight):
-        raise ValueError(f"matmul class weights {list(map(str, arrays.cls_weight))} are not "
-                         "all whole numbers; the exact search needs integer numerators")
-    weights = [int(w) for w in arrays.cls_weight]
     sampler = _Sampler(space)
     rng = np.random.default_rng(cfg.seed)
     main_budget = cfg.max_evaluations
@@ -669,15 +661,18 @@ class ComparisonReport:
         return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
 
 
-def compare_searches(exh: SearchResult, heur: SearchResult) -> ComparisonReport:
+def compare_searches(exh: SearchResult, heur: SearchResult,
+                     front: Optional[Sequence[ParetoPoint]] = None) -> ComparisonReport:
     """Efficiency and quality comparison of two searches over the same space.
 
     Every field is a function of the two searches' inputs except
-    ``wall_clock_ratio``, which divides measured wall times.
+    ``wall_clock_ratio``, which divides measured wall times. ``front`` is
+    ``pareto_front(exh.all_evaluated)``, computed here unless given.
     """
     if exh.space != heur.space:
         raise SchemaError("search results cover different spaces")
-    front = pareto_front(exh.all_evaluated)
+    if front is None:
+        front = pareto_front(exh.all_evaluated)
     matched = np.isin(
         _tile_rows(*zip(*(p.tiles.astuple() for p in front))),
         _tile_rows(*heur.all_evaluated.columns()[:4])).tolist()

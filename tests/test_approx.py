@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vitmap.approx import _fixmath
 from vitmap.approx import (
     ApproxConfig,
     FixedFormat,
@@ -164,6 +167,20 @@ class TestGelu:
     def test_zero_below_pieces(self):
         assert gelu_pwl(int(q(-10.0)), CFG) == 0
 
+    @pytest.mark.parametrize("impl", [None, "numpy"])
+    def test_zero_below_first_piece_outside_format(self, impl):
+        x = np.array([FMT.min_int - 7232, FMT.min_int - 2, FMT.min_int], dtype=np.int64)
+        assert gelu_pwl(x, CFG, impl=impl).tolist() == [0, 0, 0]
+        assert gelu_pwl(-40000, CFG, impl=impl) == 0
+
+    @pytest.mark.parametrize("impl", [None, "numpy"])
+    def test_zero_below_first_custom_piece(self, impl):
+        # Zero from -4 up to 0, identity above: below -4 is below every piece.
+        cfg = ApproxConfig(gelu_pieces=(np.array([-1024, 0]), np.array([0, 256]),
+                                        np.array([0, 0])))
+        x = np.array([-2000, -1025, -1024, -1, 0, 300], dtype=np.int64)
+        assert gelu_pwl(x, cfg, impl=impl).tolist() == [0, 0, 0, 0, 0, 300]
+
     def test_dense_sweep_pinned(self):
         xs = np.arange(q(-4.0), q(4.0) + 1, dtype=np.int64)
         err = np.abs(FMT.dequantize(gelu_pwl(xs, CFG)) - exact_gelu(FMT.dequantize(xs)))
@@ -265,3 +282,154 @@ class TestConfig:
         assert fmt.total_bits == 8 and fmt.frac_bits == 4
         with pytest.raises(SchemaError):
             FixedFormat.parse("8.8Q")
+
+
+class TestScalarContract:
+    """Scalar inputs give scalar outputs; arrays keep their shape."""
+
+    @pytest.mark.parametrize("x", [-256, np.int64(-256), np.array(-256)])
+    def test_pade_exp(self, x):
+        assert np.ndim(pade_exp(x, CFG)) == 0
+        val, flag = pade_exp(x, CFG, return_flag=True)
+        assert np.ndim(val) == 0 and isinstance(flag, bool)
+        assert val == pade_exp(x, CFG)
+
+    @pytest.mark.parametrize("fn,x", [(gelu_pwl, -300), (isqrt_approx, 300)])
+    def test_gelu_and_isqrt(self, fn, x):
+        out = fn(x, CFG)
+        assert np.ndim(out) == 0
+        assert out == fn(np.array([x]), CFG)[0]
+
+    @pytest.mark.parametrize("fn,sign", [(gelu_pwl, 1), (isqrt_approx, 1), (pade_exp, -1)])
+    def test_arrays_keep_shape(self, fn, sign):
+        x = sign * np.arange(1, 7, dtype=np.int64)
+        assert fn(x.reshape(2, 3), CFG).shape == (2, 3)
+        assert fn(x[:1], CFG).shape == (1,)
+
+
+def _domain_size(cfg, kind):
+    lo, hi = cfg.table_domain(kind)
+    return hi - lo + 1
+
+
+class TestDomainTables:
+    def test_from_doc_builds_none(self):
+        cfg = ApproxConfig.from_doc({"schema_version": 1, "format": "Q8.8"})
+        assert cfg._tables == {}
+
+    @pytest.mark.parametrize("kind,call", [
+        ("exp", lambda x, cfg: pade_exp(-x, cfg)),
+        ("exp", lambda x, cfg: softmax_approx(-x[:, None], cfg)),
+        ("gelu", gelu_pwl),
+        ("isqrt", isqrt_approx),
+    ])
+    def test_built_exactly_from_domain_size(self, kind, call):
+        cfg = ApproxConfig()
+        size = _domain_size(cfg, kind)
+        x = np.arange(1, size, dtype=np.int64)  # one element short
+        call(x, cfg)
+        assert kind not in cfg._tables
+        call(np.arange(1, size + 1, dtype=np.int64), cfg)
+        lo, table = cfg._tables[kind]
+        assert (lo, table.shape[0]) == (cfg.table_domain(kind)[0], size)
+
+    def test_built_table_serves_small_calls(self, monkeypatch):
+        cfg = ApproxConfig()
+        big = np.arange(cfg.fmt.min_int, cfg.fmt.max_int + 1, dtype=np.int64)
+        ref_gelu = gelu_pwl(big, cfg, impl="numpy")
+        ref_exp = pade_exp(big, cfg, impl="numpy")
+        ref_isqrt = isqrt_approx(big[big > 0], cfg, impl="numpy")
+        assert np.array_equal(gelu_pwl(big, cfg), ref_gelu)
+        assert np.array_equal(pade_exp(big, cfg), ref_exp)
+        assert np.array_equal(isqrt_approx(big[big > 0], cfg), ref_isqrt)
+        assert set(cfg._tables) == {"exp", "gelu", "isqrt"}
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("kernel ran although its table exists")
+
+        for name in ("exp_fixed", "gelu_fixed", "isqrt_fixed", "softmax_fixed"):
+            monkeypatch.setattr(_fixmath, name, no_kernel)
+        assert gelu_pwl(-300, cfg) == ref_gelu[-300 - cfg.fmt.min_int]
+        assert pade_exp(-300, cfg) == ref_exp[-300 - cfg.fmt.min_int]
+        assert isqrt_approx(300, cfg) == ref_isqrt[299]
+        softmax_approx(np.array([3, -4, 0]), cfg)
+
+    def test_explicit_impl_and_outside_inputs_run_the_kernel(self, monkeypatch):
+        cfg = ApproxConfig()
+        gelu_pwl(np.arange(cfg.fmt.min_int, cfg.fmt.max_int + 1), cfg)
+        assert "gelu" in cfg._tables
+        calls = []
+        kernel = _fixmath.gelu_fixed
+
+        def counted(x, *args, **kwargs):
+            calls.append(x.size)
+            return kernel(x, *args, **kwargs)
+
+        monkeypatch.setattr(_fixmath, "gelu_fixed", counted)
+        gelu_pwl(np.arange(10), cfg, impl="numpy")
+        gelu_pwl(np.array([0, cfg.fmt.max_int + 1]), cfg)
+        gelu_pwl(np.array([cfg.fmt.min_int - 1, 0]), cfg)
+        gelu_pwl(np.array([-2 ** 62, 0]), cfg)
+        assert calls == [10, 2, 2, 2]
+
+    @pytest.mark.parametrize("name,built", [("Q9.8", {"exp", "isqrt"}), ("Q17.15", set())])
+    def test_wide_domains_build_none(self, name, built):
+        # Q9.8's GELU domain has 2^17 inputs; every Q17.15 domain exceeds 2^16.
+        cfg = ApproxConfig(fmt=FixedFormat.parse(name))
+        x = np.arange(1, (1 << 17) + 1, dtype=np.int64)
+        isqrt_approx(x, cfg)
+        gelu_pwl(x - (1 << 16), cfg)
+        pade_exp(-x, cfg)
+        softmax_approx((-x).reshape(-1, 128), cfg)
+        assert set(cfg._tables) == built
+        assert all(_domain_size(cfg, kind) > 1 << 16 for kind in {"exp", "gelu", "isqrt"} - built)
+
+
+@st.composite
+def formats_and_inputs(draw):
+    """A valid format, its config and ~domain-sized int64 inputs with edge values."""
+    total = draw(st.integers(4, 20), label="total_bits")
+    frac = draw(st.integers(0, min(15, total - 3)), label="frac_bits")
+    cfg = ApproxConfig(fmt=FixedFormat(total, frac),
+                       recip_refine=draw(st.integers(0, 2), label="recip_refine"),
+                       renormalize=draw(st.booleans(), label="renormalize"))
+    fmt = cfg.fmt
+    outside = draw(st.booleans(), label="outside the format")
+    span = fmt.max_int + 1 if outside else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    size = min(1 << 16, 1 << total) + draw(st.integers(0, 999), label="extra")
+    lo = cfg.exp_lo_fixed
+    edges = [fmt.min_int, fmt.min_int + 1, -1, 0, 1, fmt.max_int - 1, fmt.max_int,
+             lo - 1, lo, lo + 1]
+    if outside:
+        edges += [fmt.min_int - 1, fmt.max_int + 1, fmt.min_int - span, fmt.max_int + span]
+    x = np.concatenate([rng.integers(fmt.min_int - span, fmt.max_int + span + 1, size),
+                        np.array(edges, dtype=np.int64)])
+    pos = np.concatenate([rng.integers(1, fmt.max_int + span + 1, size),
+                          np.array([1, 2, fmt.max_int - 1, fmt.max_int, fmt.max_int + span],
+                                   dtype=np.int64)])
+    row_len = draw(st.integers(1, min(200, x.size)), label="softmax row length")
+    rows = x[:x.size - x.size % row_len].reshape(-1, row_len)
+    return cfg, x, pos, rows
+
+
+@settings(max_examples=30)
+@given(formats_and_inputs())
+def test_tables_equal_the_numpy_kernels(case):
+    """Whatever the table path does, its outputs equal ``impl="numpy"`` bit for bit."""
+    cfg, x, pos, rows = case
+    calls = [
+        (lambda v, impl=None: pade_exp(v, cfg, return_flag=True, impl=impl), x),
+        (lambda v, impl=None: softmax_approx(v, cfg, impl=impl), rows),
+        (lambda v, impl=None: gelu_pwl(v, cfg, impl=impl), x),
+        (lambda v, impl=None: isqrt_approx(v, cfg, impl=impl), pos),
+    ]
+    for fn, v in calls:
+        # Large call first (it may build the table), then a small one.
+        for arg in (v, v[-9:]):
+            got, ref = fn(arg), fn(arg, impl="numpy")
+            if isinstance(ref, tuple):
+                assert np.array_equal(got[1], ref[1])
+                got, ref = got[0], ref[0]
+            assert got.dtype == ref.dtype == np.int64
+            assert np.array_equal(got, ref)

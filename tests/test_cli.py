@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from vitmap import cli, dse
 from vitmap.cli import main
 from vitmap.errors import SchemaError
 from vitmap.layout import (
@@ -189,6 +190,34 @@ class TestSearch:
         model, hw = docs
         assert run("search", "--model", model, "--hw", hw, "--mode", "exhaustive",
                    "--out-dir", tmp_path / "f", "--exhaustive-cap", 10, "--force") == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-evals", "300"], ["--set-size", "20"], ["--iterations", "3"],
+        ["--preservation", "2"], ["--search-config", "cfg.json"],
+    ], ids=lambda flags: flags[0].lstrip("-"))
+    def test_exhaustive_mode_rejects_heuristic_flags(self, docs, tmp_path, capsys, flags):
+        model, hw = docs
+        with pytest.raises(SystemExit) as exc:
+            run("search", "--model", model, "--hw", hw, "--mode", "exhaustive",
+                "--out-dir", tmp_path / "out", *flags)
+        assert exc.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_exhaustive_pareto_front_computed_once(self, docs, tmp_path, monkeypatch):
+        calls = []
+        front = dse.pareto_front
+
+        def counted(evals):
+            calls.append(len(evals))
+            return front(evals)
+
+        monkeypatch.setattr(dse, "pareto_front", counted)
+        monkeypatch.setattr(cli, "pareto_front", counted)
+        model, hw = docs
+        assert run("search", "--model", model, "--hw", hw, "--mode", "both",
+                   "--out-dir", tmp_path / "s", "--max-evals", 300) == 0
+        assert len(calls) == 2  # one front per search
 
     def test_two_seeds_both_feasible(self, docs, tmp_path):
         model, hw = docs

@@ -358,6 +358,23 @@ class TestExactSearch:
         with pytest.raises(ValueError, match="whole numbers"):
             exact_search(dag, hw, enumerate_space(dag, hw))
 
+    def test_float_searches_score_fractional_class_weights(self, monkeypatch):
+        extract = dse.extract_cost_arrays
+
+        def halve_weights(dag, hw):
+            arrays = extract(dag, hw)
+            return dataclasses.replace(
+                arrays, cls_weight=tuple(w / 2 for w in arrays.cls_weight))
+
+        monkeypatch.setattr(dse, "extract_cost_arrays", halve_weights)
+        dag = single_matmul_dag(n=8, k=3, m=8)
+        hw = toy_hw()
+        space = enumerate_space(dag, hw)
+        exh = dse.exhaustive_search(dag, hw, space)
+        heur = dse.heuristic_search(dag, hw, space, SearchConfig(seed=0, max_evaluations=50))
+        assert exh.evaluations_used == space.feasible_size()
+        assert heur.best.latency_s >= exh.best.latency_s
+
     def test_no_feasible_tm_rejected(self):
         space = dse.SearchSpace(tn_range=(1,), tm_range=(2,), pn_range=(1,), pm=2, capacity=64)
         with pytest.raises(EmptySearchSpaceError):
