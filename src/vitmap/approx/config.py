@@ -17,8 +17,6 @@ APPROX_SCHEMA_VERSION = 1
 
 DEFAULT_EXP_DOMAIN_LO = -8.0
 DEFAULT_GELU_KNOTS = (-4, -3, -2, -1, 0, 1, 2, 3, 4)
-# Largest input domain an element-wise kernel is tabulated over.
-TABLE_MAX_ENTRIES = 1 << 16
 
 
 def build_isqrt_table(size: int) -> np.ndarray:
@@ -100,7 +98,7 @@ class ApproxConfig:
     recip_refine: int = 0
     renormalize: bool = False
     ln_eps: int = 1  # one LSB on the variance
-    # Whole-domain lookup tables, kind -> (lo, table); see ``domain_table``.
+    # Whole-domain kernel lookup tables, kind -> (lo, table), filled by ``kernels``.
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -146,37 +144,6 @@ class ApproxConfig:
     @property
     def exp_lo_fixed(self) -> int:
         return int(self.fmt.quantize(self.exp_domain_lo))
-
-    def table_domain(self, kind: str) -> tuple[int, int]:
-        """Inclusive input range tabulated for ``kind`` (exp, gelu or isqrt)."""
-        if kind == "exp":
-            return self.exp_lo_fixed, 0
-        if kind == "gelu":
-            return self.fmt.min_int, self.fmt.max_int
-        if kind == "isqrt":
-            return 1, self.fmt.max_int
-        raise ValueError(f"no lookup table for {kind!r}")
-
-    def domain_table(self, kind: str, n: int, kernel):
-        """``(lo, table)`` with ``table[i] == kernel(lo + i)`` over ``kind``'s domain.
-
-        The table is ``kernel`` applied once to every input of the domain,
-        so a gather from it equals ``kernel`` bit for bit. It is built on the
-        first call with ``n`` at least the domain's size, and only if the
-        domain has at most ``TABLE_MAX_ENTRIES`` inputs; once built, calls
-        of any size get it. Returns None while there is no table. The table
-        assumes this config's arrays are not modified after it is built.
-        """
-        found = self._tables.get(kind)
-        if found is None:
-            lo, hi = self.table_domain(kind)
-            size = hi - lo + 1
-            if size > TABLE_MAX_ENTRIES or n < size:
-                return None
-            table = kernel(np.arange(lo, hi + 1, dtype=np.int64))
-            table.flags.writeable = False
-            found = self._tables[kind] = (lo, table)
-        return found
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ApproxConfig":

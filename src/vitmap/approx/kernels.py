@@ -7,10 +7,10 @@ Use ``cfg.fmt.quantize`` / ``dequantize`` to cross the float boundary.
 
 The exponential (also inside softmax), GELU and the inverse square root
 are element-wise over a small integer domain. Called without ``impl``,
-they gather from the config's whole-domain table of the numpy kernel
-(``ApproxConfig.domain_table``) once it exists, so the outputs equal the
-kernel's bit for bit; inputs outside the table, and explicit ``impl``
-requests, run the kernel itself.
+they gather from a whole-domain table of the numpy kernel, kept on the
+config, once it exists (see ``_table``), so the outputs equal the kernel's
+bit for bit; inputs outside the table, and explicit ``impl`` requests, run
+the kernel itself.
 """
 
 from __future__ import annotations
@@ -46,24 +46,55 @@ def _isqrt_direct(x, cfg, impl):
 
 _DIRECT = {"exp": _exp_direct, "gelu": _gelu_direct, "isqrt": _isqrt_direct}
 
+# Inclusive input range of each kernel's table.
+_DOMAIN = {
+    "exp": lambda cfg: (cfg.exp_lo_fixed, 0),
+    "gelu": lambda cfg: (cfg.fmt.min_int, cfg.fmt.max_int),
+    "isqrt": lambda cfg: (1, cfg.fmt.max_int),
+}
+
+# Largest input domain an element-wise kernel is tabulated over.
+TABLE_MAX_ENTRIES = 1 << 16
+
 
 def _table(kind, cfg, n, impl):
-    """``(lo, table)`` of ``kind`` for a call of ``n`` elements, or None."""
+    """``(lo, table)`` with ``table[i]`` the numpy kernel at ``lo + i``, or None.
+
+    The table covers ``kind``'s whole domain. It is built on the first call
+    with ``n`` at least the domain's size, and only if the domain has at most
+    ``TABLE_MAX_ENTRIES`` inputs; once built, calls of any size get it, except
+    explicit ``impl`` requests. It assumes the config's arrays are not
+    modified afterwards.
+    """
     if impl is not None:
         return None
-    return cfg.domain_table(kind, n, lambda x: _DIRECT[kind](x, cfg, "numpy"))
+    found = cfg._tables.get(kind)
+    if found is None:
+        lo, hi = _DOMAIN[kind](cfg)
+        size = hi - lo + 1
+        if size > TABLE_MAX_ENTRIES or n < size:
+            return None
+        table = _DIRECT[kind](np.arange(lo, hi + 1, dtype=np.int64), cfg, "numpy")
+        table.flags.writeable = False
+        found = cfg._tables[kind] = (lo, table)
+    return found
+
+
+def _gather(found, x):
+    """The table ``found`` at ``x``, or None if an input lies outside it."""
+    lo, table = found
+    idx = x - lo
+    # Seen as unsigned, offsets below lo (wrapped or not) exceed the table too.
+    if idx.size and idx.view(np.uint64).max() >= table.shape[0]:
+        return None
+    return table[idx]
 
 
 def _elementwise(kind, flat, cfg, impl):
     """``kind``'s kernel on ``flat``: a table gather when every input is in it."""
     found = _table(kind, cfg, flat.size, impl)
-    if found is not None:
-        lo, table = found
-        idx = flat - lo
-        # Seen as unsigned, offsets below lo (wrapped or not) exceed the table too.
-        if idx.size == 0 or idx.view(np.uint64).max() < table.shape[0]:
-            return table[idx]
-    return _DIRECT[kind](flat, cfg, impl)
+    out = None if found is None else _gather(found, flat)
+    return _DIRECT[kind](flat, cfg, impl) if out is None else out
 
 
 def isqrt_approx(x, cfg: ApproxConfig, impl=None):
@@ -113,16 +144,16 @@ def softmax_approx(row, cfg: ApproxConfig, impl=None):
     squeeze = arr.ndim == 1
     rows = np.atleast_2d(arr)
     found = _table("exp", cfg, rows.size, impl)
-    if found is None:
+    # The shifted inputs leave the table only if a row's span overflows int64.
+    exps = None if found is None else _gather(
+        found, _fixmath.softmax_shift(rows, cfg.exp_lo_fixed))
+    if exps is None:
         out = _fixmath.softmax_fixed(rows, cfg.exp_lo_fixed, cfg.log2e_q15,
                                      cfg.ln2_qf, cfg.fmt.frac_bits,
                                      cfg.recip_table, cfg.recip_bits,
                                      cfg.recip_refine, cfg.renormalize, impl=impl)
     else:
-        # The shifted inputs lie in [lo, 0], the exp table's whole domain.
-        lo, table = found
-        out = _fixmath.softmax_normalize(table[_fixmath.softmax_shift(rows, lo) - lo],
-                                         cfg.recip_table, cfg.recip_bits,
+        out = _fixmath.softmax_normalize(exps, cfg.recip_table, cfg.recip_bits,
                                          cfg.recip_refine, cfg.renormalize)
     return out[0] if squeeze else out
 

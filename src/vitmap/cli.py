@@ -192,15 +192,7 @@ def cmd_compile(args) -> int:
     return 0
 
 
-# Destinations of the heuristic search's options, which --mode exhaustive rejects.
-_HEURISTIC_OPTIONS = ("search_config", "set_size", "iterations", "preservation", "max_evals")
-
-
 def cmd_search(args) -> int:
-    unused = ["--" + dest.replace("_", "-") for dest in _HEURISTIC_OPTIONS
-              if getattr(args, dest) is not None]
-    if args.mode == "exhaustive" and unused:
-        args.usage_error(f"{', '.join(unused)}: not allowed with --mode exhaustive")
     _, _, dag, hw, _ = _front_end(args, _load_doc(args.model, "model"))
     space = _stage("search", enumerate_space, dag, hw, _space_caps(args))
     out_dir = Path(args.out_dir)
@@ -319,11 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable QKV weight fusion")
 
     def add_heuristic(p):
-        p.add_argument("--search-config", default=None, help="SearchConfig JSON file")
-        p.add_argument("--set-size", type=int, default=None)
-        p.add_argument("--iterations", type=int, default=None)
-        p.add_argument("--preservation", type=int, default=None)
-        p.add_argument("--max-evals", type=int, default=None)
+        """Add the heuristic search's options; return their actions."""
+        return [
+            p.add_argument("--search-config", default=None, help="SearchConfig JSON file"),
+            p.add_argument("--set-size", type=int, default=None),
+            p.add_argument("--iterations", type=int, default=None),
+            p.add_argument("--preservation", type=int, default=None),
+            p.add_argument("--max-evals", type=int, default=None),
+        ]
 
     p = sub.add_parser("compile", help="full pipeline: parse, search, schedule, manifest")
     add_common(p)
@@ -338,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run and log the design-space searches")
     add_common(p)
     add_space(p)
-    add_heuristic(p)
+    heuristic = {a.dest: a.option_strings[0] for a in add_heuristic(p)}
     p.add_argument("--mode", choices=("exhaustive", "heuristic", "both"), default="both")
-    p.set_defaults(func=cmd_search, batch=None, usage_error=p.error)
+    p.set_defaults(func=cmd_search, batch=None, heuristic_flags=heuristic)
 
     p = sub.add_parser("schedule", help="emit static schedules and traces")
     add_common(p)
@@ -365,8 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parsed command line; usage errors exit with code 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "mode", None) == "exhaustive":
+        unused = [flag for dest, flag in args.heuristic_flags.items()
+                  if getattr(args, dest) is not None]
+        if unused:
+            parser.error(f"search: {', '.join(unused)}: not allowed with --mode exhaustive")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except StageError as exc:

@@ -662,17 +662,15 @@ class ComparisonReport:
 
 
 def compare_searches(exh: SearchResult, heur: SearchResult,
-                     front: Optional[Sequence[ParetoPoint]] = None) -> ComparisonReport:
+                     front: Sequence[ParetoPoint]) -> ComparisonReport:
     """Efficiency and quality comparison of two searches over the same space.
 
-    Every field is a function of the two searches' inputs except
-    ``wall_clock_ratio``, which divides measured wall times. ``front`` is
-    ``pareto_front(exh.all_evaluated)``, computed here unless given.
+    ``front`` is ``pareto_front(exh.all_evaluated)``. Every field is a
+    function of the two searches' inputs except ``wall_clock_ratio``, which
+    divides measured wall times.
     """
     if exh.space != heur.space:
         raise SchemaError("search results cover different spaces")
-    if front is None:
-        front = pareto_front(exh.all_evaluated)
     matched = np.isin(
         _tile_rows(*zip(*(p.tiles.astuple() for p in front))),
         _tile_rows(*heur.all_evaluated.columns()[:4])).tolist()

@@ -307,8 +307,14 @@ class TestScalarContract:
         assert fn(x[:1], CFG).shape == (1,)
 
 
+def _domain(cfg, kind):
+    """Inclusive input range the ``kind`` table should cover."""
+    return {"exp": (cfg.exp_lo_fixed, 0), "gelu": (cfg.fmt.min_int, cfg.fmt.max_int),
+            "isqrt": (1, cfg.fmt.max_int)}[kind]
+
+
 def _domain_size(cfg, kind):
-    lo, hi = cfg.table_domain(kind)
+    lo, hi = _domain(cfg, kind)
     return hi - lo + 1
 
 
@@ -331,7 +337,7 @@ class TestDomainTables:
         assert kind not in cfg._tables
         call(np.arange(1, size + 1, dtype=np.int64), cfg)
         lo, table = cfg._tables[kind]
-        assert (lo, table.shape[0]) == (cfg.table_domain(kind)[0], size)
+        assert (lo, table.shape[0]) == (_domain(cfg, kind)[0], size)
 
     def test_built_table_serves_small_calls(self, monkeypatch):
         cfg = ApproxConfig()
@@ -371,6 +377,14 @@ class TestDomainTables:
         gelu_pwl(np.array([cfg.fmt.min_int - 1, 0]), cfg)
         gelu_pwl(np.array([-2 ** 62, 0]), cfg)
         assert calls == [10, 2, 2, 2]
+
+    def test_softmax_row_overflowing_int64_runs_the_kernel(self):
+        # row - row.max wraps past int64 here, so the shifted input leaves the table.
+        cfg = ApproxConfig()
+        softmax_approx(-np.arange(_domain_size(cfg, "exp"))[:, None], cfg)
+        assert "exp" in cfg._tables
+        row = np.array([2 ** 62, -2 ** 62 - 1], dtype=np.int64)
+        assert np.array_equal(softmax_approx(row, cfg), softmax_approx(row, cfg, impl="numpy"))
 
     @pytest.mark.parametrize("name,built", [("Q9.8", {"exp", "isqrt"}), ("Q17.15", set())])
     def test_wide_domains_build_none(self, name, built):

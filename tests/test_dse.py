@@ -607,7 +607,7 @@ class TestCompareSearches:
     def test_self_comparison(self, toy_space):
         dag, hw, space = toy_space
         exh = exhaustive_search(dag, hw, space)
-        report = compare_searches(exh, exh)
+        report = compare_searches(exh, exh, pareto_front(exh.all_evaluated))
         assert report.evaluation_ratio == 1.0
         assert report.best_latency_gap_rel == 0.0
         assert report.pareto_coverage == 1.0
@@ -622,7 +622,7 @@ class TestCompareSearches:
         assert space.feasible_size() > 20000
         exh = exhaustive_search(dag, hw, space)
         heur = heuristic_search(dag, hw, space, SearchConfig(seed=0))
-        report = compare_searches(exh, heur)
+        report = compare_searches(exh, heur, pareto_front(exh.all_evaluated))
         assert report.evaluation_ratio <= 0.2
         assert report.best_latency_gap_rel <= 0.01
 
@@ -633,7 +633,7 @@ class TestCompareSearches:
         heur = heuristic_search(dag, hw, space,
                                 SearchConfig(set_size=2, preservation_size=1,
                                              iterations=0, seed=0, refine=False))
-        report = compare_searches(exh, heur)
+        report = compare_searches(exh, heur, pareto_front(exh.all_evaluated))
         assert 0.0 <= report.pareto_coverage <= 1.0
         assert report.heuristic_evaluations <= 2
 
@@ -648,7 +648,8 @@ class TestCompareSearches:
             return SearchResult(best=log[0], evaluations_used=len(log), history=(),
                                 all_evaluated=log, wall_time_s=1.0, space=space)
 
-        report = compare_searches(result(_log(a, b, c, d)), result(_log(b, d)))
+        report = compare_searches(result(_log(a, b, c, d)), result(_log(b, d)),
+                                  pareto_front(_log(a, b, c, d)))
         assert report.pareto_front_size == 3
         assert report.pareto_coverage == 0.5
         assert report.pareto_point_coverage == 1 / 3
@@ -661,7 +662,7 @@ class TestCompareSearches:
                                 SearchConfig(seed=0, set_size=10, iterations=2,
                                              preservation_size=2))
         with pytest.raises(SchemaError):
-            compare_searches(exh, heur)
+            compare_searches(exh, heur, pareto_front(exh.all_evaluated))
 
 
 class TestCsvExport:
