@@ -1,190 +1,167 @@
-"""Batch latency evaluation kernels for the design-space search.
-
-The search evaluates the cost model over thousands to millions of
-candidate tile configurations; this module provides that inner loop two
-ways:
-
-* a numba ``@njit`` loop kernel (default when numba is importable), and
-* a vectorized pure-numpy kernel.
+"""Exact latency scoring for the design-space search.
 
 A transformer DAG repeats a handful of matmul shapes many times (deit-base
 has 98 matmuls in 6 classes), so ``extract_cost_arrays`` groups the
-matmuls into distinct ``(n, k, m, kernel_factor)`` classes. The numpy
-kernel works through the points in fixed-size blocks, which bounds its
-temporaries on multi-million-point spaces; per block it computes each
-class's cycle term once and then adds the terms into the accumulator in
-the original matmul order.
+matmuls into distinct ``(n, k, m, kernel_factor)`` classes. Under tiles
+``(pn, pm, tn, tm)`` the DAG's latency in seconds is then
 
-Set ``VITMAP_NO_NUMBA=1`` to force the numpy path. Both paths perform the
-same float64 operations in the same order, so results are bit-identical;
-``benchmarks/bench_kernels.py`` times the kernel on deit-base.
+    (N(tn, tm) + nl·D) · q / (D · p)
+
+with ``D = pn·pm·kernels``, the clock ``frequency_hz = p/q`` as an exact
+fraction, ``nl`` the integer non-linear cycles (independent of the tiles)
+and the integer matmul numerator
+
+    N(tn, tm) = Σ_c w_c · R_c(tn) · C_c(tm),
+
+where ``R_c(tn) = ceil(n_c/tn)·tn`` and ``C_c(tm) = ceil(m_c/tm)·tm`` are
+the padded extents and ``w_c = count·k·kernel_factor·kernels`` is a whole
+number. That is the rational ``graph_latency`` sums node by node, so one
+correctly rounded division gives its float bit for bit. ``latency_batch``
+computes ``N`` once per distinct ``(tn, tm)`` and divides once per point;
+``exact_search`` scores ``N`` column by column through the same routines.
+``benchmarks/bench_kernels.py`` times the scorer on deit-base.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .hw import HardwareSpec, kernel_factor, nonlinear_cycles
+from .hw import HardwareSpec, nonlinear_cycles
 from .model_ir import Dag, OpKind
 
-_NUMBA_ENV_OFF = os.environ.get("VITMAP_NO_NUMBA", "") == "1"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via VITMAP_NO_NUMBA instead
-    njit = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _NUMBA_ENV_OFF
-
-
-def active_impl() -> str:
-    return "numba" if USE_NUMBA else "numpy"
-
-
-def _latency_batch_loops(tn, tm, pn, mm_n, mm_k, mm_m, mm_kf, pm, nl_cycles, inv_freq, out):
-    npoints = tn.shape[0]
-    nmm = mm_n.shape[0]
-    for p in range(npoints):
-        cycles = nl_cycles
-        for j in range(nmm):
-            ntr = (mm_n[j] + tn[p] - 1) // tn[p]
-            ntc = (mm_m[j] + tm[p] - 1) // tm[p]
-            ops = tn[p] * tm[p] * mm_k[j] * ntr * ntc
-            cycles += ops * mm_kf[j] / (pn[p] * pm)
-        out[p] = cycles * inv_freq
-    return out
-
-
-if HAVE_NUMBA:
-    _latency_batch_jit = njit(cache=True)(_latency_batch_loops)
-else:
-    _latency_batch_jit = None
-
-
-# Points per block of the numpy kernel. Larger blocks amortise the per-class
-# numpy calls, smaller ones keep the class terms cache-resident; 2^14 was the
-# fastest power of two on deit-tiny's and deit-base's full spaces. It also
-# caps the temporaries at a few MB however many points are evaluated.
+# Largest numerator int64 arithmetic may produce; larger ones are scored in
+# Python integers (dtype object) instead.
+_INT64_MAX = np.iinfo(np.int64).max
+# Integers below 2^53 are exact float64s, and one float64 division of two
+# of them is the correctly rounded quotient of the integers.
+_FLOAT_EXACT = 1 << 53
+# Points per block of the gather and division in ``latency_batch``: it caps
+# the temporaries at a few MB however many points are scored.
 _BLOCK = 1 << 14
-
-
-def _latency_batch_numpy(tn, tm, pn, cls_n, cls_k, cls_m, cls_kf, mm_class, pm,
-                         nl_cycles, inv_freq, out):
-    for lo in range(0, tn.shape[0], _BLOCK):
-        b_tn = tn[lo:lo + _BLOCK]
-        b_tm = tm[lo:lo + _BLOCK]
-        tile = b_tn * b_tm
-        denom = (pn[lo:lo + _BLOCK] * pm).astype(np.float64)
-        terms = [
-            (tile * k * ((n + b_tn - 1) // b_tn) * ((m + b_tm - 1) // b_tm)) * kf / denom
-            for n, k, m, kf in zip(cls_n, cls_k, cls_m, cls_kf)
-        ]
-        acc = out[lo:lo + _BLOCK]
-        acc[:] = nl_cycles
-        for c in mm_class:
-            acc += terms[c]
-        acc *= inv_freq
-    return out
 
 
 @dataclass(frozen=True)
 class DagCostArrays:
     """Matmul classes plus the tile-independent non-linear cost.
 
-    ``cls_*`` hold one entry per distinct (n, k, m, kernel factor) class;
-    ``mm_class`` maps each matmul, in DAG order, to its class. The float
-    kernel reads ``cls_kf`` and ``nl_cycles``. The exact fields serve the
-    integer search: ``cls_weight`` is each class's matmul count × k ×
-    kernel factor × kernels as an exact ``Fraction`` (a whole number for
-    both kernel-factor forms), and
-    ``nl_cycles_exact`` is the integer non-linear cycle count, so a matmul
-    class contributes ``cls_weight · R(tn) · C(tm) / (pn · pm · kernels)``
-    cycles with ``R = ceil(n/tn)·tn`` and ``C = ceil(m/tm)·tm``.
+    ``cls_n`` and ``cls_m`` hold each class's row and column extents and
+    ``cls_weight`` its whole-number weight ``count·k·kernel_factor·kernels``
+    as a Python int. ``nl_cycles`` is the integer non-linear cycle count and
+    ``frequency`` the clock as an exact fraction.
     """
 
     cls_n: np.ndarray
-    cls_k: np.ndarray
     cls_m: np.ndarray
-    cls_kf: np.ndarray
-    mm_class: np.ndarray
-    nl_cycles: float
-    inv_freq: float
+    cls_weight: tuple[int, ...]
+    nl_cycles: int
     pm: int
-    capacity: int
-    cls_weight: tuple[Fraction, ...]
-    nl_cycles_exact: int
-
-    def per_matmul(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(n, k, m, kernel factor) arrays with one entry per matmul in DAG order."""
-        c = self.mm_class
-        return self.cls_n[c], self.cls_k[c], self.cls_m[c], self.cls_kf[c]
+    kernels: int
+    frequency: Fraction
 
 
 def extract_cost_arrays(dag: Dag, hw: HardwareSpec) -> DagCostArrays:
-    classes: dict[tuple[int, int, int, Fraction], int] = {}
-    mm_class = np.array([
-        classes.setdefault(
-            (*n.dims, kernel_factor(n.heads, hw.num_kernels, n.head_scoped)), len(classes))
-        for n in dag.matmuls()
-    ], dtype=np.intp)
-    cls_n, cls_k, cls_m, cls_kf = (zip(*classes) if classes else ((),) * 4)
-    counts = np.bincount(mm_class, minlength=len(classes)).tolist()
-    cls_weight = tuple(count * k * kf * hw.num_kernels
-                       for count, k, kf in zip(counts, cls_k, cls_kf))
+    kernels = hw.num_kernels
+    counts: dict[tuple[int, int, int, int], int] = {}
+    for node in dag.matmuls():
+        # kernel_factor·kernels: ceil(heads/kernels)·kernels for head-grouped
+        # matmuls, 1 for the rest.
+        kf_kernels = -(-node.heads // kernels) * kernels if node.head_scoped else 1
+        key = (*node.dims, kf_kernels)
+        counts[key] = counts.get(key, 0) + 1
     nl_cycles = sum(
         nonlinear_cycles(n.work_elems, hw) for n in dag.nodes if n.kind is not OpKind.MATMUL
     )
     return DagCostArrays(
-        cls_n=np.array(cls_n, dtype=np.int64), cls_k=np.array(cls_k, dtype=np.int64),
-        cls_m=np.array(cls_m, dtype=np.int64), cls_kf=np.array(cls_kf, dtype=np.float64),
-        mm_class=mm_class,
-        nl_cycles=float(nl_cycles), inv_freq=1.0 / hw.frequency_hz,
-        pm=hw.pack_factor, capacity=hw.onchip_capacity_elems,
-        cls_weight=cls_weight, nl_cycles_exact=nl_cycles,
+        cls_n=np.array([n for n, _, _, _ in counts], dtype=np.int64),
+        cls_m=np.array([m for _, _, m, _ in counts], dtype=np.int64),
+        cls_weight=tuple(count * k * kf for (_, k, _, kf), count in counts.items()),
+        nl_cycles=nl_cycles, pm=hw.pack_factor, kernels=kernels,
+        frequency=Fraction(hw.frequency_hz),
     )
 
 
-def latency_batch(arrays: DagCostArrays, tn, tm, pn, impl: str | None = None) -> np.ndarray:
+def _padded(extents: np.ndarray, tiles) -> np.ndarray:
+    """``ceil(e/t)·t`` with one row per tile size and one column per extent."""
+    t = np.asarray(tiles, dtype=np.int64).reshape(-1, 1)
+    return -(-extents // t) * t
+
+
+def weighted_columns(arrays: DagCostArrays, tm, tn_max: int) -> np.ndarray:
+    """``W[j, c] = w_c·C_c(tm_j)``, so that ``padded_rows(tn) @ W[j]`` is ``N(tn, tm_j)``.
+
+    The dtype is int64 when no product or partial sum of those numerators
+    for ``tn <= tn_max`` can exceed it, else object (Python ints).
+    """
+    cols = _padded(arrays.cls_m, tm)
+    # R_c(tn) < n_c + tn, and every term is non-negative.
+    bound = sum(w * (n + tn_max) * c for w, n, c in zip(
+        arrays.cls_weight, arrays.cls_n.tolist(), cols.max(axis=0, initial=0).tolist()))
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    return cols.astype(dtype) * np.array(arrays.cls_weight, dtype=dtype)
+
+
+def padded_rows(arrays: DagCostArrays, tn, dtype) -> np.ndarray:
+    """``R[i, c] = R_c(tn_i)`` in ``dtype``, the dtype of ``weighted_columns``."""
+    return _padded(arrays.cls_n, tn).astype(dtype, copy=False)
+
+
+def divide(arrays: DagCostArrays, numerators: np.ndarray, pn: np.ndarray) -> np.ndarray:
+    """Latency (seconds) per point from its numerator ``N`` and its pn.
+
+    ``(N + nl·D)·q / (D·p)`` is one float64 division when both operands are
+    below 2^53, and a division of Python ints otherwise (always for object
+    numerators); both are correctly rounded.
+    """
+    p, q = arrays.frequency.numerator, arrays.frequency.denominator
+    nl = arrays.nl_cycles
+    d = pn * (arrays.pm * arrays.kernels)
+    d_max = int(d.max())
+    if (numerators.dtype == object
+            or (int(numerators.max()) + nl * d_max) * q >= _FLOAT_EXACT
+            or d_max * p >= _FLOAT_EXACT):
+        d = d.astype(object)
+    # In place from here, so a block holds few temporaries.
+    top = d * nl
+    top += numerators
+    top *= q
+    d *= p
+    return top / d
+
+
+def _distinct(values: np.ndarray):
+    """Ascending distinct values of a positive int64 array, and a function
+    that maps an array of those values to their positions among them."""
+    top = int(values.max())
+    if top > 4 * values.size:  # sparse values: sort rather than tabulate
+        ordered = np.sort(values)
+        distinct = ordered[np.diff(ordered, prepend=0) != 0]
+        return distinct, functools.partial(np.searchsorted, distinct)
+    present = np.zeros(top + 1, dtype=bool)
+    present[values] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1).take
+
+
+def latency_batch(arrays: DagCostArrays, tn, tm, pn) -> np.ndarray:
     """Latency (seconds) of the DAG for each candidate (tn, tm, pn) triple.
 
-    Candidates must already satisfy the tile feasibility constraints.
-    ``impl`` overrides the module default ("numba" or "numpy").
+    Candidates must already satisfy the tile feasibility constraints. Each
+    value equals ``graph_latency(...).total_latency_s`` bit for bit.
     """
     tn = np.ascontiguousarray(tn, dtype=np.int64)
     tm = np.ascontiguousarray(tm, dtype=np.int64)
     pn = np.ascontiguousarray(pn, dtype=np.int64)
     out = np.empty(tn.shape[0], dtype=np.float64)
-    if impl is None:
-        impl = active_impl()
-    if impl == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba requested but not importable")
-        return _latency_batch_jit(tn, tm, pn, *arrays.per_matmul(), arrays.pm,
-                                  arrays.nl_cycles, arrays.inv_freq, out)
-    if impl == "numpy":
-        return _latency_batch_numpy(tn, tm, pn, arrays.cls_n.tolist(), arrays.cls_k.tolist(),
-                                    arrays.cls_m.tolist(), arrays.cls_kf.tolist(),
-                                    arrays.mm_class.tolist(), arrays.pm, arrays.nl_cycles,
-                                    arrays.inv_freq, out)
-    raise ValueError(f"unknown impl {impl!r}")
-
-
-def feasible_mask(arrays: DagCostArrays, tn, tm, pn) -> np.ndarray:
-    """Vectorized tile feasibility check (pm is fixed by the hardware)."""
-    tn = np.asarray(tn, dtype=np.int64)
-    tm = np.asarray(tm, dtype=np.int64)
-    pn = np.asarray(pn, dtype=np.int64)
-    pm = arrays.pm
-    return (
-        (tn >= 1) & (tm >= 1) & (pn >= 1)
-        & (tm % pm == 0)
-        & (pn * pm < tm)
-        & (tn * tm <= arrays.capacity)
-    )
+    if out.size == 0:
+        return out
+    (tns, tn_pos), (tms, tm_pos) = _distinct(tn), _distinct(tm)
+    weighted = weighted_columns(arrays, tms, int(tns[-1]))
+    grid = padded_rows(arrays, tns, weighted.dtype) @ weighted.T  # N(tns[i], tms[j])
+    for lo in range(0, out.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        numerators = grid[tn_pos(tn[block]), tm_pos(tm[block])]
+        out[block] = divide(arrays, numerators, pn[block])
+    return out

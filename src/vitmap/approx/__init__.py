@@ -1,6 +1,6 @@
 """Hardware-friendly approximations of the non-linear transformer ops."""
 
-from ._fixmath import EXP_FRAC, HAVE_NUMBA, USE_NUMBA, active_impl
+from ._fixmath import EXP_FRAC
 from .config import (
     ApproxConfig,
     build_gelu_pieces,
@@ -26,7 +26,7 @@ from .oracles import (
 from .report import DEFAULT_DOMAINS, ErrorReport, error_report, reports_to_csv
 
 __all__ = [
-    "EXP_FRAC", "HAVE_NUMBA", "USE_NUMBA", "active_impl",
+    "EXP_FRAC",
     "ApproxConfig", "FixedFormat",
     "build_gelu_pieces", "build_isqrt_table", "build_recip_table",
     "isqrt_approx", "pade_exp", "softmax_approx", "gelu_pwl", "layernorm_approx",

@@ -85,6 +85,13 @@ def _check_gelu_continuity(px, pslope, pintercept, frac_bits):
             )
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only copy of ``values``."""
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ApproxConfig:
     """Tables and pieces for the hardware-friendly non-linear datapaths."""
@@ -112,6 +119,12 @@ class ApproxConfig:
             raise SchemaError("isqrt table must be strictly decreasing")
         if self.gelu_pieces is None:
             object.__setattr__(self, "gelu_pieces", build_gelu_pieces(self.fmt))
+        # Read-only copies: the kernel tables in ``_tables`` are built from
+        # these arrays and must not go stale, and the caller's arrays stay
+        # writable.
+        object.__setattr__(self, "isqrt_table", _frozen(self.isqrt_table))
+        object.__setattr__(self, "recip_table", _frozen(self.recip_table))
+        object.__setattr__(self, "gelu_pieces", tuple(map(_frozen, self.gelu_pieces)))
         px, ps, pb = self.gelu_pieces
         if not (len(px) == len(ps) == len(pb)) or np.any(np.diff(px) <= 0):
             raise SchemaError("gelu pieces must share length and have increasing bounds")

@@ -6,11 +6,10 @@ resolution of their internal datapath). Scalar inputs come back as scalars.
 Use ``cfg.fmt.quantize`` / ``dequantize`` to cross the float boundary.
 
 The exponential (also inside softmax), GELU and the inverse square root
-are element-wise over a small integer domain. Called without ``impl``,
-they gather from a whole-domain table of the numpy kernel, kept on the
-config, once it exists (see ``_table``), so the outputs equal the kernel's
-bit for bit; inputs outside the table, and explicit ``impl`` requests, run
-the kernel itself.
+are element-wise over a small integer domain. They gather from a
+whole-domain table of the kernel, kept on the config, once it exists (see
+``_table``), so the outputs equal the kernel's bit for bit; inputs outside
+the table run the kernel itself, and ``impl="numpy"`` bypasses the table.
 """
 
 from __future__ import annotations
@@ -29,19 +28,19 @@ def _as_flat(x):
     return np.ascontiguousarray(arr).reshape(-1), arr.shape, arr.ndim == 0
 
 
-def _exp_direct(z, cfg, impl):
-    return _fixmath.exp_fixed(z, cfg.log2e_q15, cfg.ln2_qf, cfg.fmt.frac_bits, impl=impl)
+def _exp_direct(z, cfg):
+    return _fixmath.exp_fixed(z, cfg.log2e_q15, cfg.ln2_qf, cfg.fmt.frac_bits)
 
 
-def _gelu_direct(x, cfg, impl):
+def _gelu_direct(x, cfg):
     px, ps, pb = cfg.gelu_pieces
     return _fixmath.gelu_fixed(x, px, ps, pb, cfg.fmt.frac_bits,
-                               cfg.fmt.min_int, cfg.fmt.max_int, impl=impl)
+                               cfg.fmt.min_int, cfg.fmt.max_int)
 
 
-def _isqrt_direct(x, cfg, impl):
+def _isqrt_direct(x, cfg):
     return _fixmath.isqrt_fixed(x, cfg.isqrt_table, cfg.table_bits, cfg.inv_sqrt2_q15,
-                                cfg.fmt.frac_bits, cfg.fmt.max_int, impl=impl)
+                                cfg.fmt.frac_bits, cfg.fmt.max_int)
 
 
 _DIRECT = {"exp": _exp_direct, "gelu": _gelu_direct, "isqrt": _isqrt_direct}
@@ -58,15 +57,17 @@ TABLE_MAX_ENTRIES = 1 << 16
 
 
 def _table(kind, cfg, n, impl):
-    """``(lo, table)`` with ``table[i]`` the numpy kernel at ``lo + i``, or None.
+    """``(lo, table)`` with ``table[i]`` the kernel at ``lo + i``, or None.
 
     The table covers ``kind``'s whole domain. It is built on the first call
     with ``n`` at least the domain's size, and only if the domain has at most
-    ``TABLE_MAX_ENTRIES`` inputs; once built, calls of any size get it, except
-    explicit ``impl`` requests. It assumes the config's arrays are not
-    modified afterwards.
+    ``TABLE_MAX_ENTRIES`` inputs; once built, calls of any size get it,
+    except ``impl="numpy"`` requests. The config's arrays are read-only, so
+    a table stays valid.
     """
     if impl is not None:
+        if impl != "numpy":
+            raise ValueError(f"unknown impl {impl!r}; only 'numpy' bypasses the tables")
         return None
     found = cfg._tables.get(kind)
     if found is None:
@@ -74,7 +75,10 @@ def _table(kind, cfg, n, impl):
         size = hi - lo + 1
         if size > TABLE_MAX_ENTRIES or n < size:
             return None
-        table = _DIRECT[kind](np.arange(lo, hi + 1, dtype=np.int64), cfg, "numpy")
+        # Allocated before the kernel's temporaries, so the long-lived table
+        # does not sit above them in the heap and keep their memory resident.
+        table = np.empty(size, dtype=np.int64)
+        table[:] = _DIRECT[kind](np.arange(lo, hi + 1, dtype=np.int64), cfg)
         table.flags.writeable = False
         found = cfg._tables[kind] = (lo, table)
     return found
@@ -94,7 +98,7 @@ def _elementwise(kind, flat, cfg, impl):
     """``kind``'s kernel on ``flat``: a table gather when every input is in it."""
     found = _table(kind, cfg, flat.size, impl)
     out = None if found is None else _gather(found, flat)
-    return _DIRECT[kind](flat, cfg, impl) if out is None else out
+    return _DIRECT[kind](flat, cfg) if out is None else out
 
 
 def isqrt_approx(x, cfg: ApproxConfig, impl=None):
@@ -151,7 +155,7 @@ def softmax_approx(row, cfg: ApproxConfig, impl=None):
         out = _fixmath.softmax_fixed(rows, cfg.exp_lo_fixed, cfg.log2e_q15,
                                      cfg.ln2_qf, cfg.fmt.frac_bits,
                                      cfg.recip_table, cfg.recip_bits,
-                                     cfg.recip_refine, cfg.renormalize, impl=impl)
+                                     cfg.recip_refine, cfg.renormalize)
     else:
         out = _fixmath.softmax_normalize(exps, cfg.recip_table, cfg.recip_bits,
                                          cfg.recip_refine, cfg.renormalize)
@@ -165,7 +169,7 @@ def gelu_pwl(x, cfg: ApproxConfig, impl=None):
     return out[0] if scalar else out.reshape(shape)
 
 
-def layernorm_approx(row, gamma, beta, cfg: ApproxConfig, impl=None):
+def layernorm_approx(row, gamma, beta, cfg: ApproxConfig):
     """Row normalization with the table-based inverse square root.
 
     Mean and variance are integer arithmetic; the scale is
@@ -182,7 +186,7 @@ def layernorm_approx(row, gamma, beta, cfg: ApproxConfig, impl=None):
     out = _fixmath.layernorm_fixed(rows, gamma, beta, cfg.ln_eps,
                                    cfg.fmt.frac_bits, cfg.isqrt_table,
                                    cfg.table_bits, cfg.inv_sqrt2_q15,
-                                   cfg.fmt.min_int, cfg.fmt.max_int, impl=impl)
+                                   cfg.fmt.min_int, cfg.fmt.max_int)
     return out[0] if squeeze else out
 
 

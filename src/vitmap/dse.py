@@ -8,18 +8,21 @@ Three searches share one feasible space:
   matmul numerator ``N = Σ_c w_c·R_c(tn)·C_c(tm)`` does not depend on pn.
   Latency therefore strictly decreases in pn at fixed (tn, tm), so every
   tm's optimum sits at its largest feasible pn, and the search scores
-  |tn|·|tm| pairs in exact integers instead of |tn|·|tm|·|pn| points in
-  floats. It returns the point ``exhaustive_search`` would return under
-  exact arithmetic, with ``graph_latency``'s latency bit for bit.
-* ``exhaustive_search`` walks every feasible (tm, pn, tn) triple in fixed
-  loop order (tm outer, pn middle, tn inner) through the float kernel and
-  keeps strict improvements, so the first point in loop order wins ties.
-  It is the oracle the other two are checked against.
+  |tn|·|tm| pairs instead of |tn|·|tm|·|pn| points. It returns the point
+  ``exhaustive_search`` would return if it compared exact rationals
+  instead of their correctly rounded floats.
+* ``exhaustive_search`` scores every feasible (tm, pn, tn) triple in fixed
+  loop order (tm outer, pn middle, tn inner) and keeps the first minimum,
+  so the first point in loop order wins ties. It is the oracle the other
+  two are checked against.
 * ``heuristic_search`` (``vitmap search --mode heuristic``, not a compile
   mode) runs an elitist population search: random feasible seeding,
   latency ranking, preservation of the best configurations, and neighbor
   mutations biased toward pn and tm moves, with an evaluation cache so
   each distinct configuration costs at most one evaluator call.
+
+Every search scores through the exact integer cost scorer in ``_latency``,
+so each latency it reports equals ``graph_latency``'s bit for bit.
 
 Results carry every evaluation made (cache hits flagged) as an
 ``EvaluationLog``: numpy columns that build ``Evaluation`` rows only when
@@ -39,13 +42,19 @@ import operator
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, starmap
 from typing import Iterator, Optional
 
 import numpy as np
 
-from ._latency import DagCostArrays, extract_cost_arrays, latency_batch
+from ._latency import (
+    DagCostArrays,
+    divide,
+    extract_cost_arrays,
+    latency_batch,
+    padded_rows,
+    weighted_columns,
+)
 from .errors import EmptySearchSpaceError, SchemaError
 from .hw import HardwareSpec, TileParams
 from .model_ir import Dag
@@ -335,9 +344,6 @@ def exhaustive_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchR
     )
 
 
-# Largest numerator the int64 matrix products may produce; larger spaces are
-# scored in Python integers instead.
-_INT64_MAX = np.iinfo(np.int64).max
 # Elements per block of the padded-row matrix R: 64 KiB of int64, so no
 # temporary of the exact search grows with the tn range.
 _BLOCK_ELEMS = 8192
@@ -357,32 +363,19 @@ def exact_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult
     """
     start = time.perf_counter()
     arrays = extract_cost_arrays(dag, hw)
-    if any(w.denominator != 1 for w in arrays.cls_weight):
-        raise ValueError(f"matmul class weights {list(map(str, arrays.cls_weight))} are not "
-                         "all whole numbers; the exact search needs integer numerators")
-    weights = [int(w) for w in arrays.cls_weight]
     tms = [tm for tm in space.tm_range if space.pn_count(tm) > 0 and space.tn_count(tm) > 0]
     if not tms:
         raise EmptySearchSpaceError("search space has no feasible points")
     tn_counts = [space.tn_count(tm) for tm in tms]
     tn_values = np.asarray(space.tn_range[:max(tn_counts)], dtype=np.int64)
-    # Padded extents per class: R[i, c] = ceil(n_c/tn_i)·tn_i, C[j, c] = ceil(m_c/tm_j)·tm_j.
-    tm_col = np.asarray(tms, dtype=np.int64)[:, None]
-    cols = -(-arrays.cls_m // tm_col) * tm_col
-    # R < n + tn, so every product and partial sum of the scoring is below this bound.
-    tn_max = int(tn_values[-1])
-    bound = sum(w * (n + tn_max) * c for w, n, c in zip(weights, arrays.cls_n.tolist(),
-                                                        cols.max(axis=0).tolist()))
-    dtype = np.int64 if bound <= _INT64_MAX else object
-    weighted = cols.astype(dtype) * np.array(weights, dtype=dtype)
+    weighted = weighted_columns(arrays, tms, int(tn_values[-1]))
 
     # Blocks run in tn order and a block only replaces a column's minimum when
     # strictly lower, so each column keeps its first minimum.
     column_min: list = [None] * len(tms)  # (numerator, tn index) per tm column
-    block = max(1, _BLOCK_ELEMS // max(1, len(weights)))
+    block = max(1, _BLOCK_ELEMS // max(1, len(arrays.cls_weight)))
     for lo in range(0, len(tn_values), block):
-        tn_col = tn_values[lo:lo + block, None]
-        rows = (-(-arrays.cls_n // tn_col) * tn_col).astype(dtype, copy=False)
+        rows = padded_rows(arrays, tn_values[lo:lo + block], weighted.dtype)
         for j, count in enumerate(tn_counts):
             if count <= lo:
                 continue
@@ -392,33 +385,22 @@ def exact_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult
             if column_min[j] is None or low < column_min[j][0]:
                 column_min[j] = (low, lo + i)
 
-    winners = []  # (numerator, denominator, pn, tn, tm), one per tm column
-    best = None
-    for tm, (numerator, i) in zip(tms, column_min):
-        pn = space.pn_range[space.pn_count(tm) - 1]
-        winner = (numerator, pn * space.pm * hw.num_kernels, pn, space.tn_range[i], tm)
-        winners.append(winner)
-        # N/D < N'/D' by cross-multiplication; a tie keeps the earlier tm.
-        if best is None or winner[0] * best[1] < best[0] * winner[1]:
-            best = winner
-
-    # float(Fraction(a, b)) is the correctly rounded a / b of Python ints, so
-    # this equals graph_latency's float((mm_cycles + nl_cycles) / Fraction(freq)).
-    freq = Fraction(hw.frequency_hz)
-    nl = arrays.nl_cycles_exact
-
-    def latency(num: int, den: int) -> float:
-        return (num + nl * den) * freq.denominator / (den * freq.numerator)
-
-    _, _, pns, tns, tms = zip(*winners)
-    log = EvaluationLog(pns, space.pm, tns, tms,
-                        [latency(num, den) for num, den, *_ in winners], False)
-    best_latency = latency(best[0], best[1])
+    numerators, tn_idx = zip(*column_min)
+    pns = [space.pn_range[space.pn_count(tm) - 1] for tm in tms]
+    best = 0
+    for j in range(1, len(tms)):
+        # N/pn < N'/pn' by cross-multiplication (pm·kernels is common); a tie
+        # keeps the earlier tm.
+        if numerators[j] * pns[best] < numerators[best] * pns[j]:
+            best = j
+    latencies = divide(arrays, np.array(numerators, dtype=weighted.dtype),
+                       np.array(pns, dtype=np.int64)).tolist()
+    tns = [space.tn_range[i] for i in tn_idx]
     return SearchResult(
-        best=Evaluation(TileParams(best[2], space.pm, best[3], best[4]), best_latency),
+        best=Evaluation(TileParams(pns[best], space.pm, tns[best], tms[best]), latencies[best]),
         evaluations_used=sum(tn_counts),
-        history=(best_latency,),
-        all_evaluated=log,
+        history=(latencies[best],),
+        all_evaluated=EvaluationLog(pns, space.pm, tns, tms, latencies, False),
         wall_time_s=time.perf_counter() - start,
         space=space,
     )

@@ -11,8 +11,10 @@ with ``kernel_factor = ceil(heads / kernels)`` for head-grouped matmuls and
 the non-linear units: ``ceil(elems / (lop * kernels))`` cycles. Tiling pads:
 partial tiles cost the same as full ones, so ceiling tile counts are used.
 
-Scalar entry points evaluate in exact integer/rational arithmetic; the
-design-space search uses the vectorized float kernels in ``_latency``.
+Scalar entry points evaluate in exact integer/rational arithmetic. The
+design-space search scores many tiles at once through the exact integer
+scorer in ``_latency``, whose latencies equal ``graph_latency``'s bit for
+bit.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 # Property tests draw the same examples on every run, so a verdict does not
 # depend on the seed or on how fast the machine runs the examples; tests
@@ -24,7 +25,7 @@ def pytest_terminal_summary(terminalreporter):
 
 from vitmap.dse import SpaceCaps, enumerate_space
 from vitmap.hw import HardwareSpec
-from vitmap.model_ir import Dag, ModelSpec, OpKind, OpNode, build_dag
+from vitmap.model_ir import Dag, ModelSpec, OpKind, OpNode, build_dag, fuse_qkv
 
 
 def toy_hw(**overrides) -> HardwareSpec:
@@ -51,6 +52,25 @@ def tiny_model(**overrides) -> ModelSpec:
                 mlp_ratio=4.0, patch_pixels=768, num_classes=1000)
     base.update(overrides)
     return ModelSpec(**base)
+
+
+@st.composite
+def small_models_and_boards(draw):
+    """A small random DAG (optionally QKV-fused) and board."""
+    heads = draw(st.integers(1, 3))
+    spec = tiny_model(
+        embed_dim=heads * draw(st.integers(1, 6)), num_heads=heads,
+        num_layers=draw(st.integers(1, 2)), num_tokens=draw(st.integers(1, 16)),
+        mlp_ratio=draw(st.sampled_from([1.0, 2.0, 4.0])),
+        patch_pixels=draw(st.integers(1, 24)), num_classes=draw(st.integers(1, 24)))
+    hw = toy_hw(axi_width_bits=draw(st.sampled_from([64, 128])),
+                onchip_capacity_elems=draw(st.integers(16, 512)),
+                num_kernels=draw(st.integers(1, 4)), lop=draw(st.integers(1, 16)),
+                frequency_hz=float(draw(st.integers(10 ** 6, 4 * 10 ** 8))))
+    dag = build_dag(spec)
+    if draw(st.booleans()):
+        dag = fuse_qkv(dag, hw)
+    return dag, hw
 
 
 @pytest.fixture

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixmath_golden as golden
 from vitmap.approx import _fixmath
 from vitmap.approx import (
     ApproxConfig,
     FixedFormat,
     build_gelu_pieces,
     build_isqrt_table,
+    build_recip_table,
     error_report,
     exact_gelu,
     exact_isqrt,
@@ -181,6 +183,17 @@ class TestGelu:
         x = np.array([-2000, -1025, -1024, -1, 0, 300], dtype=np.int64)
         assert gelu_pwl(x, cfg, impl=impl).tolist() == [0, 0, 0, 0, 0, 300]
 
+    @pytest.mark.parametrize("impl", [None, "numpy"])
+    def test_int64_extremes_saturate(self, impl):
+        # slope * x would wrap int64 here; the Python-int golden model cannot.
+        x = [2 ** 56, -2 ** 56, 2 ** 63 - 1, -2 ** 63]
+        px, ps, pb = (a.tolist() for a in CFG.gelu_pieces)
+        want = [golden.gelu(v, px, ps, pb, FMT.frac_bits, FMT.min_int, FMT.max_int)
+                for v in x]
+        assert want == [FMT.max_int, 0, FMT.max_int, 0]
+        assert gelu_pwl(np.array(x, dtype=np.int64), CFG, impl=impl).tolist() == want
+        assert [gelu_pwl(v, CFG, impl=impl) for v in x] == want
+
     def test_dense_sweep_pinned(self):
         xs = np.arange(q(-4.0), q(4.0) + 1, dtype=np.int64)
         err = np.abs(FMT.dequantize(gelu_pwl(xs, CFG)) - exact_gelu(FMT.dequantize(xs)))
@@ -276,6 +289,31 @@ class TestConfig:
                 "schema_version": 1,
                 "gelu_pieces": [[-32769, 0, 0], [0, 256, 100], [1024, 256, 0]],
             })
+
+    @pytest.mark.parametrize("make", [
+        ApproxConfig,
+        lambda: ApproxConfig.from_doc({"schema_version": 1, "format": "Q8.8",
+                                       "isqrt_table_size": 32, "gelu_knots": [-2, 0, 2]}),
+        lambda: ApproxConfig.from_doc({"schema_version": 1, "gelu_pieces": [
+            [-32769, 0, 0], [0, 256, 0]]}),
+    ], ids=["default", "from_doc", "from_doc_pieces"])
+    def test_arrays_are_read_only(self, make):
+        cfg = make()
+        for arr in (cfg.isqrt_table, cfg.recip_table, *cfg.gelu_pieces):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_caller_arrays_are_copied_not_frozen(self):
+        isqrt, recip = build_isqrt_table(64), build_recip_table(64)
+        pieces = build_gelu_pieces(FMT)
+        cfg = ApproxConfig(isqrt_table=isqrt, recip_table=recip, gelu_pieces=pieces)
+        for mine, held in zip((isqrt, recip, *pieces),
+                              (cfg.isqrt_table, cfg.recip_table, *cfg.gelu_pieces)):
+            assert np.array_equal(mine, held) and not np.shares_memory(mine, held)
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 1
+            mine[0] += 1  # the caller's own array stays writable
+        assert gelu_pwl(0, cfg) == 0
 
     def test_format_parse(self):
         fmt = FixedFormat.parse("Q4.4")
@@ -377,6 +415,11 @@ class TestDomainTables:
         gelu_pwl(np.array([cfg.fmt.min_int - 1, 0]), cfg)
         gelu_pwl(np.array([-2 ** 62, 0]), cfg)
         assert calls == [10, 2, 2, 2]
+
+    @pytest.mark.parametrize("fn", [pade_exp, softmax_approx, gelu_pwl, isqrt_approx])
+    def test_only_numpy_impl_accepted(self, fn):
+        with pytest.raises(ValueError, match="unknown impl 'numba'"):
+            fn(np.array([1, 2]), ApproxConfig(), impl="numba")
 
     def test_softmax_row_overflowing_int64_runs_the_kernel(self):
         # row - row.max wraps past int64 here, so the shifted input leaves the table.

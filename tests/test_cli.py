@@ -140,6 +140,15 @@ class TestCompile:
         assert exact["tiles"] == exhaustive["tiles"]
         assert exact["latency"] == exhaustive["latency"]
 
+    def test_exhaustive_best_latency_is_the_exact_total(self, tmp_path):
+        # deit-base's float sum once read 0.017420449947644006 here, beside
+        # the exact total 0.017420449947643978.
+        assert run("compile", "--model", "deit-base", "--hw", "vu9p", "--exhaustive",
+                   "--force", "--out-dir", tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["search"]["mode"] == "exhaustive"
+        assert manifest["search"]["best_latency_s"] == manifest["latency"]["total_s"]
+
     @pytest.mark.parametrize("flags", [
         ["--heuristic"], ["--max-evals", "300"], ["--set-size", "20"], ["--iterations", "3"],
         ["--preservation", "2"], ["--search-config", "cfg.json"],

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from collections import Counter
@@ -11,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_space, single_matmul_dag, tiny_model, toy_hw
-from vitmap import dse
+from conftest import random_space, single_matmul_dag, small_models_and_boards, toy_hw
+from vitmap import _latency, dse
 from vitmap.dse import (
     Evaluation,
     EvaluationLog,
@@ -140,25 +139,6 @@ def fraction_oracle(dag, hw, space):
          + nl)
         for pn, tn, tm in space.iter_points()
     ]
-
-
-@st.composite
-def small_models_and_boards(draw):
-    """A small random DAG (optionally QKV-fused) and board."""
-    heads = draw(st.integers(1, 3))
-    spec = tiny_model(
-        embed_dim=heads * draw(st.integers(1, 6)), num_heads=heads,
-        num_layers=draw(st.integers(1, 2)), num_tokens=draw(st.integers(1, 16)),
-        mlp_ratio=draw(st.sampled_from([1.0, 2.0, 4.0])),
-        patch_pixels=draw(st.integers(1, 24)), num_classes=draw(st.integers(1, 24)))
-    hw = toy_hw(axi_width_bits=draw(st.sampled_from([64, 128])),
-                onchip_capacity_elems=draw(st.integers(16, 512)),
-                num_kernels=draw(st.integers(1, 4)), lop=draw(st.integers(1, 16)),
-                frequency_hz=float(draw(st.integers(10 ** 6, 4 * 10 ** 8))))
-    dag = build_dag(spec)
-    if draw(st.booleans()):
-        dag = fuse_qkv(dag, hw)
-    return dag, hw
 
 
 _small_caps = st.builds(
@@ -328,7 +308,7 @@ class TestExactSearch:
         dag, hw = preset_dag("deit-base", batch=64)
         space = enumerate_space(dag, hw)
         fast = exact_search(dag, hw, space)
-        monkeypatch.setattr(dse, "_INT64_MAX", 1)
+        monkeypatch.setattr(_latency, "_INT64_MAX", 1)
         slow = exact_search(dag, hw, space)
         assert slow.best == fast.best
         assert slow.all_evaluated == fast.all_evaluated
@@ -343,37 +323,6 @@ class TestExactSearch:
         (pn, tn, tm), cycles = min(fraction_oracle(dag, hw, space), key=lambda point: point[1])
         assert result.best.tiles == TileParams(pn, space.pm, tn, tm)
         assert result.best.latency_s == float(cycles / Fraction(hw.frequency_hz))
-
-    def test_fractional_class_weight_rejected(self, monkeypatch):
-        extract = dse.extract_cost_arrays
-
-        def halve_weights(dag, hw):
-            arrays = extract(dag, hw)
-            return dataclasses.replace(
-                arrays, cls_weight=tuple(w / 2 for w in arrays.cls_weight))
-
-        monkeypatch.setattr(dse, "extract_cost_arrays", halve_weights)
-        dag = single_matmul_dag(n=8, k=3, m=8)
-        hw = toy_hw()
-        with pytest.raises(ValueError, match="whole numbers"):
-            exact_search(dag, hw, enumerate_space(dag, hw))
-
-    def test_float_searches_score_fractional_class_weights(self, monkeypatch):
-        extract = dse.extract_cost_arrays
-
-        def halve_weights(dag, hw):
-            arrays = extract(dag, hw)
-            return dataclasses.replace(
-                arrays, cls_weight=tuple(w / 2 for w in arrays.cls_weight))
-
-        monkeypatch.setattr(dse, "extract_cost_arrays", halve_weights)
-        dag = single_matmul_dag(n=8, k=3, m=8)
-        hw = toy_hw()
-        space = enumerate_space(dag, hw)
-        exh = dse.exhaustive_search(dag, hw, space)
-        heur = dse.heuristic_search(dag, hw, space, SearchConfig(seed=0, max_evaluations=50))
-        assert exh.evaluations_used == space.feasible_size()
-        assert heur.best.latency_s >= exh.best.latency_s
 
     def test_no_feasible_tm_rejected(self):
         space = dse.SearchSpace(tn_range=(1,), tm_range=(2,), pn_range=(1,), pm=2, capacity=64)

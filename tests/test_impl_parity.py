@@ -1,78 +1,95 @@
-"""The jitted kernels and their numpy fallbacks must agree bit for bit."""
+"""The numpy kernels against their golden models, bit for bit.
 
+The exact cost scorer is checked against ``graph_latency``, which sums the
+cost model node by node in ``Fraction``s; the fixed-point kernels against
+the plain-Python, Python-int restatement in ``fixmath_golden``.
+"""
+
+import dataclasses
 import json
+from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import toy_hw
+import fixmath_golden as golden
+from conftest import small_models_and_boards, toy_hw
 from vitmap import _latency
 from vitmap.approx import ApproxConfig, _fixmath
-from vitmap.dse import enumerate_space
-from vitmap.hw import parse_hardware
+from vitmap.dse import SpaceCaps, enumerate_space
+from vitmap.errors import EmptySearchSpaceError
+from vitmap.hw import TileParams, graph_latency, parse_hardware
 from vitmap.model_ir import Dag, OpKind, OpNode, batch_expand, build_dag, fuse_qkv, parse_model
 
-needs_numba = pytest.mark.skipif(not _fixmath.HAVE_NUMBA, reason="numba not importable")
-
 CFG = ApproxConfig()
-
-
-def _random_points(rng, count=4000):
-    tn = rng.integers(1, 400, count)
-    tm = rng.integers(1, 200, count) * 2
-    pn = rng.integers(1, 128, count)
-    return tn, tm, pn
-
-
-@needs_numba
-def test_latency_batch_parity():
-    dag = Dag((
-        OpNode("a", OpKind.MATMUL, (), (197, 591), dims=(197, 64, 197),
-               head_scoped=True, heads=3),
-        OpNode("s", OpKind.SOFTMAX, ("a",), (197, 591), head_scoped=True, heads=3),
-        OpNode("b", OpKind.MATMUL, ("s",), (197, 192), dims=(197, 197, 64),
-               head_scoped=True, heads=3),
-    ))
-    arrays = _latency.extract_cost_arrays(dag, toy_hw(onchip_capacity_elems=1 << 18))
-    tn, tm, pn = _random_points(np.random.default_rng(0))
-    jit = _latency.latency_batch(arrays, tn, tm, pn, impl="numba")
-    ref = _latency.latency_batch(arrays, tn, tm, pn, impl="numpy")
-    assert np.array_equal(jit, ref)
 
 
 def _preset(name):
     return json.loads(resources.files("vitmap.presets").joinpath(name).read_text())
 
 
-@pytest.fixture(scope="module")
-def deit_base_reference():
-    """deit-base cost arrays, sampled feasible points, and the loop kernel's
-    latencies for them, computed by ``_latency_batch_loops`` as plain Python."""
+def _graph_latencies(dag, hw, pn, tn, tm):
+    return [graph_latency(dag, TileParams(p, hw.pack_factor, n, m), hw).total_latency_s
+            for p, n, m in zip(pn.tolist(), tn.tolist(), tm.tolist())]
+
+
+@pytest.fixture(scope="module", params=[1, 64], ids=["batch1", "batch64"])
+def deit_base_reference(request):
+    """deit-base cost arrays, 3001 sampled feasible points and graph_latency at each."""
     hw = parse_hardware(_preset("vu9p.json"))
     spec = parse_model(_preset("deit_base.json"))
-    dag = batch_expand(fuse_qkv(build_dag(spec), hw), spec.batch)
+    dag = batch_expand(fuse_qkv(build_dag(spec), hw), request.param)
     arrays = _latency.extract_cost_arrays(dag, hw)
     pn, tn, tm = enumerate_space(dag, hw).point_arrays()
     idx = np.random.default_rng(0).integers(0, pn.shape[0], 3001)
     tn, tm, pn = tn[idx], tm[idx], pn[idx]
-    out = np.empty(idx.shape[0], dtype=np.float64)
-    ref = _latency._latency_batch_loops(tn, tm, pn, *arrays.per_matmul(), arrays.pm,
-                                        arrays.nl_cycles, arrays.inv_freq, out)
-    return arrays, tn, tm, pn, ref
+    return arrays, tn, tm, pn, _graph_latencies(dag, hw, pn, tn, tm)
 
 
 @pytest.mark.parametrize("block", [None, 256])
-def test_latency_batch_numpy_matches_loops_on_deit_base(deit_base_reference, block,
-                                                        monkeypatch):
+def test_latency_batch_equals_graph_latency_on_deit_base(deit_base_reference, block,
+                                                         monkeypatch):
     # 3001 points: a partial tail block at both the default block size and 256.
     arrays, tn, tm, pn, ref = deit_base_reference
-    assert arrays.mm_class.shape[0] == 98 and arrays.cls_n.shape[0] == 6
+    assert arrays.cls_n.shape[0] == 6
     if block is not None:
         monkeypatch.setattr(_latency, "_BLOCK", block)
     assert tn.shape[0] % _latency._BLOCK != 0
-    got = _latency.latency_batch(arrays, tn, tm, pn, impl="numpy")
-    assert np.array_equal(got, ref)
+    assert _latency.latency_batch(arrays, tn, tm, pn).tolist() == ref
+
+
+@settings(max_examples=120)
+@given(small_models_and_boards(), st.sampled_from(["integer", "fractional"]),
+       st.booleans(), st.data())
+def test_latency_batch_equals_graph_latency(model_and_board, clock, object_path, data):
+    dag, hw = model_and_board
+    if clock == "fractional":
+        # An odd 53-bit numerator over 2^25: the clock lies in [2^27, 2^28) Hz
+        # and D·p exceeds 2^53 for every D >= 2, so the division runs in
+        # Python ints.
+        mantissa = data.draw(st.integers(2 ** 52, 2 ** 53 - 1), label="clock mantissa") | 1
+        hw = dataclasses.replace(hw, frequency_hz=float(Fraction(mantissa, 2 ** 25)))
+    try:
+        space = enumerate_space(dag, hw, SpaceCaps(tn_max=24, tm_max=96))
+    except EmptySearchSpaceError:
+        return
+    pn, tn, tm = space.point_arrays()
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="sample seed")
+    count = data.draw(st.integers(1, 300), label="points")
+    idx = np.random.default_rng(seed).integers(0, pn.shape[0], count)
+    pn, tn, tm = pn[idx], tn[idx], tm[idx]
+    arrays = _latency.extract_cost_arrays(dag, hw)
+    if clock == "fractional":
+        assert arrays.frequency.numerator * arrays.pm >= _latency._FLOAT_EXACT
+    # Every numerator exceeds a bound of 1, so the object path scores in Python ints.
+    with mock.patch.object(_latency, "_INT64_MAX", 1 if object_path else _latency._INT64_MAX):
+        got = _latency.latency_batch(arrays, tn, tm, pn)
+    assert got.dtype == np.float64
+    assert got.tolist() == _graph_latencies(dag, hw, pn, tn, tm)
 
 
 def test_cost_classes_keep_matmul_order():
@@ -80,66 +97,63 @@ def test_cost_classes_keep_matmul_order():
         OpNode("a", OpKind.MATMUL, (), (8, 8), dims=(8, 4, 8)),
         OpNode("b", OpKind.MATMUL, (), (8, 8), dims=(8, 8, 8)),
         OpNode("c", OpKind.MATMUL, (), (8, 8), dims=(8, 4, 8)),
-        OpNode("d", OpKind.MATMUL, (), (8, 8), dims=(8, 4, 8), head_scoped=True, heads=2),
+        OpNode("d", OpKind.MATMUL, (), (8, 8), dims=(8, 4, 8), head_scoped=True, heads=5),
     ))
-    arrays = _latency.extract_cost_arrays(dag, toy_hw())
-    assert arrays.mm_class.tolist() == [0, 1, 0, 2]
-    n, k, m, kf = arrays.per_matmul()
-    assert k.tolist() == [4, 8, 4, 4]
-    assert kf.tolist() == [0.25, 0.25, 0.25, 1.0]
+    arrays = _latency.extract_cost_arrays(dag, toy_hw(num_kernels=4))
+    # Classes in first-occurrence order; weight count·k·kernel_factor·kernels
+    # is count·k for row-split matmuls and count·k·ceil(heads/4)·4 = k·8 here.
+    assert arrays.cls_n.tolist() == [8, 8, 8]
+    assert arrays.cls_weight == (2 * 4, 8, 4 * 8)
+    assert all(type(w) is int for w in arrays.cls_weight)
 
 
-@needs_numba
-def test_isqrt_parity():
-    rng = np.random.default_rng(1)
-    x = rng.integers(1, CFG.fmt.max_int + 1, 20000)
-    a = _fixmath.isqrt_fixed(x, CFG.isqrt_table, CFG.table_bits, CFG.inv_sqrt2_q15,
-                             CFG.fmt.frac_bits, CFG.fmt.max_int, impl="numba")
-    b = _fixmath.isqrt_fixed(x, CFG.isqrt_table, CFG.table_bits, CFG.inv_sqrt2_q15,
-                             CFG.fmt.frac_bits, CFG.fmt.max_int, impl="numpy")
-    assert np.array_equal(a, b)
+# ---------------------------------------------------------------------------
+# fixed-point kernels against the Python-int golden model
+# ---------------------------------------------------------------------------
+
+def test_isqrt_matches_golden():
+    x = np.random.default_rng(1).integers(1, CFG.fmt.max_int + 1, 3000)
+    args = (CFG.isqrt_table.tolist(), CFG.table_bits, CFG.inv_sqrt2_q15,
+            CFG.fmt.frac_bits, CFG.fmt.max_int)
+    got = _fixmath.isqrt_fixed(x, CFG.isqrt_table, *args[1:])
+    assert got.tolist() == [golden.isqrt(v, *args) for v in x.tolist()]
 
 
-@needs_numba
-def test_exp_parity_exhaustive():
+def test_exp_matches_golden_over_its_domain():
     z = np.arange(CFG.exp_lo_fixed, 1, dtype=np.int64)
-    a = _fixmath.exp_fixed(z, CFG.log2e_q15, CFG.ln2_qf, CFG.fmt.frac_bits, impl="numba")
-    b = _fixmath.exp_fixed(z, CFG.log2e_q15, CFG.ln2_qf, CFG.fmt.frac_bits, impl="numpy")
-    assert np.array_equal(a, b)
+    args = (CFG.log2e_q15, CFG.ln2_qf, CFG.fmt.frac_bits)
+    assert _fixmath.exp_fixed(z, *args).tolist() == [golden.exp(v, *args) for v in z.tolist()]
 
 
-@needs_numba
 @pytest.mark.parametrize("refine,renorm", [(0, False), (1, False), (0, True)])
-def test_softmax_parity(refine, renorm):
-    rng = np.random.default_rng(2)
-    rows = CFG.fmt.quantize(rng.normal(0, 1.2, (64, 197)))
-    args = (rows, CFG.exp_lo_fixed, CFG.log2e_q15, CFG.ln2_qf, CFG.fmt.frac_bits,
+def test_softmax_matches_golden(refine, renorm):
+    rows = CFG.fmt.quantize(np.random.default_rng(2).normal(0, 1.2, (16, 197)))
+    args = (CFG.exp_lo_fixed, CFG.log2e_q15, CFG.ln2_qf, CFG.fmt.frac_bits,
             CFG.recip_table, CFG.recip_bits, refine, renorm)
-    assert np.array_equal(_fixmath.softmax_fixed(*args, impl="numba"),
-                          _fixmath.softmax_fixed(*args, impl="numpy"))
+    got = _fixmath.softmax_fixed(rows, *args)
+    rtab = CFG.recip_table.tolist()
+    want = [golden.softmax(row, *args[:4], rtab, *args[5:]) for row in rows.tolist()]
+    assert got.tolist() == want
 
 
-@needs_numba
-def test_gelu_parity():
+def test_gelu_matches_golden_over_the_format():
     x = np.arange(CFG.fmt.min_int, CFG.fmt.max_int + 1, dtype=np.int64)
     px, ps, pb = CFG.gelu_pieces
-    args = (x, px, ps, pb, CFG.fmt.frac_bits, CFG.fmt.min_int, CFG.fmt.max_int)
-    assert np.array_equal(_fixmath.gelu_fixed(*args, impl="numba"),
-                          _fixmath.gelu_fixed(*args, impl="numpy"))
+    args = (CFG.fmt.frac_bits, CFG.fmt.min_int, CFG.fmt.max_int)
+    got = _fixmath.gelu_fixed(x, px, ps, pb, *args)
+    pieces = (px.tolist(), ps.tolist(), pb.tolist())
+    assert got.tolist() == [golden.gelu(v, *pieces, *args) for v in x.tolist()]
 
 
-@needs_numba
-def test_layernorm_parity():
+def test_layernorm_matches_golden():
     rng = np.random.default_rng(3)
-    rows = CFG.fmt.quantize(rng.normal(0, 1, (48, 192)))
+    rows = CFG.fmt.quantize(rng.normal(0, 1, (12, 192)))
     gamma = CFG.fmt.quantize(rng.uniform(0.5, 1.5, 192))
     beta = CFG.fmt.quantize(rng.normal(0, 0.2, 192))
-    args = (rows, gamma, beta, CFG.ln_eps, CFG.fmt.frac_bits, CFG.isqrt_table,
-            CFG.table_bits, CFG.inv_sqrt2_q15, CFG.fmt.min_int, CFG.fmt.max_int)
-    assert np.array_equal(_fixmath.layernorm_fixed(*args, impl="numba"),
-                          _fixmath.layernorm_fixed(*args, impl="numpy"))
-
-
-def test_env_flag_reported():
-    assert _latency.active_impl() in ("numba", "numpy")
-    assert _fixmath.active_impl() in ("numba", "numpy")
+    args = (CFG.ln_eps, CFG.fmt.frac_bits, CFG.isqrt_table, CFG.table_bits,
+            CFG.inv_sqrt2_q15, CFG.fmt.min_int, CFG.fmt.max_int)
+    got = _fixmath.layernorm_fixed(rows, gamma, beta, *args)
+    py_args = (*args[:2], CFG.isqrt_table.tolist(), *args[3:])
+    want = [golden.layernorm(row, gamma.tolist(), beta.tolist(), *py_args)
+            for row in rows.tolist()]
+    assert got.tolist() == want
