@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -99,7 +98,6 @@ class ApproxConfig:
     fmt: FixedFormat = field(default_factory=FixedFormat)
     isqrt_table: np.ndarray = field(default_factory=lambda: build_isqrt_table(64))
     recip_table: np.ndarray = field(default_factory=lambda: build_recip_table(64))
-    pade_order: tuple[int, int] = (2, 2)
     exp_domain_lo: float = DEFAULT_EXP_DOMAIN_LO
     gelu_pieces: tuple[np.ndarray, np.ndarray, np.ndarray] = None
     recip_refine: int = 0
@@ -111,8 +109,6 @@ class ApproxConfig:
     def __post_init__(self):
         if self.fmt.frac_bits > EXP_FRAC:
             raise SchemaError(f"frac_bits > {EXP_FRAC} not supported by the exp datapath")
-        if self.pade_order != (2, 2):
-            raise SchemaError("only the [2/2] rational order is implemented")
         if self.exp_domain_lo >= 0:
             raise SchemaError("exp_domain_lo must be negative")
         if np.any(np.diff(self.isqrt_table) >= 0):
@@ -186,18 +182,13 @@ class ApproxConfig:
                 kwargs[key] = doc[key]
         return cls(**kwargs)
 
-    @classmethod
-    def load(cls, path) -> "ApproxConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_doc(json.load(fh))
-
     def describe(self) -> dict:
         """JSON-ready summary (embedded in compilation manifests)."""
         return {
             "format": self.fmt.name,
             "isqrt_table_size": len(self.isqrt_table),
             "recip_table_size": len(self.recip_table),
-            "pade_order": list(self.pade_order),
+            "pade_order": [2, 2],  # the only rational order pade_exp implements
             "exp_domain_lo": self.exp_domain_lo,
             "gelu_pieces": len(self.gelu_pieces[0]),
             "recip_refine": self.recip_refine,

@@ -22,7 +22,6 @@ class FixedFormat:
 
     total_bits: int = 16
     frac_bits: int = 8
-    signed: bool = True
 
     def __post_init__(self):
         if self.total_bits < 2 or not 0 <= self.frac_bits < self.total_bits:
@@ -37,7 +36,7 @@ class FixedFormat:
         if not m:
             raise SchemaError(f"unrecognized fixed-point format {text!r}")
         int_bits, frac_bits = int(m.group(1)), int(m.group(2))
-        return cls(total_bits=int_bits + frac_bits, frac_bits=frac_bits, signed=True)
+        return cls(total_bits=int_bits + frac_bits, frac_bits=frac_bits)
 
     @property
     def name(self) -> str:
@@ -49,11 +48,11 @@ class FixedFormat:
 
     @property
     def min_int(self) -> int:
-        return -(1 << (self.total_bits - 1)) if self.signed else 0
+        return -(1 << (self.total_bits - 1))
 
     @property
     def max_int(self) -> int:
-        return (1 << (self.total_bits - 1)) - 1 if self.signed else (1 << self.total_bits) - 1
+        return (1 << (self.total_bits - 1)) - 1
 
     def quantize(self, x) -> np.ndarray:
         """Round half up to the nearest representable value, saturating."""

@@ -11,6 +11,9 @@ import math
 import numpy as np
 
 _erf = np.vectorize(math.erf, otypes=[np.float64])
+# Elements per ``_erf`` call: ``np.vectorize`` boxes a whole call's input
+# as Python floats at once, so chunks cap that at a few hundred KB.
+_ERF_CHUNK = 1 << 14
 
 
 def exact_isqrt(x):
@@ -30,7 +33,11 @@ def exact_softmax(row):
 
 def exact_gelu(x):
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + _erf(x / math.sqrt(2.0)))
+    scaled = (x / math.sqrt(2.0)).ravel()
+    erf = np.empty_like(scaled)
+    for lo in range(0, scaled.size, _ERF_CHUNK):
+        erf[lo:lo + _ERF_CHUNK] = _erf(scaled[lo:lo + _ERF_CHUNK])
+    return 0.5 * x * (1.0 + erf.reshape(x.shape))
 
 
 def exact_layernorm(row, gamma=1.0, beta=0.0, eps: float = 0.0):

@@ -18,11 +18,14 @@ Three searches share one feasible space:
 * ``heuristic_search`` (``vitmap search --mode heuristic``, not a compile
   mode) runs an elitist population search: random feasible seeding,
   latency ranking, preservation of the best configurations, and neighbor
-  mutations biased toward pn and tm moves, with an evaluation cache so
-  each distinct configuration costs at most one evaluator call.
+  mutations biased toward pn and tm moves, then line sweeps around the
+  elites. A cache makes each distinct configuration cost at most one
+  scorer call.
 
 Every search scores through the exact integer cost scorer in ``_latency``,
-so each latency it reports equals ``graph_latency``'s bit for bit.
+so each latency it reports equals ``graph_latency``'s bit for bit. Every
+search draws only feasible points, so every evaluation is a feasible,
+scored point.
 
 Results carry every evaluation made (cache hits flagged) as an
 ``EvaluationLog``: numpy columns that build ``Evaluation`` rows only when
@@ -42,7 +45,7 @@ import operator
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import chain, repeat, starmap
 from typing import Iterator, Optional
 
 import numpy as np
@@ -60,6 +63,9 @@ from .hw import HardwareSpec, TileParams
 from .model_ir import Dag
 
 _MUTATION_RETRIES = 10
+# Running sums of the mutation weights: pn 0.35, tm 0.35, tn 0.15 and a fresh
+# random draw 0.15.
+_MUTATION_CUM_WEIGHTS = (0.35, 0.7, 0.85)
 
 
 @dataclass(frozen=True)
@@ -101,12 +107,9 @@ class SearchSpace:
     def feasible_size(self) -> int:
         return sum(self.pn_count(tm) * self.tn_count(tm) for tm in self.tm_range)
 
-    def iter_points(self) -> Iterator[tuple[int, int, int]]:
-        """Feasible (pn, tn, tm) triples in exhaustive loop order."""
-        for tm in self.tm_range:
-            for pn in self.pn_range[: self.pn_count(tm)]:
-                for tn in self.tn_range[: self.tn_count(tm)]:
-                    yield (pn, tn, tm)
+    def feasible_tms(self) -> list[int]:
+        """The tm candidates with at least one feasible (pn, tn), ascending."""
+        return [tm for tm in self.tm_range if self.pn_count(tm) > 0 and self.tn_count(tm) > 0]
 
     def point_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All feasible points in loop order as (pn, tn, tm) arrays."""
@@ -168,22 +171,18 @@ def enumerate_space(dag: Dag, hw: HardwareSpec, caps: Optional[SpaceCaps] = None
 
 @dataclass(frozen=True, slots=True)
 class Evaluation:
-    """Cost-model result for one configuration; latency None when infeasible."""
+    """Cost-model latency of one feasible configuration."""
 
     tiles: TileParams
-    latency_s: Optional[float]
+    latency_s: float
     from_cache: bool = False
-
-    @property
-    def feasible(self) -> bool:
-        return self.latency_s is not None
 
 
 class EvaluationLog(Sequence[Evaluation]):
     """Read-only, columnar ``Sequence[Evaluation]`` in evaluation order.
 
     Columns are read-only numpy arrays: ``pn``, ``pm``, ``tn``, ``tm``
-    (int64), ``latency`` (float64 seconds, NaN where infeasible) and
+    (int64), ``latency`` (float64 seconds) and
     ``from_cache`` (bool). A scalar column value is broadcast without
     copying. Indexing and iteration build ``Evaluation`` rows on demand; a
     slice is another log over views of the same columns.
@@ -197,16 +196,6 @@ class EvaluationLog(Sequence[Evaluation]):
         for name, value, dtype in zip(self.__slots__, (pn, pm, tn, tm, latency, from_cache),
                                       self._DTYPES):
             setattr(self, name, np.broadcast_to(np.asarray(value, dtype=dtype), (n,)))
-
-    @classmethod
-    def of(cls, evals: Sequence[Evaluation]) -> "EvaluationLog":
-        """``evals`` itself when it is a log, else its rows as columns."""
-        if isinstance(evals, cls):
-            return evals
-        rows = [(e.tiles.pn, e.tiles.pm, e.tiles.tn, e.tiles.tm,
-                 math.nan if e.latency_s is None else e.latency_s, e.from_cache)
-                for e in evals]
-        return cls(*(zip(*rows) if rows else [()] * 6))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -229,8 +218,7 @@ class EvaluationLog(Sequence[Evaluation]):
         if not isinstance(other, EvaluationLog):
             return NotImplemented
         return len(self) == len(other) and all(
-            np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
-            for a, b in zip(self.columns(), other.columns()))
+            map(np.array_equal, self.columns(), other.columns()))
 
     __hash__ = None
 
@@ -239,40 +227,36 @@ class EvaluationLog(Sequence[Evaluation]):
 
 
 def _row(pn: int, pm: int, tn: int, tm: int, latency: float, from_cache: bool) -> Evaluation:
-    return Evaluation(TileParams(pn, pm, tn, tm),
-                      None if math.isnan(latency) else latency, from_cache)
+    return Evaluation(TileParams(pn, pm, tn, tm), latency, from_cache)
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """The heuristic search's population, iteration and budget settings.
+
+    ``max_evaluations`` budgets the distinct configurations scored: the
+    population search may use three fifths of it, but never less than
+    ``set_size``, and the line sweeps stop once the total reaches it.
+    """
+
     set_size: int = 100
     iterations: int = 50
     preservation_size: int = 10
     seed: int = 0
-    mutation_bias: tuple[float, float, float, float] = (0.35, 0.35, 0.15, 0.15)
     max_evaluations: Optional[int] = None
-    use_cache: bool = True
-    refine: bool = True
 
     def __post_init__(self):
         if self.set_size < 1 or self.iterations < 0 or self.preservation_size < 1:
             raise SchemaError("set_size/preservation_size must be >= 1, iterations >= 0")
         if not self.preservation_size < self.set_size:
             raise SchemaError("preservation_size must be < set_size")
-        if len(self.mutation_bias) != 4 or any(w < 0 for w in self.mutation_bias):
-            raise SchemaError("mutation_bias must be 4 non-negative weights")
-        if abs(sum(self.mutation_bias) - 1.0) > 1e-9:
-            raise SchemaError("mutation_bias weights must sum to 1")
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SearchConfig":
-        kwargs = dict(doc)
-        unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise SchemaError(f"unknown search-config fields: {sorted(unknown)}")
-        if "mutation_bias" in kwargs:
-            kwargs["mutation_bias"] = tuple(kwargs["mutation_bias"])
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -286,42 +270,43 @@ class SearchResult:
 
 
 class _Evaluator:
-    """Cost evaluator with a memo keyed by (pn, tn, tm); counts misses."""
+    """Budgeted scorer with a memo keyed by (pn, tn, tm) and a row log.
 
-    def __init__(self, arrays: DagCostArrays, space: SearchSpace,
-                 use_cache: bool = True, budget: Optional[int] = None):
+    ``cache`` holds one latency per distinct point, in scoring order, and
+    counts the evaluations made. ``rows`` logs every answered request as
+    ``(pn, tn, tm, latency, from_cache)``; a repeat of a point already logged
+    is a cache hit.
+    """
+
+    def __init__(self, arrays: DagCostArrays, budget: Optional[int]):
         self.arrays = arrays
-        self.space = space
-        self.use_cache = use_cache
         self.budget = budget
         self.cache: dict[tuple[int, int, int], float] = {}
-        self.misses = 0
+        self.rows: list[tuple[int, int, int, float, bool]] = []
 
     def exhausted(self) -> bool:
-        return self.budget is not None and self.misses >= self.budget
+        return self.budget is not None and len(self.cache) >= self.budget
 
     def evaluate(self, points: Sequence[tuple[int, int, int]]) -> list[Optional[float]]:
-        """Latency per point; None when the budget ran out before evaluation."""
-        fresh = []
-        seen = set()
+        """Latency per point, None where the budget ran out first; logs the rest."""
+        fresh: dict[tuple[int, int, int], None] = {}  # ordered set of new points
         for pt in points:
-            if pt in seen:
-                continue
-            if not (self.use_cache and pt in self.cache):
-                if self.budget is not None and self.misses + len(fresh) >= self.budget:
-                    continue
-                fresh.append(pt)
-                if self.use_cache:
-                    seen.add(pt)
+            if pt not in self.cache and pt not in fresh and (
+                    self.budget is None or len(self.cache) + len(fresh) < self.budget):
+                fresh[pt] = None
         if fresh:
-            pn = np.array([p[0] for p in fresh], dtype=np.int64)
-            tn = np.array([p[1] for p in fresh], dtype=np.int64)
-            tm = np.array([p[2] for p in fresh], dtype=np.int64)
-            lats = latency_batch(self.arrays, tn, tm, pn)
-            self.misses += len(fresh)
-            for pt, lat in zip(fresh, lats):
-                self.cache[pt] = float(lat)
-        return [self.cache.get(pt) for pt in points]
+            pn, tn, tm = (np.array(c, dtype=np.int64) for c in zip(*fresh))
+            self.cache.update(zip(fresh, latency_batch(self.arrays, tn, tm, pn).tolist()))
+        lats = [self.cache.get(pt) for pt in points]
+        for pt, lat in zip(points, lats):
+            if lat is not None:
+                self.rows.append((*pt, lat, pt not in fresh))
+                fresh.pop(pt, None)  # a repeat later in this batch is a cache hit
+        return lats
+
+    def best(self) -> tuple[int, int, int]:
+        """The first point scored at the lowest latency."""
+        return min(self.cache, key=self.cache.__getitem__)
 
 
 def exhaustive_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult:
@@ -363,7 +348,7 @@ def exact_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult
     """
     start = time.perf_counter()
     arrays = extract_cost_arrays(dag, hw)
-    tms = [tm for tm in space.tm_range if space.pn_count(tm) > 0 and space.tn_count(tm) > 0]
+    tms = space.feasible_tms()
     if not tms:
         raise EmptySearchSpaceError("search space has no feasible points")
     tn_counts = [space.tn_count(tm) for tm in tms]
@@ -411,9 +396,7 @@ class _Sampler:
 
     def __init__(self, space: SearchSpace):
         self.space = space
-        self.feasible_tms = [
-            tm for tm in space.tm_range if space.pn_count(tm) > 0 and space.tn_count(tm) > 0
-        ]
+        self.feasible_tms = space.feasible_tms()
         if not self.feasible_tms:
             raise EmptySearchSpaceError("no feasible tm candidates")
 
@@ -424,89 +407,60 @@ class _Sampler:
         return (pn, tn, tm)
 
 
-def _point_feasible(space: SearchSpace, pt: tuple[int, int, int]) -> bool:
-    pn, tn, tm = pt
-    return (
-        pn >= 1 and pn * space.pm < tm
-        and tn >= 1 and tn * tm <= space.capacity
-    )
-
-
 def _mutate(space: SearchSpace, sampler: _Sampler, parent: tuple[int, int, int],
-            cum_bias: tuple[float, float, float, float], rng: np.random.Generator,
-            ) -> tuple[int, int, int]:
-    """Step one parameter to a neighboring candidate; resample on dead ends.
+            rng: np.random.Generator) -> tuple[int, int, int]:
+    """Step one parameter to a neighboring feasible candidate; resample on dead ends.
 
-    ``cum_bias`` is the running sum of ``SearchConfig.mutation_bias``.
+    A tm step clamps pn to the new tm's bound. A step that leaves the
+    feasible space is retried.
     """
-    c_pn, c_tm, c_tn, _ = cum_bias
+    c_pn, c_tm, c_tn = _MUTATION_CUM_WEIGHTS
     for _ in range(_MUTATION_RETRIES):
         r = rng.random()
         step = -1 if rng.random() < 0.5 else 1
         pn, tn, tm = parent
         if r < c_pn:
             idx = bisect.bisect_left(space.pn_range, pn) + step
-            if not 0 <= idx < len(space.pn_range):
-                continue
-            cand = (space.pn_range[idx], tn, tm)
+            if 0 <= idx < space.pn_count(tm):
+                return (space.pn_range[idx], tn, tm)
         elif r < c_tm:
             idx = bisect.bisect_left(space.tm_range, tm) + step
             if not 0 <= idx < len(space.tm_range):
                 continue
             new_tm = space.tm_range[idx]
-            cand = (min(pn, max(space.max_pn_for_tm(new_tm), 1)), tn, new_tm)
+            if space.pn_count(new_tm) > 0 and tn * new_tm <= space.capacity:
+                return (min(pn, space.max_pn_for_tm(new_tm)), tn, new_tm)
         elif r < c_tn:
             idx = bisect.bisect_left(space.tn_range, tn) + step
-            if not 0 <= idx < len(space.tn_range):
-                continue
-            cand = (pn, space.tn_range[idx], tm)
+            if 0 <= idx < space.tn_count(tm):
+                return (pn, space.tn_range[idx], tm)
         else:
             return sampler.draw(rng)
-        if cand != parent and _point_feasible(space, cand):
-            return cand
     return sampler.draw(rng)
 
 
 def heuristic_search(dag: Dag, hw: HardwareSpec, space: SearchSpace,
                      cfg: SearchConfig) -> SearchResult:
-    """Elitist population search with an evaluation cache.
+    """Elitist population search, then line sweeps around its elites.
 
     Deterministic for a fixed seed: every random draw comes from one
     generator, and evaluation batching never influences the draw sequence.
+    ``history`` holds the best latency after the initial population, after
+    each iteration and, last, after the line sweeps.
     """
     start = time.perf_counter()
-    arrays = extract_cost_arrays(dag, hw)
     sampler = _Sampler(space)
     rng = np.random.default_rng(cfg.seed)
     main_budget = cfg.max_evaluations
-    if cfg.max_evaluations is not None and cfg.refine:
+    if cfg.max_evaluations is not None:
         # Reserve part of the budget for the line-sweep refinement phase.
         main_budget = max(cfg.set_size, (cfg.max_evaluations * 3) // 5)
-    ev = _Evaluator(arrays, space, use_cache=cfg.use_cache, budget=main_budget)
-    cum_bias = tuple(np.cumsum(cfg.mutation_bias).tolist())
+    ev = _Evaluator(extract_cost_arrays(dag, hw), main_budget)
 
-    rows: list[tuple[int, int, int, float, bool]] = []  # pn, tn, tm, latency, from_cache
-    seen_points: set[tuple[int, int, int]] = set()
-
-    def record(points, lats):
-        for pt, lat in zip(points, lats):
-            if lat is None:
-                continue
-            rows.append((*pt, lat, pt in seen_points))
-            seen_points.add(pt)
-
-    def best_fresh() -> int:
-        """Index of the first lowest-latency row that was not a cache hit."""
-        return min((i for i, r in enumerate(rows) if not r[4]), key=lambda i: rows[i][3])
-
+    # The budget covers at least one population, so the first one is fully
+    # scored, and every later one holds the scored elites.
     population = [sampler.draw(rng) for _ in range(cfg.set_size)]
-    lats = ev.evaluate(population)
-    record(population, lats)
-    ranked = sorted(
-        (l, i) for i, l in enumerate(lats) if l is not None
-    )
-    if not ranked:
-        raise EmptySearchSpaceError("could not evaluate any feasible configuration")
+    ranked = sorted((l, i) for i, l in enumerate(ev.evaluate(population)) if l is not None)
     history = [ranked[0][0]]
 
     for _ in range(cfg.iterations):
@@ -514,36 +468,32 @@ def heuristic_search(dag: Dag, hw: HardwareSpec, space: SearchSpace,
             break
         elites = [population[i] for _, i in ranked[: cfg.preservation_size]]
         offspring = [
-            _mutate(space, sampler, elites[int(rng.integers(len(elites)))], cum_bias, rng)
+            _mutate(space, sampler, elites[int(rng.integers(len(elites)))], rng)
             for _ in range(cfg.set_size - len(elites))
         ]
         population = elites + offspring
-        lats = ev.evaluate(population)
-        record(population, lats)
-        ranked = sorted((l, i) for i, l in enumerate(lats) if l is not None)
-        if not ranked:
-            break
+        ranked = sorted((l, i) for i, l in enumerate(ev.evaluate(population)) if l is not None)
         history.append(min(history[-1], ranked[0][0]))
 
-    if cfg.refine:
-        ev.budget = cfg.max_evaluations
-        _refine(space, ev, record, [population[i] for _, i in ranked[: cfg.preservation_size]])
-        # Second round around whatever the first sweeps uncovered.
-        _refine(space, ev, record, [rows[best_fresh()][:3]])
+    ev.budget = cfg.max_evaluations
+    _refine(space, ev, [population[i] for _, i in ranked[: cfg.preservation_size]])
+    # Second round around whatever the first sweeps uncovered.
+    _refine(space, ev, [ev.best()])
 
-    pn, tn, tm, lat, hit = zip(*rows)
-    log = EvaluationLog(pn, space.pm, tn, tm, lat, hit)
+    best = ev.best()
+    history.append(ev.cache[best])
+    pn, tn, tm, lat, hit = zip(*ev.rows)
     return SearchResult(
-        best=log[best_fresh()],
-        evaluations_used=ev.misses,
+        best=Evaluation(TileParams(best[0], space.pm, best[1], best[2]), ev.cache[best]),
+        evaluations_used=len(ev.cache),
         history=tuple(history),
-        all_evaluated=log,
+        all_evaluated=EvaluationLog(pn, space.pm, tn, tm, lat, hit),
         wall_time_s=time.perf_counter() - start,
         space=space,
     )
 
 
-def _refine(space: SearchSpace, ev: _Evaluator, record, elites) -> None:
+def _refine(space: SearchSpace, ev: _Evaluator, elites) -> None:
     """Line sweeps along each parameter axis around the elite tiles.
 
     Per elite, in rank order: every feasible pn for its (tn, tm); every tm
@@ -559,20 +509,14 @@ def _refine(space: SearchSpace, ev: _Evaluator, record, elites) -> None:
             return
         if (tn, tm) not in done_pn_lines:
             done_pn_lines.add((tn, tm))
-            points = [(p, tn, tm) for p in space.pn_range[: space.pn_count(tm)]]
-            record(points, ev.evaluate(points))
+            ev.evaluate([(p, tn, tm) for p in space.pn_range[: space.pn_count(tm)]])
         if tn not in done_tm_lines and not ev.exhausted():
             done_tm_lines.add(tn)
-            points = [
-                (space.pn_range[space.pn_count(t) - 1], tn, t)
-                for t in space.tm_range
-                if space.pn_count(t) > 0 and tn * t <= space.capacity
-            ]
-            record(points, ev.evaluate(points))
+            ev.evaluate([(space.pn_range[space.pn_count(t) - 1], tn, t)
+                         for t in space.feasible_tms() if tn * t <= space.capacity])
         if (pn, tm) not in done_tn_lines and not ev.exhausted():
             done_tn_lines.add((pn, tm))
-            points = [(pn, t, tm) for t in space.tn_range[: space.tn_count(tm)]]
-            record(points, ev.evaluate(points))
+            ev.evaluate([(pn, t, tm) for t in space.tn_range[: space.tn_count(tm)]])
 
 
 @dataclass(frozen=True)
@@ -582,20 +526,18 @@ class ParetoPoint:
     parallelism: int
 
 
-def pareto_front(evals: Sequence[Evaluation]) -> tuple[ParetoPoint, ...]:
+def pareto_front(log: EvaluationLog) -> tuple[ParetoPoint, ...]:
     """Maximal non-dominated set for (latency ascending, pn*pm descending).
 
     A point dominates another iff its latency is <= and its parallelism >=
     with at least one strict. Ties on both objectives are mutually
     non-dominating and all kept. Repeated tile configurations count once,
     with their first evaluation. Output is sorted by (latency, -parallelism,
-    tiles).
+    tiles). An empty log has no front and raises ``SchemaError``.
     """
-    log = EvaluationLog.of(evals)
-    feasible = ~np.isnan(log.latency)
-    if not feasible.any():
-        raise SchemaError("pareto_front requires at least one feasible evaluation")
-    pn, pm, tn, tm, lat = (c[feasible] for c in log.columns()[:5])
+    if len(log) == 0:
+        raise SchemaError("pareto_front requires at least one evaluation")
+    pn, pm, tn, tm, lat = log.columns()[:5]
     # First evaluation of each tile configuration: lexsort is stable.
     order = np.lexsort((tm, tn, pm, pn))
     pn, pm, tn, tm, lat = (c[order] for c in (pn, pm, tn, tm, lat))
@@ -691,12 +633,13 @@ def search_summary_json(result: SearchResult) -> str:
 def evaluations_to_csv(result: SearchResult) -> str:
     """One row per evaluation: pn, pm, tn, tm, latency_s, feasible, from_cache.
 
-    latency_s is the float's ``repr`` and empty when infeasible.
+    latency_s is the float's ``repr``. Every logged evaluation is feasible,
+    so the ``feasible`` column always reads ``True``; it stays for readers of
+    the format.
     """
     log = result.all_evaluated
-    latency = ["" if math.isnan(x) else repr(x) for x in log.latency.tolist()]
-    columns = (*map(_str_column, (log.pn, log.pm, log.tn, log.tm)), latency,
-               _str_column(~np.isnan(log.latency)), _str_column(log.from_cache))
+    columns = (*map(_str_column, (log.pn, log.pm, log.tn, log.tm)),
+               map(repr, log.latency.tolist()), repeat("True"), _str_column(log.from_cache))
     header = "pn,pm,tn,tm,latency_s,feasible,from_cache"
     return "\n".join(chain([header], map(",".join, zip(*columns)), [""]))
 

@@ -11,6 +11,12 @@ with ``kernel_factor = ceil(heads / kernels)`` for head-grouped matmuls and
 the non-linear units: ``ceil(elems / (lop * kernels))`` cycles. Tiling pads:
 partial tiles cost the same as full ones, so ceiling tile counts are used.
 
+A configuration is feasible when every parameter is positive, ``pm`` is
+the bus's pack factor, ``tm`` is a multiple of ``pm``, ``pn·pm < tm`` and a
+``tn × tm`` tile fits on chip. ``validate_tiles`` reports the violated
+constraints; ``graph_latency`` raises ``InfeasibleTilesError`` with the same
+list, and ``matmul_cost`` with that list minus the pn bound.
+
 Scalar entry points evaluate in exact integer/rational arithmetic. The
 design-space search scores many tiles at once through the exact integer
 scorer in ``_latency``, whose latencies equal ``graph_latency``'s bit for
@@ -124,25 +130,32 @@ def kernel_factor(num_heads: int, num_kernels: int, head_flag: bool) -> Fraction
     return Fraction(1, num_kernels)
 
 
-def validate_tiles(tiles: TileParams, hw: HardwareSpec) -> FeasibilityVerdict:
-    """Check a tile configuration against the hardware envelope."""
-    violations = []
+def _violations(tiles: TileParams, hw: HardwareSpec, pn_bound: bool = True) -> list[str]:
+    """The hardware constraints a tile configuration breaks, in a fixed order.
+
+    ``pn_bound`` includes the PE-count pipelining bound pn < tm/pm.
+    """
     if min(tiles.pn, tiles.pm, tiles.tn, tiles.tm) < 1:
-        violations.append("all tile parameters must be >= 1")
-        return FeasibilityVerdict(False, tuple(violations))
-    expected_pm = compute_pm(hw.axi_width_bits, hw.data_width_bits)
-    if tiles.pm != expected_pm:
-        violations.append(f"pm {tiles.pm} != floor(AXI/(2*DW)) = {expected_pm}")
+        return ["all tile parameters must be >= 1"]
+    violations = []
+    if tiles.pm != hw.pack_factor:
+        violations.append(f"pm {tiles.pm} != floor(AXI/(2*DW)) = {hw.pack_factor}")
     if tiles.tm % tiles.pm != 0:
         violations.append(f"tm {tiles.tm} not a multiple of pm {tiles.pm}")
-    if not tiles.pn * tiles.pm < tiles.tm:
+    if pn_bound and not tiles.pn * tiles.pm < tiles.tm:
         violations.append(f"pn {tiles.pn} not < tm/pm = {tiles.tm}/{tiles.pm}")
     if tiles.tn * tiles.tm > hw.onchip_capacity_elems:
         violations.append(
             f"tn*tm = {tiles.tn * tiles.tm} exceeds on-chip capacity "
             f"{hw.onchip_capacity_elems}"
         )
-    return FeasibilityVerdict(not violations, tuple(violations))
+    return violations
+
+
+def validate_tiles(tiles: TileParams, hw: HardwareSpec) -> FeasibilityVerdict:
+    """Check a tile configuration against the hardware envelope."""
+    violations = tuple(_violations(tiles, hw))
+    return FeasibilityVerdict(not violations, violations)
 
 
 def matmul_cost(dims: tuple[int, int, int], tiles: TileParams, hw: HardwareSpec,
@@ -151,23 +164,10 @@ def matmul_cost(dims: tuple[int, int, int], tiles: TileParams, hw: HardwareSpec,
 
     Checks the constraints the arithmetic depends on (capacity, packing,
     positivity); the PE-count pipelining bound pn < tm/pm is enforced where
-    configurations get selected (validate_tiles, the search space), so pure
-    cost queries on out-of-bound points still evaluate.
+    configurations get selected (validate_tiles, graph_latency, the search
+    space), so pure cost queries on out-of-bound points still evaluate.
     """
-    violations = []
-    if min(tiles.pn, tiles.pm, tiles.tn, tiles.tm) < 1:
-        violations.append("all tile parameters must be >= 1")
-    else:
-        expected_pm = compute_pm(hw.axi_width_bits, hw.data_width_bits)
-        if tiles.pm != expected_pm:
-            violations.append(f"pm {tiles.pm} != floor(AXI/(2*DW)) = {expected_pm}")
-        if tiles.tm % tiles.pm != 0:
-            violations.append(f"tm {tiles.tm} not a multiple of pm {tiles.pm}")
-        if tiles.tn * tiles.tm > hw.onchip_capacity_elems:
-            violations.append(
-                f"tn*tm = {tiles.tn * tiles.tm} exceeds on-chip capacity "
-                f"{hw.onchip_capacity_elems}"
-            )
+    violations = _violations(tiles, hw, pn_bound=False)
     if violations:
         raise InfeasibleTilesError(violations)
     n, k, m = dims
@@ -198,8 +198,6 @@ def nonlinear_cycles(elems: int, hw: HardwareSpec) -> int:
 
 @dataclass(frozen=True)
 class GraphCost:
-    feasible: bool
-    violations: tuple[str, ...]
     total_latency_s: float
     matmul_latency_s: float
     nonlinear_latency_s: float
@@ -209,12 +207,12 @@ class GraphCost:
 def graph_latency(dag: Dag, tiles: TileParams, hw: HardwareSpec) -> GraphCost:
     """Total modeled latency of a DAG under one tile configuration.
 
-    Infeasible configurations yield a tagged result (``feasible=False``)
-    rather than an exception so search loops can prune cheaply.
+    Raises ``InfeasibleTilesError`` listing every violated constraint, the
+    pn bound included, when the configuration is infeasible.
     """
-    verdict = validate_tiles(tiles, hw)
-    if not verdict:
-        return GraphCost(False, verdict.violations, math.inf, math.inf, math.inf, ())
+    violations = _violations(tiles, hw)
+    if violations:
+        raise InfeasibleTilesError(violations)
     freq = Fraction(hw.frequency_hz)
     per_node = []
     mm_cycles = Fraction(0)
@@ -229,8 +227,6 @@ def graph_latency(dag: Dag, tiles: TileParams, hw: HardwareSpec) -> GraphCost:
             nl_cycles += cycles
             per_node.append((node.id, float(Fraction(cycles) / freq)))
     return GraphCost(
-        feasible=True,
-        violations=(),
         total_latency_s=float((mm_cycles + nl_cycles) / freq),
         matmul_latency_s=float(mm_cycles / freq),
         nonlinear_latency_s=float(Fraction(nl_cycles) / freq),

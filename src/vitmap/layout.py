@@ -21,8 +21,6 @@ coverage of the required (row, segment/head) units.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -347,12 +345,3 @@ def validate_schedule(s: Schedule) -> ScheduleVerdict:
     if repeated:
         violations.append(f"{len(repeated)} (row, unit) pairs scheduled more than once")
     return ScheduleVerdict(not violations, tuple(violations), tuple(warnings))
-
-
-def layout_to_csv(layout: BankLayout) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bank", "col_start", "col_end", "words_per_row"])
-    for b, (start, end) in enumerate(layout.segments):
-        writer.writerow([b, start, end, layout.words_per_row_segment[b]])
-    return buf.getvalue()

@@ -151,9 +151,6 @@ class Dag:
     def matmuls(self) -> tuple[OpNode, ...]:
         return tuple(n for n in self.nodes if n.kind is OpKind.MATMUL)
 
-    def consumers(self, node_id: str) -> tuple[OpNode, ...]:
-        return tuple(n for n in self.nodes if node_id in n.inputs)
-
 
 def _check_shapes(dag: Dag) -> None:
     """Every edge must connect a producer output to a matching consumer slot."""
@@ -205,11 +202,6 @@ def parse_model(doc: Mapping) -> ModelSpec:
     if not isinstance(kwargs["name"], str) or not kwargs["name"]:
         raise SchemaError("name must be a non-empty string")
     return ModelSpec(**kwargs)
-
-
-def load_model(path) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(json.load(fh))
 
 
 def build_dag(spec: ModelSpec) -> Dag:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -236,6 +237,46 @@ class TestSearch:
                        "--out-dir", out, "--seed", seed, "--max-evals", 300) == 0
             lines = (out / "evals_heuristic.csv").read_text().strip().splitlines()
             assert len(lines) > 1
+
+    @pytest.mark.parametrize("field", ["use_cache", "refine", "mutation_bias"])
+    def test_removed_search_config_field_exits_4(self, docs, tmp_path, capsys, field):
+        model, hw = docs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"set_size": 20, field: None}))
+        assert run("search", "--model", model, "--hw", hw, "--mode", "heuristic",
+                   "--search-config", cfg, "--out-dir", tmp_path / "out") == 4
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # sha256 of each output of `search --mode both --tn-cap 8 --tm-cap 128` on
+    # deit-tiny (seed 0). comparison.json holds a measured wall-time ratio and
+    # is checked field by field instead. search_heuristic.json's history ends
+    # with the best latency after the line sweeps.
+    PINNED_SEARCH_DIGESTS = {
+        "evals_exhaustive.csv": "f9c50db1cdcb5c51781cdd0674fcd3b6ab6a4da5cf2c17e99fd128321fd4697c",
+        "evals_heuristic.csv": "4255316993c1916f8eead8a819beae94a0ee7578f79763bdfcd9000ad2786546",
+        "pareto_exhaustive.csv": "2d612cffc653ce0ca31573c602814a79f81c69a0b0bfe5c7b6f57bc4a560cfaf",
+        "pareto_heuristic.csv": "2d612cffc653ce0ca31573c602814a79f81c69a0b0bfe5c7b6f57bc4a560cfaf",
+        "search_exhaustive.json": "63712b4ab2f36bf5638af0ec77f69395f29063065296df50d0b98d602052e69e",
+        "search_heuristic.json": "659b9451ad17dd2b375194553bec6117782eb042553b0022ce39a1314843aa31",
+    }
+
+    def test_capped_deit_tiny_outputs_pinned(self, tmp_path):
+        out = tmp_path / "s"
+        assert run("search", "--model", "deit-tiny", "--hw", "vu9p", "--mode", "both",
+                   "--tn-cap", 8, "--tm-cap", 128, "--out-dir", out) == 0
+        written = {p.name for p in out.iterdir()}
+        assert written == set(self.PINNED_SEARCH_DIGESTS) | {"comparison.json"}
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.PINNED_SEARCH_DIGESTS}
+        assert digests == self.PINNED_SEARCH_DIGESTS
+        report = json.loads((out / "comparison.json").read_text())
+        assert report.pop("wall_clock_ratio") > 0
+        assert report == {
+            "best_latency_gap_rel": 0.0, "evaluation_ratio": 218 / 224,
+            "exhaustive_evaluations": 224, "heuristic_evaluations": 218,
+            "pareto_coverage": 1.0, "pareto_front_size": 1, "pareto_point_coverage": 1.0,
+        }
 
 
 class TestSchedule:

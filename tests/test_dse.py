@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -59,12 +60,9 @@ def brute_force_points(dag, hw, caps=None):
 
 def oracle_pareto_front(evals):
     """Reference front: dict dedupe of tiles, full sort, then a sweep."""
-    feas = [e for e in evals if e.feasible]
-    if not feas:
-        raise SchemaError("pareto_front requires at least one feasible evaluation")
     # Deduplicate identical tile configurations (cache hits).
     by_tiles = {}
-    for e in feas:
+    for e in evals:
         by_tiles.setdefault(e.tiles.astuple(), e)
     pts = sorted(
         by_tiles.values(),
@@ -91,7 +89,7 @@ _small_evaluations = st.lists(
     st.builds(
         lambda tiles, lat, hit: Evaluation(TileParams(*tiles), lat, hit),
         st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)),
-        st.one_of(st.none(), st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, math.inf])),
+        st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, math.inf]),
         st.booleans(),
     ),
     min_size=1, max_size=40,
@@ -102,6 +100,17 @@ def _log(*rows):
     """EvaluationLog from (pn, pm, tn, tm, latency) rows; no cache hits."""
     pn, pm, tn, tm, lat = zip(*rows)
     return EvaluationLog(pn, pm, tn, tm, lat, False)
+
+
+def _log_of(evals):
+    """EvaluationLog holding the given ``Evaluation`` rows, in order."""
+    return EvaluationLog(*zip(*((*e.tiles.astuple(), e.latency_s, e.from_cache)
+                                for e in evals)))
+
+
+def _points(space):
+    """The feasible (pn, tn, tm) triples of a space in exhaustive loop order."""
+    return list(zip(*(c.tolist() for c in space.point_arrays())))
 
 
 def brute_force_latency(dag, hw, pn, pm, tn, tm):
@@ -137,7 +146,7 @@ def fraction_oracle(dag, hw, space):
         ((pn, tn, tm),
          sum(c * (-(-n // tn) * tn) * (-(-m // tm) * tm) for c, n, m in terms) / (pn * space.pm)
          + nl)
-        for pn, tn, tm in space.iter_points()
+        for pn, tn, tm in _points(space)
     ]
 
 
@@ -163,9 +172,7 @@ class TestEnumerateSpace:
         pm, points = brute_force_points(dag, hw)
         assert space.pm == pm
         assert space.feasible_size() == len(points)
-        pn, tn, tm = space.point_arrays()
-        assert list(zip(pn.tolist(), tn.tolist(), tm.tolist())) == points
-        assert list(space.iter_points()) == points
+        assert _points(space) == points
 
     def test_small_matmul_space_listed_exhaustively(self):
         # S=64, AXI=64, DW=16 gives pm=2; a 4x8x8 matmul keeps the whole
@@ -176,14 +183,14 @@ class TestEnumerateSpace:
         pm, points = brute_force_points(dag, hw)
         assert pm == 2
         assert space.feasible_size() == len(points)
-        assert list(space.iter_points()) == points
+        assert _points(space) == points
 
     def test_caps_can_force_singleton(self):
         dag = single_matmul_dag(8, 8, 8)
         hw = toy_hw(axi_width_bits=64, data_width_bits=16, onchip_capacity_elems=8)
         space = enumerate_space(dag, hw, SpaceCaps(tn_max=1, tm_max=4, pn_max=1))
         assert space.feasible_size() == 1
-        assert list(space.iter_points()) == [(1, 1, 4)]
+        assert _points(space) == [(1, 1, 4)]
 
     def test_unit_capacity_is_empty(self):
         dag = single_matmul_dag(8, 8, 8)
@@ -248,7 +255,7 @@ class TestExactSearch:
         assert result.best.tiles == TileParams(pn, space.pm, tn, tm)
         assert result.best.latency_s == float(cycles / Fraction(hw.frequency_hz))
         assert result.best.latency_s == graph_latency(dag, result.best.tiles, hw).total_latency_s
-        feasible_tms = {tm for _, _, tm in space.iter_points()}
+        feasible_tms = set(space.point_arrays()[2].tolist())
         assert len(result.all_evaluated) == len(feasible_tms)
         assert result.evaluations_used == sum(map(space.tn_count, feasible_tms))
 
@@ -343,7 +350,6 @@ def test_graph_latency_strictly_decreases_in_pn(model_and_board, data):
     more = data.draw(st.integers(pn + 1, tm // pm - 1), label="larger pn")
     slow = graph_latency(dag, TileParams(pn, pm, tn, tm), hw)
     fast = graph_latency(dag, TileParams(more, pm, tn, tm), hw)
-    assert slow.feasible and fast.feasible
     assert fast.total_latency_s < slow.total_latency_s
 
 
@@ -362,13 +368,28 @@ class TestHeuristicSearch:
         assert hits >= 9
 
     def test_zero_iterations_uses_initial_set_only(self, toy_space):
+        # A budget of one population: the line sweeps get only what duplicate
+        # draws left unused.
         dag, hw, space = toy_space
         cfg = SearchConfig(set_size=16, iterations=0, preservation_size=4, seed=1,
-                           refine=False)
+                           max_evaluations=16)
         result = heuristic_search(dag, hw, space, cfg)
-        assert len(result.history) == 1
         assert result.evaluations_used <= 16
-        assert result.best.latency_s == result.history[0]
+        # The initial population's best, then the best after the line sweeps.
+        assert len(result.history) == 2
+        assert result.history[0] == result.all_evaluated.latency[:16].min()
+        assert result.best.latency_s == result.history[1]
+        assert result.best.latency_s == result.all_evaluated.latency.min()
+
+    def test_history_ends_at_best_after_line_sweeps(self, toy_space):
+        dag, hw, space = toy_space
+        for seed in range(5):
+            result = heuristic_search(dag, hw, space,
+                                      SearchConfig(seed=seed, set_size=12, iterations=4,
+                                                   preservation_size=3))
+            assert result.history[-1] == result.best.latency_s
+            assert result.best.latency_s == result.all_evaluated.latency.min()
+            assert len(result.history) == 4 + 2
 
     def test_same_seed_bit_identical(self, toy_space):
         dag, hw, space = toy_space
@@ -381,19 +402,23 @@ class TestHeuristicSearch:
         assert a.evaluations_used == b.evaluations_used
 
     def test_cache_soundness(self, toy_space):
+        # Every logged latency, cache hits included, is the one a fresh
+        # evaluation of its tiles gives; each distinct point is scored once.
         dag, hw, space = toy_space
         on = heuristic_search(dag, hw, space,
                               SearchConfig(seed=5, set_size=30, iterations=10,
-                                           preservation_size=5, use_cache=True))
-        off = heuristic_search(dag, hw, space,
-                               SearchConfig(seed=5, set_size=30, iterations=10,
-                                            preservation_size=5, use_cache=False))
-        assert on.best.tiles == off.best.tiles
-        assert on.best.latency_s == off.best.latency_s
-        assert on.evaluations_used <= off.evaluations_used
-        distinct = {e.tiles.astuple() for e in on.all_evaluated}
-        assert on.evaluations_used <= len(on.all_evaluated)
-        assert on.evaluations_used == len(distinct)
+                                           preservation_size=5))
+        fresh = {}
+        for e in on.all_evaluated:
+            key = e.tiles.astuple()
+            if key not in fresh:
+                fresh[key] = graph_latency(dag, e.tiles, hw).total_latency_s
+            assert e.latency_s == fresh[key]
+        assert on.all_evaluated.from_cache.any()
+        assert on.evaluations_used < len(on.all_evaluated)
+        assert on.evaluations_used == len(fresh)
+        assert on.best.latency_s == min(fresh.values())
+        assert on.best.tiles.astuple() == min(fresh, key=fresh.get)
 
     def test_history_monotone_non_increasing(self, toy_space):
         dag, hw, space = toy_space
@@ -408,7 +433,6 @@ class TestHeuristicSearch:
                                   SearchConfig(seed=3, set_size=20, iterations=10,
                                                preservation_size=4))
         for e in result.all_evaluated:
-            assert e.feasible
             assert validate_tiles(e.tiles, hw).ok
 
     def test_budget_caps_cache_misses(self, toy_space):
@@ -419,18 +443,32 @@ class TestHeuristicSearch:
         assert result.evaluations_used <= 120
 
 
+class TestSearchConfig:
+    def test_from_doc_takes_the_five_fields(self):
+        doc = {"set_size": 20, "iterations": 3, "preservation_size": 4, "seed": 7,
+               "max_evaluations": 50}
+        assert dataclasses.asdict(SearchConfig.from_doc(doc)) == doc
+
+    @pytest.mark.parametrize("field, value", [
+        ("use_cache", False), ("refine", False), ("mutation_bias", [0.25] * 4),
+    ], ids=["use_cache", "refine", "mutation_bias"])
+    def test_removed_fields_rejected(self, field, value):
+        with pytest.raises(SchemaError, match=field):
+            SearchConfig.from_doc({"seed": 0, field: value})
+
+
 class TestParetoFront:
     @staticmethod
     def _ev(pn, pm, tn, tm, lat):
         return Evaluation(TileParams(pn, pm, tn, tm), lat)
 
     def test_single_point(self):
-        front = pareto_front([self._ev(1, 2, 1, 4, 1.0)])
+        front = pareto_front(_log_of([self._ev(1, 2, 1, 4, 1.0)]))
         assert len(front) == 1
 
     def test_strict_domination_drops_slower_equal_parallelism(self):
         evals = [self._ev(2, 2, 1, 6, 10.0), self._ev(2, 2, 2, 6, 12.0)]
-        front = pareto_front(evals)
+        front = pareto_front(_log_of(evals))
         assert len(front) == 1
         assert front[0].latency_s == 10.0
 
@@ -462,24 +500,17 @@ class TestParetoFront:
                 assert not (a.latency_s <= b.latency_s
                             and a.parallelism >= b.parallelism and strict)
 
-    def test_empty_input_rejected(self):
+    def test_empty_input_rejected(self, toy_space):
+        dag, hw, space = toy_space
         with pytest.raises(SchemaError):
-            pareto_front([])
-
-    def test_only_infeasible_rejected(self):
+            pareto_front(EvaluationLog([], [], [], [], [], []))
         with pytest.raises(SchemaError):
-            pareto_front([Evaluation(TileParams(1, 2, 1, 4), None)])
+            pareto_front(exhaustive_search(dag, hw, space).all_evaluated[:0])
 
     @settings(max_examples=400, deadline=None)
     @given(_small_evaluations)
     def test_matches_sweep_oracle(self, evals):
-        if not any(e.feasible for e in evals):
-            with pytest.raises(SchemaError):
-                pareto_front(evals)
-            return
-        want = oracle_pareto_front(evals)
-        assert pareto_front(evals) == want
-        assert pareto_front(EvaluationLog.of(evals)) == want
+        assert pareto_front(_log_of(evals)) == oracle_pareto_front(evals)
 
     def test_matches_sweep_oracle_on_search_logs(self, toy_space):
         dag, hw, space = toy_space
@@ -493,12 +524,12 @@ class TestParetoFront:
 
 class TestEvaluationLog:
     def test_sequence_contract(self):
-        log = EvaluationLog([1, 2, 3], 2, [4, 5, 6], [8, 10, 12], [0.5, math.nan, 0.25],
+        log = EvaluationLog([1, 2, 3], 2, [4, 5, 6], [8, 10, 12], [0.5, 0.75, 0.25],
                             [False, False, True])
         assert len(log) == 3
         assert log[0] == Evaluation(TileParams(1, 2, 4, 8), 0.5, False)
         assert log[-1] == Evaluation(TileParams(3, 2, 6, 12), 0.25, True)
-        assert log[np.int64(1)].latency_s is None and not log[1].feasible
+        assert log[np.int64(1)] == Evaluation(TileParams(2, 2, 5, 10), 0.75, False)
         assert log[-3] == log[0]
         with pytest.raises(IndexError):
             log[3]
@@ -524,21 +555,15 @@ class TestEvaluationLog:
                 col[0] = 0
 
     def test_equality(self):
-        a = EvaluationLog([1, 2], 2, [1, 1], [4, 6], [0.5, math.nan], [False, True])
-        b = EvaluationLog.of(list(a))
+        a = EvaluationLog([1, 2], 2, [1, 1], [4, 6], [0.5, math.inf], [False, True])
+        b = _log_of(list(a))
         assert a == b
         assert a != a[:1]
-        assert a != EvaluationLog([1, 2], 2, [1, 1], [4, 6], [0.5, math.nan], [False, False])
+        assert a != EvaluationLog([1, 2], 2, [1, 1], [4, 6], [0.5, math.inf], [False, False])
         assert a != EvaluationLog([1, 2], 2, [1, 1], [4, 6], [0.5, 0.75], [False, True])
+        assert a != EvaluationLog([1, 2], [2, 4], [1, 1], [4, 6], [0.5, math.inf],
+                                  [False, True])
         assert a != list(a)
-
-    def test_of_round_trips_rows(self):
-        rows = [Evaluation(TileParams(3, 2, 1, 8), 1.5, True),
-                Evaluation(TileParams(1, 4, 2, 8), None)]
-        log = EvaluationLog.of(rows)
-        assert list(log) == rows
-        assert EvaluationLog.of(log) is log
-        assert len(EvaluationLog.of([])) == 0
 
     def test_search_logs_flag_repeats_as_cache_hits(self, toy_space):
         dag, hw, space = toy_space
@@ -581,7 +606,7 @@ class TestCompareSearches:
         exh = exhaustive_search(dag, hw, space)
         heur = heuristic_search(dag, hw, space,
                                 SearchConfig(set_size=2, preservation_size=1,
-                                             iterations=0, seed=0, refine=False))
+                                             iterations=0, seed=0, max_evaluations=2))
         report = compare_searches(exh, heur, pareto_front(exh.all_evaluated))
         assert 0.0 <= report.pareto_coverage <= 1.0
         assert report.heuristic_evaluations <= 2
@@ -626,14 +651,14 @@ class TestCsvExport:
         assert any(line.endswith("True") for line in lines[1:])  # cache hits logged
 
     def test_rows_match_csv_writer_format(self, toy_space):
-        # An infeasible row has an empty latency; floats are written as repr.
-        log = EvaluationLog([3, 1], 2, [10, 2], [8, 4], [1 / 3, math.nan], [True, False])
+        # Floats are written as repr; every logged evaluation is feasible.
+        log = EvaluationLog([3, 1], 2, [10, 2], [8, 4], [1 / 3, 1e-5], [True, False])
         result = SearchResult(best=log[0], evaluations_used=2, history=(),
                               all_evaluated=log, wall_time_s=1.0, space=toy_space[2])
         assert evaluations_to_csv(result) == (
             "pn,pm,tn,tm,latency_s,feasible,from_cache\n"
             f"3,2,10,8,{1 / 3!r},True,True\n"
-            "1,2,2,4,,False,False\n"
+            "1,2,2,4,1e-05,True,False\n"
         )
 
 

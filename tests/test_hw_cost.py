@@ -117,7 +117,6 @@ class TestGraphLatency:
         tiles = TileParams(1, 2, 4, 8)
         got = graph_latency(dag, tiles, hw)
         want = matmul_cost((8, 8, 8), tiles, hw)
-        assert got.feasible
         assert got.total_latency_s == pytest.approx(want.latency_s, rel=1e-15)
         assert got.nonlinear_latency_s == 0
 
@@ -138,7 +137,6 @@ class TestGraphLatency:
                 cycles += Fraction(ops, tiles.pn * tiles.pm) * kf
             else:
                 cycles += math.ceil(node.work_elems / (hw.lop * hw.num_kernels))
-        assert got.feasible
         assert got.total_latency_s == pytest.approx(float(cycles / Fraction(hw.frequency_hz)),
                                                     rel=1e-12)
         assert len(got.per_node) == len(dag.nodes)
@@ -155,11 +153,16 @@ class TestGraphLatency:
         two = graph_latency(dag, tiles, toy_hw(num_kernels=4))
         assert two.matmul_latency_s == pytest.approx(one.matmul_latency_s / 2, rel=1e-15)
 
-    def test_infeasible_is_tagged_not_raised(self):
-        got = graph_latency(single_matmul_dag(), TileParams(99, 2, 4, 8), toy_hw())
-        assert not got.feasible
-        assert got.violations
-        assert math.isinf(got.total_latency_s)
+    def test_infeasible_raises(self):
+        # The pn bound is checked here, unlike in matmul_cost.
+        tiles = TileParams(99, 2, 4, 8)
+        with pytest.raises(InfeasibleTilesError) as exc:
+            graph_latency(single_matmul_dag(), tiles, toy_hw())
+        assert exc.value.violations == validate_tiles(tiles, toy_hw()).violations
+        assert any("pn" in v for v in exc.value.violations)
+        matmul_cost((8, 8, 8), tiles, toy_hw())  # pure cost query still evaluates
+        with pytest.raises(InfeasibleTilesError, match="capacity"):
+            graph_latency(single_matmul_dag(), TileParams(1, 2, 99, 8), toy_hw())
 
 
 class TestInvariants:
