@@ -6,9 +6,9 @@ deit-base's search space (98 matmuls in 6 shape classes) and reports
 nanoseconds per point; it first checks that a few of its latencies equal
 ``graph_latency``'s. The table lines time the public exp, softmax, GELU
 and isqrt functions on a deit-base layer's shapes (Q8.8) through the
-config's whole-domain tables against ``impl="numpy"``, which runs the
-kernel itself, and check the two agree bit for bit; the tables are built in
-the warmup round. The layernorm line times its kernel on the same layer.
+config's whole-domain tables against their ``_fixmath`` kernels called
+directly, and check the two agree bit for bit; the tables are built in the
+warmup round. The layernorm line times its kernel on the same layer.
 The last lines time ``exact_search`` against ``heuristic_search`` (default
 config) on deit-base's full space at batch 1 and 64. vitmap is imported
 from ``src/`` of this checkout.
@@ -29,7 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from vitmap import _latency  # noqa: E402
 from vitmap import approx  # noqa: E402
-from vitmap.approx import ApproxConfig  # noqa: E402
+from vitmap.approx import ApproxConfig, _fixmath  # noqa: E402
 from vitmap.dse import SearchConfig, enumerate_space, exact_search, heuristic_search  # noqa: E402
 from vitmap.hw import TileParams, graph_latency, parse_hardware  # noqa: E402
 from vitmap.model_ir import batch_expand, build_dag, fuse_qkv, parse_model  # noqa: E402
@@ -83,22 +83,33 @@ def main():
     # activation and the 197x768 layernorm input (its magnitudes feed isqrt).
     cfg = ApproxConfig()
     fmt = cfg.fmt
+    lo, f = cfg.exp_lo_fixed, fmt.frac_bits
     scores = fmt.quantize(rng.normal(0.0, 2.0, (12 * 197, 197)))
     ln_in = fmt.quantize(rng.normal(0.0, 1.0, (197, 768)))
+
+    def exp_kernel(z):
+        return _fixmath.exp_fixed(z, cfg.log2e_q15, cfg.ln2_qf, f)
+
     layer = {
-        "softmax": (approx.softmax_approx, scores),
-        "exp": (approx.pade_exp, np.maximum(scores - scores.max(axis=1, keepdims=True),
-                                            cfg.exp_lo_fixed)),
-        "gelu": (approx.gelu_pwl, fmt.quantize(rng.normal(0.0, 1.5, (197, 3072)))),
-        "isqrt": (approx.isqrt_approx, np.maximum(np.abs(ln_in), 1)),
+        "softmax": (approx.softmax_approx, scores, lambda x: _fixmath.softmax_normalize(
+            exp_kernel(_fixmath.softmax_shift(x, lo)), cfg.recip_table, cfg.recip_bits,
+            cfg.recip_refine, cfg.renormalize)),
+        "exp": (approx.pade_exp, np.maximum(scores - scores.max(axis=1, keepdims=True), lo),
+                lambda x: exp_kernel(np.clip(x, lo, 0))),
+        "gelu": (approx.gelu_pwl, fmt.quantize(rng.normal(0.0, 1.5, (197, 3072))),
+                 lambda x: _fixmath.gelu_fixed(x, *cfg.gelu_pieces, f, fmt.min_int,
+                                               fmt.max_int)),
+        "isqrt": (approx.isqrt_approx, np.maximum(np.abs(ln_in), 1),
+                  lambda x: _fixmath.isqrt_fixed(x, cfg.isqrt_table, cfg.table_bits,
+                                                 cfg.inv_sqrt2_q15, f, fmt.max_int)),
     }
-    for name, (fn, x) in layer.items():
+    for name, (fn, x, direct) in layer.items():
         fn(x, cfg)  # warmup: builds the table
         t_table, table = best_of(lambda: fn(x, cfg), args.repeat)
-        t_kernel, kernel = best_of(lambda: fn(x, cfg, impl="numpy"), args.repeat)
+        t_kernel, kernel = best_of(lambda: direct(x), args.repeat)
         assert np.array_equal(table, kernel), name
         print(f"{f'{name} table {x.shape[0]}x{x.shape[1]}':<28}  table: {t_table * 1e3:9.3f} ms"
-              f"  numpy: {t_kernel * 1e3:9.3f} ms  speedup: {t_kernel / t_table:6.2f}x")
+              f"  kernel: {t_kernel * 1e3:9.3f} ms  speedup: {t_kernel / t_table:6.2f}x")
     t_ln, _ = best_of(lambda: approx.layernorm_approx(ln_in, fmt.one, 0, cfg), args.repeat)
     print(f"{f'layernorm {ln_in.shape[0]}x{ln_in.shape[1]}':<28}  {t_ln * 1e3:9.3f} ms")
 

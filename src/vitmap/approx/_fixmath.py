@@ -74,14 +74,6 @@ def softmax_normalize(out, rtab, rt_bits, refine, renorm):
     return out
 
 
-def softmax_fixed(rows, lo_fixed, log2e_q15, ln2_qf, frac_bits,
-                  rtab, rt_bits, refine, renorm):
-    """Softmax of each row: max-subtract, exponential, reciprocal by leading one + table."""
-    z = softmax_shift(rows, lo_fixed)
-    out = exp_fixed(z.reshape(-1), log2e_q15, ln2_qf, frac_bits).reshape(z.shape)
-    return softmax_normalize(out, rtab, rt_bits, refine, renorm)
-
-
 def gelu_fixed(x, px, pslope, pintercept, frac_bits, min_int, max_int):
     """Piecewise-linear GELU: ``(slope·x >> f) + intercept`` of the piece holding x.
 

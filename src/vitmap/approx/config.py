@@ -168,6 +168,8 @@ class ApproxConfig:
             kwargs["recip_table"] = build_recip_table(int(doc["recip_table_size"]))
         if "exp_domain_lo" in doc:
             kwargs["exp_domain_lo"] = float(doc["exp_domain_lo"])
+        if "gelu_knots" in doc and "gelu_pieces" in doc:
+            raise SchemaError("approx config takes gelu_knots or gelu_pieces, not both")
         if "gelu_knots" in doc:
             kwargs["gelu_pieces"] = build_gelu_pieces(fmt, doc["gelu_knots"])
         if "gelu_pieces" in doc:

@@ -6,10 +6,11 @@ resolution of their internal datapath). Scalar inputs come back as scalars.
 Use ``cfg.fmt.quantize`` / ``dequantize`` to cross the float boundary.
 
 The exponential (also inside softmax), GELU and the inverse square root
-are element-wise over a small integer domain. They gather from a
-whole-domain table of the kernel, kept on the config, once it exists (see
-``_table``), so the outputs equal the kernel's bit for bit; inputs outside
-the table run the kernel itself, and ``impl="numpy"`` bypasses the table.
+are element-wise over a small integer domain, and each has one call path,
+``_elementwise``: it gathers from a whole-domain table of the kernel, kept
+on the config, once it exists (see ``_table``), so the outputs equal the
+kernel's bit for bit; a call with an input outside the table runs the
+kernel itself.
 """
 
 from __future__ import annotations
@@ -56,19 +57,14 @@ _DOMAIN = {
 TABLE_MAX_ENTRIES = 1 << 16
 
 
-def _table(kind, cfg, n, impl):
+def _table(kind, cfg, n):
     """``(lo, table)`` with ``table[i]`` the kernel at ``lo + i``, or None.
 
     The table covers ``kind``'s whole domain. It is built on the first call
     with ``n`` at least the domain's size, and only if the domain has at most
-    ``TABLE_MAX_ENTRIES`` inputs; once built, calls of any size get it,
-    except ``impl="numpy"`` requests. The config's arrays are read-only, so
-    a table stays valid.
+    ``TABLE_MAX_ENTRIES`` inputs; once built, calls of any size get it.
+    The config's arrays are read-only, so a table stays valid.
     """
-    if impl is not None:
-        if impl != "numpy":
-            raise ValueError(f"unknown impl {impl!r}; only 'numpy' bypasses the tables")
-        return None
     found = cfg._tables.get(kind)
     if found is None:
         lo, hi = _DOMAIN[kind](cfg)
@@ -94,14 +90,14 @@ def _gather(found, x):
     return table[idx]
 
 
-def _elementwise(kind, flat, cfg, impl):
+def _elementwise(kind, flat, cfg):
     """``kind``'s kernel on ``flat``: a table gather when every input is in it."""
-    found = _table(kind, cfg, flat.size, impl)
+    found = _table(kind, cfg, flat.size)
     out = None if found is None else _gather(found, flat)
     return _DIRECT[kind](flat, cfg) if out is None else out
 
 
-def isqrt_approx(x, cfg: ApproxConfig, impl=None):
+def isqrt_approx(x, cfg: ApproxConfig):
     """1/sqrt(x) via the exponent split x = 2^e * (1+f) and the 2^(-f/2) table.
 
     Exact at powers of two with even exponent; elsewhere bounded by the
@@ -110,31 +106,23 @@ def isqrt_approx(x, cfg: ApproxConfig, impl=None):
     flat, shape, scalar = _as_flat(x)
     if np.any(flat <= 0):
         raise SchemaError("isqrt_approx requires x > 0")
-    out = _elementwise("isqrt", flat, cfg, impl)
+    out = _elementwise("isqrt", flat, cfg)
     return out[0] if scalar else out.reshape(shape)
 
 
-def pade_exp(x, cfg: ApproxConfig, return_flag: bool = False, impl=None):
+def pade_exp(x, cfg: ApproxConfig):
     """e^x for x <= 0 as 2^-k * pade22(v), with x = -k*ln2 + v.
 
     The power-of-two part is a shift; the [2/2] rational core only ever sees
     v in (-ln2, 0], where it is accurate and monotone. Inputs outside the
-    configured domain saturate to its edge; ``return_flag`` reports that.
-    Output has 15 fractional bits.
+    configured domain saturate to its edge. Output has 15 fractional bits.
     """
     flat, shape, scalar = _as_flat(x)
-    lo = cfg.exp_lo_fixed
-    flag = (flat < lo) | (flat > 0)
-    out = _elementwise("exp", np.clip(flat, lo, 0), cfg, impl)
-    if scalar:
-        return (out[0], bool(flag[0])) if return_flag else out[0]
-    out = out.reshape(shape)
-    if return_flag:
-        return out, flag.reshape(shape)
-    return out
+    out = _elementwise("exp", np.clip(flat, cfg.exp_lo_fixed, 0), cfg)
+    return out[0] if scalar else out.reshape(shape)
 
 
-def softmax_approx(row, cfg: ApproxConfig, impl=None):
+def softmax_approx(row, cfg: ApproxConfig):
     """Division-free softmax over the last axis.
 
     Subtracts the row max, applies the shifted rational exponential, and
@@ -146,26 +134,18 @@ def softmax_approx(row, cfg: ApproxConfig, impl=None):
     if arr.size == 0:
         raise SchemaError("softmax_approx requires a non-empty row")
     squeeze = arr.ndim == 1
-    rows = np.atleast_2d(arr)
-    found = _table("exp", cfg, rows.size, impl)
-    # The shifted inputs leave the table only if a row's span overflows int64.
-    exps = None if found is None else _gather(
-        found, _fixmath.softmax_shift(rows, cfg.exp_lo_fixed))
-    if exps is None:
-        out = _fixmath.softmax_fixed(rows, cfg.exp_lo_fixed, cfg.log2e_q15,
-                                     cfg.ln2_qf, cfg.fmt.frac_bits,
-                                     cfg.recip_table, cfg.recip_bits,
+    z = _fixmath.softmax_shift(np.atleast_2d(arr), cfg.exp_lo_fixed)
+    # The shifted inputs leave the exp table only if a row's span overflows int64.
+    exps = _elementwise("exp", z.reshape(-1), cfg).reshape(z.shape)
+    out = _fixmath.softmax_normalize(exps, cfg.recip_table, cfg.recip_bits,
                                      cfg.recip_refine, cfg.renormalize)
-    else:
-        out = _fixmath.softmax_normalize(exps, cfg.recip_table, cfg.recip_bits,
-                                         cfg.recip_refine, cfg.renormalize)
     return out[0] if squeeze else out
 
 
-def gelu_pwl(x, cfg: ApproxConfig, impl=None):
+def gelu_pwl(x, cfg: ApproxConfig):
     """Piecewise-linear GELU: zero below the pieces, identity above them."""
     flat, shape, scalar = _as_flat(x)
-    out = _elementwise("gelu", flat, cfg, impl)
+    out = _elementwise("gelu", flat, cfg)
     return out[0] if scalar else out.reshape(shape)
 
 

@@ -73,7 +73,7 @@ def _summarize(fn, domain, approx, exact, samples) -> ErrorReport:
 
 
 def error_report(fn_id: str, cfg: ApproxConfig, domain=None, samples: int = 1024,
-                 seed: int = 0, exact: bool = False, row_len: int = 0) -> ErrorReport:
+                 seed: int = 0, exact: bool = False) -> ErrorReport:
     """Deterministic sweep comparing one approximation to its oracle.
 
     ``exact=True`` swaps the oracle in for the approximation (differential
@@ -88,7 +88,7 @@ def error_report(fn_id: str, cfg: ApproxConfig, domain=None, samples: int = 1024
     fmt = cfg.fmt
 
     if fn_id in _ROW_FNS:
-        n = row_len or _ROW_FNS[fn_id]
+        n = _ROW_FNS[fn_id]
         nrows = max(1, samples // n)
         rows = fmt.quantize(rng.uniform(domain[0], domain[1], (nrows, n)))
         xs = fmt.dequantize(rows)

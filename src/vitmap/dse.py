@@ -234,9 +234,10 @@ def _row(pn: int, pm: int, tn: int, tm: int, latency: float, from_cache: bool) -
 class SearchConfig:
     """The heuristic search's population, iteration and budget settings.
 
-    ``max_evaluations`` budgets the distinct configurations scored: the
-    population search may use three fifths of it, but never less than
-    ``set_size``, and the line sweeps stop once the total reaches it.
+    ``max_evaluations`` budgets the distinct configurations scored and must
+    cover the first population (``set_size``): the population search may use
+    three fifths of it, but never less than ``set_size``, and the line sweeps
+    stop once the total reaches it.
     """
 
     set_size: int = 100
@@ -250,6 +251,9 @@ class SearchConfig:
             raise SchemaError("set_size/preservation_size must be >= 1, iterations >= 0")
         if not self.preservation_size < self.set_size:
             raise SchemaError("preservation_size must be < set_size")
+        if self.max_evaluations is not None and self.max_evaluations < self.set_size:
+            raise SchemaError(f"max_evaluations ({self.max_evaluations}) must be >= "
+                              f"set_size ({self.set_size})")
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SearchConfig":

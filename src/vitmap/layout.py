@@ -211,18 +211,13 @@ def schedule_softmax(num_heads: int, bn: int, rows: int, kernels: int | None = N
     return Schedule(ScheduleKind.SOFTMAX, tuple(steps), kernels, bn, rows, heads=num_heads)
 
 
-def schedule_layernorm(rows: int, bn: int, kernels: int, strict: bool = True) -> Schedule:
+def schedule_layernorm(rows: int, bn: int, kernels: int) -> Schedule:
     """Rotating schedule: kernel i works row base+i, reading bank (i+t) mod BN.
 
     Rows advance in blocks of the kernel count; within a block, BN rotation
     steps give each kernel every segment of its row while no two kernels
-    share a bank in any step. Strict mode rejects kernels != banks, since the
-    rotation assumes one bank per kernel per step; relaxed mode clamps the
-    kernel count to the bank count.
+    share a bank in any step, so at most one kernel per bank may work.
     """
-    if strict and kernels != bn:
-        raise SchemaError(f"rotating schedule requires kernels == banks, got {kernels} != {bn}")
-    kernels = min(kernels, bn)
     _shape_steps(ScheduleKind.LAYERNORM, rows, bn, kernels)
     steps = []
     index = 0
@@ -292,7 +287,7 @@ class ScheduleDescriptor:
         if self.op_kind is ScheduleKind.SOFTMAX:
             return schedule_softmax(self.heads, self.banks, self.rows, self.kernels)
         if self.op_kind is ScheduleKind.LAYERNORM:
-            return schedule_layernorm(self.rows, self.banks, self.kernels, strict=False)
+            return schedule_layernorm(self.rows, self.banks, self.kernels)
         return schedule_row_parallel(self.rows, self.banks, self.kernels, self.op_kind)
 
 

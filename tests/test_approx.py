@@ -40,6 +40,43 @@ def q(x):
     return FMT.quantize(x)
 
 
+# The _fixmath kernels behind the public functions, called directly (no table).
+
+def exp_kernel(x, cfg):
+    """``exp_fixed`` on x clamped to the exp domain, as ``pade_exp`` feeds it."""
+    z = np.clip(np.asarray(x, dtype=np.int64), cfg.exp_lo_fixed, 0)
+    return _fixmath.exp_fixed(z, cfg.log2e_q15, cfg.ln2_qf, cfg.fmt.frac_bits)
+
+
+def softmax_kernel(rows, cfg):
+    """``softmax_shift``, ``exp_fixed`` and ``softmax_normalize`` on 2-D rows."""
+    z = _fixmath.softmax_shift(np.asarray(rows, dtype=np.int64), cfg.exp_lo_fixed)
+    exps = _fixmath.exp_fixed(z, cfg.log2e_q15, cfg.ln2_qf, cfg.fmt.frac_bits)
+    return _fixmath.softmax_normalize(exps, cfg.recip_table, cfg.recip_bits,
+                                      cfg.recip_refine, cfg.renormalize)
+
+
+def gelu_kernel(x, cfg):
+    """``gelu_fixed`` on x of any shape."""
+    x = np.asarray(x, dtype=np.int64)
+    px, ps, pb = cfg.gelu_pieces
+    out = _fixmath.gelu_fixed(x.reshape(-1), px, ps, pb, cfg.fmt.frac_bits,
+                              cfg.fmt.min_int, cfg.fmt.max_int)
+    return out.reshape(x.shape)
+
+
+def isqrt_kernel(x, cfg):
+    """``isqrt_fixed`` on x >= 1."""
+    return _fixmath.isqrt_fixed(np.asarray(x, dtype=np.int64), cfg.isqrt_table,
+                                cfg.table_bits, cfg.inv_sqrt2_q15, cfg.fmt.frac_bits,
+                                cfg.fmt.max_int)
+
+
+def gelu_via(x, cfg, kernel):
+    """``gelu_pwl``, or with ``kernel="numpy"`` its numpy kernel called directly."""
+    return gelu_pwl(x, cfg) if kernel is None else gelu_kernel(x, cfg)
+
+
 class TestIsqrt:
     def test_exact_at_one(self):
         assert FMT.dequantize(isqrt_approx(int(q(1.0)), CFG)) == 1.0
@@ -100,12 +137,11 @@ class TestPadeExp:
         z = np.arange(q(-8.0), 1, dtype=np.int64)
         assert np.all(pade_exp(z, CFG) > 0)
 
-    def test_saturation_flag(self):
-        val, flag = pade_exp(int(q(-12.0)), CFG, return_flag=True)
-        assert flag
-        assert val == pade_exp(int(q(-8.0)), CFG)
-        _, noflag = pade_exp(int(q(-3.0)), CFG, return_flag=True)
-        assert not noflag
+    def test_saturates_outside_domain(self):
+        assert CFG.exp_lo_fixed == q(-8.0)
+        assert pade_exp(int(q(-12.0)), CFG) == pade_exp(int(q(-8.0)), CFG)
+        assert pade_exp(int(q(3.0)), CFG) == pade_exp(0, CFG)
+        assert pade_exp(int(q(-3.0)), CFG) != pade_exp(int(q(-8.0)), CFG)
 
 
 class TestSoftmax:
@@ -169,30 +205,30 @@ class TestGelu:
     def test_zero_below_pieces(self):
         assert gelu_pwl(int(q(-10.0)), CFG) == 0
 
-    @pytest.mark.parametrize("impl", [None, "numpy"])
-    def test_zero_below_first_piece_outside_format(self, impl):
+    @pytest.mark.parametrize("kernel", [None, "numpy"])
+    def test_zero_below_first_piece_outside_format(self, kernel):
         x = np.array([FMT.min_int - 7232, FMT.min_int - 2, FMT.min_int], dtype=np.int64)
-        assert gelu_pwl(x, CFG, impl=impl).tolist() == [0, 0, 0]
-        assert gelu_pwl(-40000, CFG, impl=impl) == 0
+        assert gelu_via(x, CFG, kernel).tolist() == [0, 0, 0]
+        assert gelu_via(-40000, CFG, kernel) == 0
 
-    @pytest.mark.parametrize("impl", [None, "numpy"])
-    def test_zero_below_first_custom_piece(self, impl):
+    @pytest.mark.parametrize("kernel", [None, "numpy"])
+    def test_zero_below_first_custom_piece(self, kernel):
         # Zero from -4 up to 0, identity above: below -4 is below every piece.
         cfg = ApproxConfig(gelu_pieces=(np.array([-1024, 0]), np.array([0, 256]),
                                         np.array([0, 0])))
         x = np.array([-2000, -1025, -1024, -1, 0, 300], dtype=np.int64)
-        assert gelu_pwl(x, cfg, impl=impl).tolist() == [0, 0, 0, 0, 0, 300]
+        assert gelu_via(x, cfg, kernel).tolist() == [0, 0, 0, 0, 0, 300]
 
-    @pytest.mark.parametrize("impl", [None, "numpy"])
-    def test_int64_extremes_saturate(self, impl):
+    @pytest.mark.parametrize("kernel", [None, "numpy"])
+    def test_int64_extremes_saturate(self, kernel):
         # slope * x would wrap int64 here; the Python-int golden model cannot.
         x = [2 ** 56, -2 ** 56, 2 ** 63 - 1, -2 ** 63]
         px, ps, pb = (a.tolist() for a in CFG.gelu_pieces)
         want = [golden.gelu(v, px, ps, pb, FMT.frac_bits, FMT.min_int, FMT.max_int)
                 for v in x]
         assert want == [FMT.max_int, 0, FMT.max_int, 0]
-        assert gelu_pwl(np.array(x, dtype=np.int64), CFG, impl=impl).tolist() == want
-        assert [gelu_pwl(v, CFG, impl=impl) for v in x] == want
+        assert gelu_via(np.array(x, dtype=np.int64), CFG, kernel).tolist() == want
+        assert [gelu_via(v, CFG, kernel) for v in x] == want
 
     def test_dense_sweep_pinned(self):
         xs = np.arange(q(-4.0), q(4.0) + 1, dtype=np.int64)
@@ -290,6 +326,13 @@ class TestConfig:
                 "gelu_pieces": [[-32769, 0, 0], [0, 256, 100], [1024, 256, 0]],
             })
 
+    def test_knots_and_pieces_together_rejected(self):
+        with pytest.raises(SchemaError, match="gelu_knots or gelu_pieces"):
+            ApproxConfig.from_doc({
+                "schema_version": 1, "gelu_knots": [-2, 0, 2],
+                "gelu_pieces": [[-32769, 0, 0], [0, 256, 0]],
+            })
+
     @pytest.mark.parametrize("make", [
         ApproxConfig,
         lambda: ApproxConfig.from_doc({"schema_version": 1, "format": "Q8.8",
@@ -327,10 +370,9 @@ class TestScalarContract:
 
     @pytest.mark.parametrize("x", [-256, np.int64(-256), np.array(-256)])
     def test_pade_exp(self, x):
-        assert np.ndim(pade_exp(x, CFG)) == 0
-        val, flag = pade_exp(x, CFG, return_flag=True)
-        assert np.ndim(val) == 0 and isinstance(flag, bool)
-        assert val == pade_exp(x, CFG)
+        out = pade_exp(x, CFG)
+        assert np.ndim(out) == 0
+        assert out == pade_exp(np.array([x]), CFG)[0]
 
     @pytest.mark.parametrize("fn,x", [(gelu_pwl, -300), (isqrt_approx, 300)])
     def test_gelu_and_isqrt(self, fn, x):
@@ -380,9 +422,9 @@ class TestDomainTables:
     def test_built_table_serves_small_calls(self, monkeypatch):
         cfg = ApproxConfig()
         big = np.arange(cfg.fmt.min_int, cfg.fmt.max_int + 1, dtype=np.int64)
-        ref_gelu = gelu_pwl(big, cfg, impl="numpy")
-        ref_exp = pade_exp(big, cfg, impl="numpy")
-        ref_isqrt = isqrt_approx(big[big > 0], cfg, impl="numpy")
+        ref_gelu = gelu_kernel(big, cfg)
+        ref_exp = exp_kernel(big, cfg)
+        ref_isqrt = isqrt_kernel(big[big > 0], cfg)
         assert np.array_equal(gelu_pwl(big, cfg), ref_gelu)
         assert np.array_equal(pade_exp(big, cfg), ref_exp)
         assert np.array_equal(isqrt_approx(big[big > 0], cfg), ref_isqrt)
@@ -391,14 +433,14 @@ class TestDomainTables:
         def no_kernel(*args, **kwargs):
             raise AssertionError("kernel ran although its table exists")
 
-        for name in ("exp_fixed", "gelu_fixed", "isqrt_fixed", "softmax_fixed"):
+        for name in ("exp_fixed", "gelu_fixed", "isqrt_fixed"):
             monkeypatch.setattr(_fixmath, name, no_kernel)
         assert gelu_pwl(-300, cfg) == ref_gelu[-300 - cfg.fmt.min_int]
         assert pade_exp(-300, cfg) == ref_exp[-300 - cfg.fmt.min_int]
         assert isqrt_approx(300, cfg) == ref_isqrt[299]
         softmax_approx(np.array([3, -4, 0]), cfg)
 
-    def test_explicit_impl_and_outside_inputs_run_the_kernel(self, monkeypatch):
+    def test_outside_inputs_run_the_kernel(self, monkeypatch):
         cfg = ApproxConfig()
         gelu_pwl(np.arange(cfg.fmt.min_int, cfg.fmt.max_int + 1), cfg)
         assert "gelu" in cfg._tables
@@ -410,16 +452,11 @@ class TestDomainTables:
             return kernel(x, *args, **kwargs)
 
         monkeypatch.setattr(_fixmath, "gelu_fixed", counted)
-        gelu_pwl(np.arange(10), cfg, impl="numpy")
+        gelu_pwl(np.arange(10), cfg)
         gelu_pwl(np.array([0, cfg.fmt.max_int + 1]), cfg)
         gelu_pwl(np.array([cfg.fmt.min_int - 1, 0]), cfg)
         gelu_pwl(np.array([-2 ** 62, 0]), cfg)
-        assert calls == [10, 2, 2, 2]
-
-    @pytest.mark.parametrize("fn", [pade_exp, softmax_approx, gelu_pwl, isqrt_approx])
-    def test_only_numpy_impl_accepted(self, fn):
-        with pytest.raises(ValueError, match="unknown impl 'numba'"):
-            fn(np.array([1, 2]), ApproxConfig(), impl="numba")
+        assert calls == [2, 2, 2]
 
     def test_softmax_row_overflowing_int64_runs_the_kernel(self):
         # row - row.max wraps past int64 here, so the shifted input leaves the table.
@@ -427,7 +464,7 @@ class TestDomainTables:
         softmax_approx(-np.arange(_domain_size(cfg, "exp"))[:, None], cfg)
         assert "exp" in cfg._tables
         row = np.array([2 ** 62, -2 ** 62 - 1], dtype=np.int64)
-        assert np.array_equal(softmax_approx(row, cfg), softmax_approx(row, cfg, impl="numpy"))
+        assert np.array_equal(softmax_approx(row, cfg), softmax_kernel(row[None, :], cfg)[0])
 
     @pytest.mark.parametrize("name,built", [("Q9.8", {"exp", "isqrt"}), ("Q17.15", set())])
     def test_wide_domains_build_none(self, name, built):
@@ -473,20 +510,17 @@ def formats_and_inputs(draw):
 @settings(max_examples=30)
 @given(formats_and_inputs())
 def test_tables_equal_the_numpy_kernels(case):
-    """Whatever the table path does, its outputs equal ``impl="numpy"`` bit for bit."""
+    """Whatever the table path does, its outputs equal the numpy kernels' bit for bit."""
     cfg, x, pos, rows = case
     calls = [
-        (lambda v, impl=None: pade_exp(v, cfg, return_flag=True, impl=impl), x),
-        (lambda v, impl=None: softmax_approx(v, cfg, impl=impl), rows),
-        (lambda v, impl=None: gelu_pwl(v, cfg, impl=impl), x),
-        (lambda v, impl=None: isqrt_approx(v, cfg, impl=impl), pos),
+        (pade_exp, exp_kernel, x),
+        (softmax_approx, softmax_kernel, rows),
+        (gelu_pwl, gelu_kernel, x),
+        (isqrt_approx, isqrt_kernel, pos),
     ]
-    for fn, v in calls:
+    for fn, kernel, v in calls:
         # Large call first (it may build the table), then a small one.
         for arg in (v, v[-9:]):
-            got, ref = fn(arg), fn(arg, impl="numpy")
-            if isinstance(ref, tuple):
-                assert np.array_equal(got[1], ref[1])
-                got, ref = got[0], ref[0]
+            got, ref = fn(arg, cfg), kernel(arg, cfg)
             assert got.dtype == ref.dtype == np.int64
             assert np.array_equal(got, ref)

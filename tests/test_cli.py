@@ -248,6 +248,14 @@ class TestSearch:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_budget_below_set_size_exits_4(self, tmp_path, capsys):
+        # The first population alone (set size 100) would overrun a budget of 50.
+        assert run("search", "--model", "deit-tiny", "--hw", "vu9p", "--mode", "heuristic",
+                   "--max-evals", 50, "--tn-cap", 8, "--tm-cap", 128,
+                   "--out-dir", tmp_path / "out") == 4
+        assert "max_evaluations (50) must be >= set_size (100)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     # sha256 of each output of `search --mode both --tn-cap 8 --tm-cap 128` on
     # deit-tiny (seed 0). comparison.json holds a measured wall-time ratio and
     # is checked field by field instead. search_heuristic.json's history ends
@@ -332,6 +340,15 @@ class TestApproxReport:
             fine = json.loads((tmp_path / "q88" / f"approx_{fn}.json").read_text())
             coarse = json.loads((tmp_path / "q44" / f"approx_{fn}.json").read_text())
             assert coarse["max_abs"] >= fine["max_abs"]
+
+    def test_gelu_knots_and_pieces_together_exit_7(self, tmp_path, capsys):
+        cfg = tmp_path / "approx.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "gelu_knots": [-2, 0, 2],
+                                   "gelu_pieces": [[-32769, 0, 0], [0, 256, 0]]}))
+        assert run("approx-report", "--approx-config", cfg,
+                   "--out-dir", tmp_path / "out") == 7
+        assert "gelu_knots or gelu_pieces" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEmit:

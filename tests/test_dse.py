@@ -456,6 +456,13 @@ class TestSearchConfig:
         with pytest.raises(SchemaError, match=field):
             SearchConfig.from_doc({"seed": 0, field: value})
 
+    def test_budget_must_cover_first_population(self):
+        assert SearchConfig(set_size=20, preservation_size=4, max_evaluations=20)
+        with pytest.raises(SchemaError, match="max_evaluations"):
+            SearchConfig(set_size=20, preservation_size=4, max_evaluations=19)
+        with pytest.raises(SchemaError, match="max_evaluations"):
+            SearchConfig(max_evaluations=0)
+
 
 class TestParetoFront:
     @staticmethod

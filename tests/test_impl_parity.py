@@ -1,8 +1,9 @@
 """The numpy kernels against their golden models, bit for bit.
 
 The exact cost scorer is checked against ``graph_latency``, which sums the
-cost model node by node in ``Fraction``s; the fixed-point kernels against
-the plain-Python, Python-int restatement in ``fixmath_golden``.
+cost model node by node in ``Fraction``s; the fixed-point kernels, and
+softmax through the public function on both its exp paths, against the
+plain-Python, Python-int restatement in ``fixmath_golden``.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import fixmath_golden as golden
 from conftest import small_models_and_boards, toy_hw
 from vitmap import _latency
-from vitmap.approx import ApproxConfig, _fixmath
+from vitmap.approx import ApproxConfig, _fixmath, pade_exp, softmax_approx
 from vitmap.dse import SpaceCaps, enumerate_space
 from vitmap.errors import EmptySearchSpaceError
 from vitmap.hw import TileParams, graph_latency, parse_hardware
@@ -128,12 +129,18 @@ def test_exp_matches_golden_over_its_domain():
 @pytest.mark.parametrize("refine,renorm", [(0, False), (1, False), (0, True)])
 def test_softmax_matches_golden(refine, renorm):
     rows = CFG.fmt.quantize(np.random.default_rng(2).normal(0, 1.2, (16, 197)))
-    args = (CFG.exp_lo_fixed, CFG.log2e_q15, CFG.ln2_qf, CFG.fmt.frac_bits,
-            CFG.recip_table, CFG.recip_bits, refine, renorm)
-    got = _fixmath.softmax_fixed(rows, *args)
-    rtab = CFG.recip_table.tolist()
-    want = [golden.softmax(row, *args[:4], rtab, *args[5:]) for row in rows.tolist()]
-    assert got.tolist() == want
+    cfg = ApproxConfig(recip_refine=refine, renormalize=renorm)
+    want = [golden.softmax(row, cfg.exp_lo_fixed, cfg.log2e_q15, cfg.ln2_qf,
+                           cfg.fmt.frac_bits, cfg.recip_table.tolist(), cfg.recip_bits,
+                           refine, renorm)
+            for row in rows.tolist()]
+    # Kernel path: a row is shorter than the exp domain, so no table is built.
+    assert [softmax_approx(row, cfg).tolist() for row in rows] == want
+    assert "exp" not in cfg._tables
+    # Table path: a domain-sized call builds the exp table, then every row gathers.
+    pade_exp(np.arange(cfg.exp_lo_fixed, 1), cfg)
+    assert "exp" in cfg._tables
+    assert softmax_approx(rows, cfg).tolist() == want
 
 
 def test_gelu_matches_golden_over_the_format():

@@ -161,14 +161,15 @@ class TestLayernormSchedule:
         for st in s.steps:
             assert sorted(a.bank for a in st.assignments) == [0, 1, 2, 3]
 
-    def test_strict_mode_rejects_mismatch(self):
-        with pytest.raises(SchemaError):
-            schedule_layernorm(8, 4, 8)
-
-    def test_relaxed_mode_clamps_and_validates(self):
-        s = schedule_layernorm(8, 4, 8, strict=False)
-        assert s.kernels == 4
+    def test_fewer_kernels_than_banks_validates_clean(self):
+        s = schedule_layernorm(8, 4, 3)
+        assert s.kernels == 3
+        assert len(s.steps) == 3 * 4  # ceil(8 / 3) row blocks of 4 rotation steps
         assert validate_schedule(s).ok
+
+    def test_more_kernels_than_banks_raises(self):
+        with pytest.raises(SchemaError, match="kernels 8 > banks 4"):
+            schedule_layernorm(8, 4, 8)
 
 
 class TestValidateSchedule:
