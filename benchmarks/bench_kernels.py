@@ -9,17 +9,25 @@ and isqrt functions on a deit-base layer's shapes (Q8.8) through the
 config's whole-domain tables against their ``_fixmath`` kernels called
 directly, and check the two agree bit for bit; the tables are built in the
 warmup round. The layernorm line times its kernel on the same layer.
-The last lines time ``exact_search`` against ``heuristic_search`` (default
-config) on deit-base's full space at batch 1 and 64. vitmap is imported
-from ``src/`` of this checkout.
+The search lines time ``exact_search`` against ``heuristic_search`` (default
+config) on deit-base's full space at batch 1 and 64. The output lines take
+deit-tiny's exhaustive log (372,527 evaluations) through ``pareto_front``
+and ``evaluations_to_csv`` (into a temporary file) and report each one's
+wall time and tracemalloc peak; the CSV's bytes are checked against the
+same rows formatted by ``csv.writer``. vitmap is imported from ``src/`` of
+this checkout.
 
     python3 benchmarks/bench_kernels.py [--points N] [--repeat K]
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
+import tempfile
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +38,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from vitmap import _latency  # noqa: E402
 from vitmap import approx  # noqa: E402
 from vitmap.approx import ApproxConfig, _fixmath  # noqa: E402
-from vitmap.dse import SearchConfig, enumerate_space, exact_search, heuristic_search  # noqa: E402
+from vitmap.dse import (  # noqa: E402
+    SearchConfig,
+    enumerate_space,
+    evaluations_to_csv,
+    exact_search,
+    exhaustive_search,
+    heuristic_search,
+    pareto_front,
+)
 from vitmap.hw import TileParams, graph_latency, parse_hardware  # noqa: E402
 from vitmap.model_ir import batch_expand, build_dag, fuse_qkv, parse_model  # noqa: E402
 
@@ -45,18 +61,28 @@ def best_of(fn, repeat):
     return best, out
 
 
-def deit_base(batch):
-    """deit-base's DAG at ``batch`` and the vu9p board."""
+def traced_peak(fn):
+    """tracemalloc's peak, in bytes, over one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def preset_dag(model, batch):
+    """``model``'s DAG at ``batch`` and the vu9p board."""
     def preset(name):
         return json.loads(resources.files("vitmap.presets").joinpath(name).read_text())
 
     hw = parse_hardware(preset("vu9p.json"))
-    dag = batch_expand(fuse_qkv(build_dag(parse_model(preset("deit_base.json"))), hw), batch)
-    return dag, hw
+    dag = build_dag(parse_model(preset(model.replace("-", "_") + ".json")))
+    return batch_expand(fuse_qkv(dag, hw), batch), hw
 
 
 def bench_scorer(count, repeat, rng):
-    dag, hw = deit_base(1)
+    dag, hw = preset_dag("deit-base", 1)
     pn, tn, tm = enumerate_space(dag, hw).point_arrays()
     idx = rng.integers(0, pn.shape[0], count)
     pn, tn, tm = pn[idx], tn[idx], tm[idx]
@@ -67,6 +93,36 @@ def bench_scorer(count, repeat, rng):
         assert lats[i] == graph_latency(dag, tiles, hw).total_latency_s, tiles
     print(f"{f'latency_batch ({count} pts)':<28}  {t * 1e3:9.3f} ms "
           f"({t * 1e9 / count:.1f} ns/point)")
+
+
+def csv_reference(log):
+    """The evaluation CSV through ``csv.writer``, one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["pn", "pm", "tn", "tm", "latency_s", "feasible", "from_cache"])
+    for e in log:
+        writer.writerow([*e.tiles.astuple(), repr(e.latency_s), True, e.from_cache])
+    return buf.getvalue().encode()
+
+
+def bench_outputs(repeat):
+    dag, hw = preset_dag("deit-tiny", 1)
+    result = exhaustive_search(dag, hw, enumerate_space(dag, hw))
+    log = result.all_evaluated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "evals.csv"
+
+        def export():
+            with path.open("w", encoding="utf-8") as fh:
+                evaluations_to_csv(result, fh)
+
+        for name, fn in (("pareto_front", lambda: pareto_front(log)),
+                         ("evaluations_to_csv", export)):
+            t, _ = best_of(fn, repeat)
+            peak = traced_peak(fn)
+            print(f"{f'{name} (deit-tiny)':<28}  {t * 1e3:9.3f} ms  tracemalloc peak "
+                  f"{peak / 2 ** 20:6.1f} MB  ({len(log)} evaluations)")
+        assert path.read_bytes() == csv_reference(log), "CSV differs from csv.writer"
 
 
 def main():
@@ -114,7 +170,7 @@ def main():
     print(f"{f'layernorm {ln_in.shape[0]}x{ln_in.shape[1]}':<28}  {t_ln * 1e3:9.3f} ms")
 
     for batch in (1, 64):
-        dag, hw = deit_base(batch)
+        dag, hw = preset_dag("deit-base", batch)
         space = enumerate_space(dag, hw)
         t_exact, exact = best_of(lambda: exact_search(dag, hw, space), args.repeat)
         t_heur, heur = best_of(lambda: heuristic_search(dag, hw, space, SearchConfig()),
@@ -123,6 +179,8 @@ def main():
               f"({exact.evaluations_used} (tn, tm) pairs)  heuristic: {t_heur * 1e3:9.3f} ms "
               f"({heur.evaluations_used} evaluations)  same tiles: "
               f"{exact.best.tiles == heur.best.tiles}")
+
+    bench_outputs(args.repeat)
 
 
 if __name__ == "__main__":

@@ -133,13 +133,14 @@ def softmax_approx(row, cfg: ApproxConfig):
     arr = np.ascontiguousarray(row, dtype=np.int64)
     if arr.size == 0:
         raise SchemaError("softmax_approx requires a non-empty row")
-    squeeze = arr.ndim == 1
-    z = _fixmath.softmax_shift(np.atleast_2d(arr), cfg.exp_lo_fixed)
+    # One row per last-axis vector (a scalar is one row of one); a contiguous
+    # array reshapes without a copy.
+    z = _fixmath.softmax_shift(arr.reshape(-1, arr.shape[-1]), cfg.exp_lo_fixed)
     # The shifted inputs leave the exp table only if a row's span overflows int64.
     exps = _elementwise("exp", z.reshape(-1), cfg).reshape(z.shape)
     out = _fixmath.softmax_normalize(exps, cfg.recip_table, cfg.recip_bits,
                                      cfg.recip_refine, cfg.renormalize)
-    return out[0] if squeeze else out
+    return out.reshape(arr.shape)
 
 
 def gelu_pwl(x, cfg: ApproxConfig):

@@ -84,9 +84,15 @@ def _stage(stage: str, fn, *args, **kwargs):
         raise StageError(stage, str(exc)) from exc
 
 
-def _write(path: Path, text: str) -> None:
+def _open_out(path: Path):
+    """``path`` opened for writing text, its directory created first."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    return path.open("w", encoding="utf-8")
+
+
+def _write(path: Path, text: str) -> None:
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def _space_caps(args) -> SpaceCaps:
@@ -207,7 +213,8 @@ def cmd_search(args) -> int:
 
     fronts = {}
     for name, result in results.items():
-        _write(out_dir / f"evals_{name}.csv", evaluations_to_csv(result))
+        with _open_out(out_dir / f"evals_{name}.csv") as fh:
+            evaluations_to_csv(result, fh)
         _write(out_dir / f"search_{name}.json", search_summary_json(result))
         fronts[name] = pareto_front(result.all_evaluated)
         _write(out_dir / f"pareto_{name}.csv", pareto_to_csv(fronts[name]))

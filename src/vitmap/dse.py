@@ -31,7 +31,11 @@ Results carry every evaluation made (cache hits flagged) as an
 ``EvaluationLog``: numpy columns that build ``Evaluation`` rows only when
 indexed or iterated. The Pareto front, the search comparison and the CSV
 export work on those columns directly, so a multi-million-point exhaustive
-search never materialises one Python object per point.
+search never materialises one Python object per point. The CSV export
+streams: it formats and writes a fixed block of rows at a time to an open
+file, so its memory does not grow with the log. The Pareto front holds a
+sort order and one gathered column at a time, and copies the columns only
+when a configuration repeats.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ import operator
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
-from typing import Iterator, Optional
+from itertools import repeat, starmap
+from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -542,17 +546,14 @@ def pareto_front(log: EvaluationLog) -> tuple[ParetoPoint, ...]:
     if len(log) == 0:
         raise SchemaError("pareto_front requires at least one evaluation")
     pn, pm, tn, tm, lat = log.columns()[:5]
-    # First evaluation of each tile configuration: lexsort is stable.
-    order = np.lexsort((tm, tn, pm, pn))
-    pn, pm, tn, tm, lat = (c[order] for c in (pn, pm, tn, tm, lat))
-    first = np.ones(order.shape[0], dtype=bool)
-    first[1:] = ((pn[1:] != pn[:-1]) | (pm[1:] != pm[:-1])
-                 | (tn[1:] != tn[:-1]) | (tm[1:] != tm[:-1]))
-    pn, pm, tn, tm, lat = (c[first] for c in (pn, pm, tn, tm, lat))
+    keep = _first_evaluations((pn, pm, tn, tm))
+    if keep is not None:
+        pn, pm, tn, tm, lat = (c[keep] for c in (pn, pm, tn, tm, lat))
     par = pn * pm
     # A point is dominated iff some point of equal parallelism is faster, or
     # some point of higher parallelism is at least as fast.
-    levels, level = np.unique(par, return_inverse=True)
+    levels = np.unique(par)
+    level = np.searchsorted(levels, par)
     fastest = np.full(levels.shape[0], np.inf)
     np.minimum.at(fastest, level, lat)
     fastest_above = np.full_like(fastest, np.inf)
@@ -566,6 +567,35 @@ def pareto_front(log: EvaluationLog) -> tuple[ParetoPoint, ...]:
         for *t, latency, parallelism in zip(*(c[order].tolist()
                                               for c in (pn, pm, tn, tm, lat, par)))
     )
+
+
+def _is_broadcast(col: np.ndarray) -> bool:
+    """Whether ``col`` repeats one value through a zero stride (a scalar column)."""
+    return col.strides[0] == 0
+
+
+def _first_evaluations(columns) -> Optional[np.ndarray]:
+    """Mask, in log order, of each configuration's first row; None without repeats.
+
+    ``columns`` are the configuration's key columns. One stable sort groups
+    equal configurations with their first row leading; the sorted keys are
+    compared one column at a time. Broadcast columns, equal on every row,
+    are left out unless all of them are.
+    """
+    keys = [c for c in columns if not _is_broadcast(c)] or list(columns[:1])
+    n = keys[0].shape[0]
+    order = np.lexsort(keys[::-1])
+    repeats = np.ones(n - 1, dtype=bool)
+    for col in keys:
+        ranked = col[order]
+        repeats &= ranked[1:] == ranked[:-1]
+        del ranked  # freed before the next column is gathered
+    repeat_rows = order[1:][repeats]
+    if repeat_rows.shape[0] == 0:
+        return None
+    keep = np.ones(n, dtype=bool)
+    keep[repeat_rows] = False
+    return keep
 
 
 def _tile_rows(pn, pm, tn, tm) -> np.ndarray:
@@ -634,22 +664,37 @@ def search_summary_json(result: SearchResult) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def evaluations_to_csv(result: SearchResult) -> str:
-    """One row per evaluation: pn, pm, tn, tm, latency_s, feasible, from_cache.
+# Rows per block of the CSV export. Every temporary of the export is bounded
+# by it, whatever the log's length or the range of its values.
+_CSV_BLOCK_ROWS = 32768
+
+
+def evaluations_to_csv(result: SearchResult, out: TextIO) -> None:
+    """Write one row per evaluation to ``out``: pn, pm, tn, tm, latency_s, feasible, from_cache.
 
     latency_s is the float's ``repr``. Every logged evaluation is feasible,
     so the ``feasible`` column always reads ``True``; it stays for readers of
-    the format.
+    the format. Rows are formatted and written ``_CSV_BLOCK_ROWS`` at a time,
+    so the export's memory does not grow with the log.
     """
     log = result.all_evaluated
-    columns = (*map(_str_column, (log.pn, log.pm, log.tn, log.tm)),
-               map(repr, log.latency.tolist()), repeat("True"), _str_column(log.from_cache))
-    header = "pn,pm,tn,tm,latency_s,feasible,from_cache"
-    return "\n".join(chain([header], map(",".join, zip(*columns)), [""]))
+    out.write("pn,pm,tn,tm,latency_s,feasible,from_cache\n")
+    if len(log) == 0:
+        return
+    columns = (log.pn, log.pm, log.tn, log.tm, log.from_cache)
+    # A broadcast column holds one value: it is converted once for the log.
+    fixed = [repeat(str(c[0].item())) if _is_broadcast(c) else None for c in columns]
+    for lo in range(0, len(log), _CSV_BLOCK_ROWS):
+        hi = lo + _CSV_BLOCK_ROWS
+        pn, pm, tn, tm, hit = (_str_block(c[lo:hi]) if f is None else f
+                               for c, f in zip(columns, fixed))
+        rows = zip(pn, pm, tn, tm, map(repr, log.latency[lo:hi].tolist()), repeat("True"), hit)
+        out.write("\n".join(map(",".join, rows)))
+        out.write("\n")
 
 
-def _str_column(col: np.ndarray) -> list[str]:
-    """``str`` of each element, converting each distinct value once."""
+def _str_block(col: np.ndarray) -> list[str]:
+    """``str`` of each element of a block, converting each distinct value once."""
     values, inverse = np.unique(col, return_inverse=True)
     return np.array([str(v) for v in values.tolist()], dtype=object)[inverse].tolist()
 

@@ -194,6 +194,15 @@ class TestSoftmax:
         with pytest.raises(SchemaError):
             softmax_approx(np.array([], dtype=np.int64), CFG)
 
+    def test_leading_axes_are_rows(self):
+        # Every leading axis indexes rows: the last axis is the one normalized.
+        rng = np.random.default_rng(8)
+        x = q(rng.normal(0, 1, (2, 3, 4)))
+        out = softmax_approx(x, CFG)
+        assert out.shape == x.shape
+        assert np.array_equal(out, softmax_approx(x.reshape(-1, 4), CFG).reshape(x.shape))
+        assert np.array_equal(out[1, 2], softmax_approx(x[1, 2], CFG))
+
 
 class TestGelu:
     def test_zero(self):

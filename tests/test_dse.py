@@ -1,6 +1,9 @@
+import csv
 import dataclasses
+import io
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -106,6 +109,50 @@ def _log_of(evals):
     """EvaluationLog holding the given ``Evaluation`` rows, in order."""
     return EvaluationLog(*zip(*((*e.tiles.astuple(), e.latency_s, e.from_cache)
                                 for e in evals)))
+
+
+def _column(draw, n, values):
+    """One draw broadcast over ``n`` rows, or ``n`` draws."""
+    if draw(st.booleans()):
+        return np.broadcast_to(draw(values), (n,))
+    return draw(st.lists(values, min_size=n, max_size=n))
+
+
+@st.composite
+def _mixed_logs(draw, sizes):
+    """Logs whose columns are each broadcast or full, over small and huge tiles.
+
+    Small tile values make repeated configurations likely; large ones stay
+    below 2^31, so pn·pm fits the int64 columns. Latencies include ``1e-05``
+    (its ``repr`` is in exponent form) and ``inf``.
+    """
+    n = draw(sizes)
+    tiles = st.integers(1, 3) | st.integers(1, 2 ** 31)
+    latency = st.sampled_from([1e-05, math.inf, 1 / 3, 0.5]) | st.floats(0, 1e3)
+    return EvaluationLog(*(_column(draw, n, tiles) for _ in range(4)),
+                         _column(draw, n, latency), _column(draw, n, st.booleans()))
+
+
+def _result_of(log):
+    """A SearchResult around ``log``; the CSV export reads only the log."""
+    return SearchResult(best=None, evaluations_used=len(log), history=(), all_evaluated=log,
+                        wall_time_s=0.0, space=None)
+
+
+def _csv_text(result):
+    buf = io.StringIO()
+    evaluations_to_csv(result, buf)
+    return buf.getvalue()
+
+
+def _csv_reference(log):
+    """The evaluation CSV through ``csv.writer``, one ``Evaluation`` row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["pn", "pm", "tn", "tm", "latency_s", "feasible", "from_cache"])
+    for e in log:
+        writer.writerow([*e.tiles.astuple(), repr(e.latency_s), True, e.from_cache])
+    return buf.getvalue()
 
 
 def _points(space):
@@ -528,6 +575,11 @@ class TestParetoFront:
         for log in (exh, heur, exh[::7]):
             assert pareto_front(log) == oracle_pareto_front(list(log))
 
+    @settings(max_examples=300, deadline=None)
+    @given(_mixed_logs(st.integers(1, 30)))
+    def test_matches_sweep_oracle_with_broadcast_columns(self, log):
+        assert pareto_front(log) == oracle_pareto_front(list(log))
+
 
 class TestEvaluationLog:
     def test_sequence_contract(self):
@@ -652,7 +704,7 @@ class TestCsvExport:
         result = heuristic_search(dag, hw, space,
                                   SearchConfig(seed=1, set_size=10, iterations=3,
                                                preservation_size=2))
-        lines = evaluations_to_csv(result).strip().splitlines()
+        lines = _csv_text(result).strip().splitlines()
         assert lines[0] == "pn,pm,tn,tm,latency_s,feasible,from_cache"
         assert len(lines) == 1 + len(result.all_evaluated)
         assert any(line.endswith("True") for line in lines[1:])  # cache hits logged
@@ -662,11 +714,59 @@ class TestCsvExport:
         log = EvaluationLog([3, 1], 2, [10, 2], [8, 4], [1 / 3, 1e-5], [True, False])
         result = SearchResult(best=log[0], evaluations_used=2, history=(),
                               all_evaluated=log, wall_time_s=1.0, space=toy_space[2])
-        assert evaluations_to_csv(result) == (
+        assert _csv_text(result) == (
             "pn,pm,tn,tm,latency_s,feasible,from_cache\n"
             f"3,2,10,8,{1 / 3!r},True,True\n"
             "1,2,2,4,1e-05,True,False\n"
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mixed_logs(st.sampled_from([0, 1, 3, 4, 5]) | st.integers(0, 13)))
+    def test_blocks_match_csv_writer(self, log):
+        # A block of 4 rows: lengths 0, 1, 3, 4 and 5 cover an empty log, a
+        # partial block, one full block and a full block plus one row.
+        with mock.patch.object(dse, "_CSV_BLOCK_ROWS", 4):
+            assert _csv_text(_result_of(log)) == _csv_reference(log)
+
+
+class TestOutputMemory:
+    """The search's outputs on deit-tiny's full space (372,527 evaluations).
+
+    tracemalloc counts numpy's buffers as well as Python objects. Before the
+    export was written in blocks it peaked at 73.9 MB, and the Pareto front
+    at 34.8 MB.
+    """
+
+    @pytest.fixture(scope="class")
+    def tiny_exhaustive(self):
+        dag, hw = preset_dag("deit-tiny")
+        return exhaustive_search(dag, hw, enumerate_space(dag, hw))
+
+    @staticmethod
+    def _peak_mb(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def test_csv_export_peak_is_bounded_by_a_block(self, tiny_exhaustive, tmp_path):
+        path = tmp_path / "evals.csv"
+
+        def export():
+            with path.open("w", encoding="utf-8") as fh:
+                evaluations_to_csv(tiny_exhaustive, fh)
+
+        assert len(tiny_exhaustive.all_evaluated) == 372_527
+        assert self._peak_mb(export) < 12
+        with path.open("rb") as fh:
+            assert sum(1 for _ in fh) == 1 + 372_527
+
+    def test_pareto_front_peak(self, tiny_exhaustive):
+        # About 40 bytes per evaluation: a sort order, one sorted column and
+        # the masks at a time.
+        assert self._peak_mb(lambda: pareto_front(tiny_exhaustive.all_evaluated)) < 14
 
 
 class TestRandomSpaces:
