@@ -151,24 +151,23 @@ def gelu_pwl(x, cfg: ApproxConfig):
 
 
 def layernorm_approx(row, gamma, beta, cfg: ApproxConfig):
-    """Row normalization with the table-based inverse square root.
+    """Normalization over the last axis with the table-based inverse square root.
 
     Mean and variance are integer arithmetic; the scale is
     isqrt_approx(variance + eps); output is gamma * (x - mean) * scale + beta.
     """
     arr = np.ascontiguousarray(row, dtype=np.int64)
-    squeeze = arr.ndim == 1
-    rows = np.atleast_2d(arr)
-    n = rows.shape[1]
+    n = arr.shape[-1]  # ascontiguousarray gives a scalar shape (1,)
     if n < 2:
         raise SchemaError("layernorm_approx requires rows of length >= 2")
     gamma = np.broadcast_to(np.asarray(gamma, dtype=np.int64), (n,)).copy()
     beta = np.broadcast_to(np.asarray(beta, dtype=np.int64), (n,)).copy()
-    out = _fixmath.layernorm_fixed(rows, gamma, beta, cfg.ln_eps,
+    # One row per last-axis vector; a contiguous array reshapes without a copy.
+    out = _fixmath.layernorm_fixed(arr.reshape(-1, n), gamma, beta, cfg.ln_eps,
                                    cfg.fmt.frac_bits, cfg.isqrt_table,
                                    cfg.table_bits, cfg.inv_sqrt2_q15,
                                    cfg.fmt.min_int, cfg.fmt.max_int)
-    return out[0] if squeeze else out
+    return out.reshape(arr.shape)
 
 
 def softmax_out_to_float(out) -> np.ndarray:

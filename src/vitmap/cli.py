@@ -278,7 +278,7 @@ def cmd_approx_report(args) -> int:
 def cmd_emit(args) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise StageError("emit", f"cannot read manifest: {exc}") from exc
     params = _stage("emit", template_params_from_manifest, manifest)
     text = emit_template_params(params)

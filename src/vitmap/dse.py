@@ -541,11 +541,17 @@ def pareto_front(log: EvaluationLog) -> tuple[ParetoPoint, ...]:
     with at least one strict. Ties on both objectives are mutually
     non-dominating and all kept. Repeated tile configurations count once,
     with their first evaluation. Output is sorted by (latency, -parallelism,
-    tiles). An empty log has no front and raises ``SchemaError``.
+    tiles). An empty log has no front, and a log whose pn·pm can leave int64
+    (no feasible search reaches it) is rejected; both raise ``SchemaError``.
     """
     if len(log) == 0:
         raise SchemaError("pareto_front requires at least one evaluation")
     pn, pm, tn, tm, lat = log.columns()[:5]
+    # Every row's pn·pm lies between the products of the columns' extremes.
+    ends = [(int(c.min()), int(c.max())) for c in (pn, pm)]
+    corners = [a * b for a in ends[0] for b in ends[1]]
+    if min(corners) <= -2**63 or max(corners) >= 2**63:  # -par must fit too
+        raise SchemaError(f"pareto_front: pn*pm leaves int64 (pn in {ends[0]}, pm in {ends[1]})")
     keep = _first_evaluations((pn, pm, tn, tm))
     if keep is not None:
         pn, pm, tn, tm, lat = (c[keep] for c in (pn, pm, tn, tm, lat))

@@ -11,11 +11,17 @@ with ``kernel_factor = ceil(heads / kernels)`` for head-grouped matmuls and
 the non-linear units: ``ceil(elems / (lop * kernels))`` cycles. Tiling pads:
 partial tiles cost the same as full ones, so ceiling tile counts are used.
 
-A configuration is feasible when every parameter is positive, ``pm`` is
-the bus's pack factor, ``tm`` is a multiple of ``pm``, ``pn·pm < tm`` and a
-``tn × tm`` tile fits on chip. ``validate_tiles`` reports the violated
-constraints; ``graph_latency`` raises ``InfeasibleTilesError`` with the same
-list, and ``matmul_cost`` with that list minus the pn bound.
+This module owns the hardware envelope: which boards and which tile
+configurations are valid. ``HardwareSpec`` rejects a malformed board, and
+``HARDWARE_FIELDS`` lists the fields a hardware document gives, which the
+manifest's hardware block repeats. A configuration is feasible when every
+parameter is a positive integer, ``pm`` is the bus's pack factor, ``tm`` is
+a multiple of ``pm``, ``pn·pm < tm`` and a ``tn × tm`` tile fits on chip.
+``validate_tiles`` reports the violated constraints; ``graph_latency``
+raises ``InfeasibleTilesError`` with the same list, and ``matmul_cost`` with
+that list minus the pn bound. Other modules ask these functions rather than
+restate the rules: ``vitmap emit`` re-checks a manifest's board and tiles
+with them before it writes the template parameters.
 
 Scalar entry points evaluate in exact integer/rational arithmetic. The
 design-space search scores many tiles at once through the exact integer
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -35,6 +42,10 @@ from .errors import InfeasibleTilesError, SchemaError
 from .model_ir import Dag, OpKind
 
 HW_SCHEMA_VERSION = 1
+
+# The fields of a hardware document, and of the manifest's hardware block.
+HARDWARE_FIELDS = ("name", "axi_width_bits", "data_width_bits", "onchip_capacity_elems",
+                   "ddr_banks", "num_kernels", "frequency_hz", "lop")
 
 
 @dataclass(frozen=True)
@@ -52,18 +63,18 @@ class HardwareSpec:
     resource_budget: Optional[dict[str, int]] = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"name must be a string, got {self.name!r}")
         for fname in ("axi_width_bits", "data_width_bits", "onchip_capacity_elems",
                       "ddr_banks", "num_kernels", "lop"):
             value = getattr(self, fname)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise SchemaError(f"{fname} must be a positive integer, got {value!r}")
-        if self.frequency_hz <= 0:
-            raise SchemaError(f"frequency_hz must be positive, got {self.frequency_hz!r}")
-        if self.axi_width_bits < 2 * self.data_width_bits:
-            raise SchemaError(
-                f"axi_width_bits {self.axi_width_bits} < 2 * data_width_bits "
-                f"{self.data_width_bits}"
-            )
+        freq = self.frequency_hz
+        if not (_is_int(freq) or isinstance(freq, float)) or not 0 < freq <= sys.float_info.max:
+            raise SchemaError(f"frequency_hz must be a positive finite number, got {freq!r}")
+        object.__setattr__(self, "frequency_hz", float(freq))
+        compute_pm(self.axi_width_bits, self.data_width_bits)  # the bus fits two elements
 
     @property
     def pack_factor(self) -> int:
@@ -108,6 +119,11 @@ class CostBreakdown:
     latency_s: float
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; a JSON boolean is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def compute_pm(axi_width_bits: int, data_width_bits: int) -> int:
     """MAC units per PE, fixed by the bus word: floor(AXI / (2 * DW))."""
     if axi_width_bits < 2 * data_width_bits:
@@ -135,7 +151,10 @@ def _violations(tiles: TileParams, hw: HardwareSpec, pn_bound: bool = True) -> l
 
     ``pn_bound`` includes the PE-count pipelining bound pn < tm/pm.
     """
-    if min(tiles.pn, tiles.pm, tiles.tn, tiles.tm) < 1:
+    values = tiles.astuple()
+    if not all(map(_is_int, values)):
+        return [f"tile parameters must be integers, got {tiles}"]
+    if min(values) < 1:
         return ["all tile parameters must be >= 1"]
     violations = []
     if tiles.pm != hw.pack_factor:
@@ -243,13 +262,10 @@ def parse_hardware(doc: Mapping) -> HardwareSpec:
             f"hardware document schema_version must be {HW_SCHEMA_VERSION}, "
             f"got {doc.get('schema_version')!r}"
         )
-    required = ("name", "axi_width_bits", "data_width_bits", "onchip_capacity_elems",
-                "ddr_banks", "num_kernels", "frequency_hz", "lop")
-    missing = [f for f in required if f not in doc]
+    missing = [f for f in HARDWARE_FIELDS if f not in doc]
     if missing:
         raise SchemaError(f"hardware document missing fields: {missing}")
-    kwargs = {f: doc[f] for f in required}
-    kwargs["frequency_hz"] = float(kwargs["frequency_hz"])
+    kwargs = {f: doc[f] for f in HARDWARE_FIELDS}
     if "resource_budget" in doc and doc["resource_budget"] is not None:
         kwargs["resource_budget"] = dict(doc["resource_budget"])
     return HardwareSpec(**kwargs)

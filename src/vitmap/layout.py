@@ -1,8 +1,8 @@
 """Multi-bank memory layouts and static per-operation schedules.
 
 Matrices are column-partitioned across the DDR banks and packed so each bus
-word carries ``floor(AXI/(2*DW))`` elements, keeping every access a full
-burst. Three schedule families cover the operation kinds:
+word carries the bus's pack factor of elements (``hw.compute_pm``), keeping
+every access a full burst. Three schedule families cover the operation kinds:
 
 * row-parallel (matmuls outside the heads, GELU, other elementwise ops):
   each kernel consumes one bank's segment of the current row;
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import SchemaError
+from .hw import compute_pm
 
 
 class ScheduleKind(str, Enum):
@@ -40,10 +41,7 @@ def pack_row(cols: int, axi_width_bits: int, data_width_bits: int) -> int:
     """Bus words per row of ``cols`` elements at full burst packing."""
     if cols < 1:
         raise SchemaError(f"cols must be >= 1, got {cols}")
-    pack = axi_width_bits // (2 * data_width_bits)
-    if pack < 1:
-        raise SchemaError("pack factor floor(AXI/(2*DW)) must be >= 1")
-    return -(-cols // pack)
+    return -(-cols // compute_pm(axi_width_bits, data_width_bits))
 
 
 @dataclass(frozen=True)

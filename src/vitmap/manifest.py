@@ -3,21 +3,24 @@
 The manifest is the pipeline's self-contained output: re-running the
 compiler on the same inputs and seed reproduces it byte for byte. The
 template-parameter file is the flat ``key=value`` subset a synthesizable
-template system consumes.
+template system consumes. ``vitmap emit`` re-checks a manifest before it
+writes that file: the ``hardware`` and ``tiles`` blocks must hold exactly
+their fields, and the board and tiles must pass ``vitmap.hw``'s checks. Any
+failure raises ``SchemaError`` or ``InfeasibleTilesError``, which the
+command reports as exit code 6 without writing the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, fields
 
-from .errors import SchemaError
-from .hw import HardwareSpec, TileParams, compute_pm
+from .errors import InfeasibleTilesError, SchemaError
+from .hw import HARDWARE_FIELDS, HardwareSpec, TileParams, validate_tiles
 
 MANIFEST_VERSION = 2
-
-_TEMPLATE_KEYS = ("pn", "pm", "tn", "tm", "bn", "kernels", "lop", "pack_factor")
 
 
 def fingerprint(doc: dict) -> str:
@@ -39,18 +42,6 @@ class TemplateParams:
     lop: int
     pack_factor: int
 
-    def validate(self) -> None:
-        if any(getattr(self, k) < 1 for k in _TEMPLATE_KEYS):
-            raise SchemaError("template parameters must all be >= 1")
-        if not self.pn * self.pm < self.tm:
-            raise SchemaError(f"inconsistent template params: pn {self.pn} not < tm/pm "
-                              f"= {self.tm}/{self.pm}")
-        if self.tm % self.pm != 0:
-            raise SchemaError(f"inconsistent template params: tm {self.tm} "
-                              f"not a multiple of pm {self.pm}")
-        if self.pack_factor != self.pm:
-            raise SchemaError("pack_factor must equal pm (both are floor(AXI/(2*DW)))")
-
 
 def build_manifest(*, model_doc: dict, hw: HardwareSpec, tiles: TileParams,
                    graph_cost, schedules: dict, approx_summary: dict,
@@ -67,17 +58,8 @@ def build_manifest(*, model_doc: dict, hw: HardwareSpec, tiles: TileParams,
         "seed": seed,
         "model_fingerprint": fingerprint(model_doc),
         "model": model_doc,
-        "hardware": {
-            "name": hw.name,
-            "axi_width_bits": hw.axi_width_bits,
-            "data_width_bits": hw.data_width_bits,
-            "onchip_capacity_elems": hw.onchip_capacity_elems,
-            "ddr_banks": hw.ddr_banks,
-            "num_kernels": hw.num_kernels,
-            "frequency_hz": hw.frequency_hz,
-            "lop": hw.lop,
-        },
-        "tiles": {"pn": tiles.pn, "pm": tiles.pm, "tn": tiles.tn, "tm": tiles.tm},
+        "hardware": {f: getattr(hw, f) for f in HARDWARE_FIELDS},
+        "tiles": asdict(tiles),
         "latency": {
             "total_s": graph_cost.total_latency_s,
             "matmul_s": graph_cost.matmul_latency_s,
@@ -95,35 +77,32 @@ def manifest_to_json(manifest: dict) -> str:
     return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
+def _block(manifest: Mapping, key: str, names) -> Mapping:
+    """``manifest[key]``, checked to be an object with exactly the fields ``names``."""
+    block = manifest.get(key)
+    if not isinstance(block, Mapping):
+        raise SchemaError(f"manifest {key!r} must be a JSON object, got {block!r}")
+    missing = [f for f in names if f not in block]
+    unknown = sorted(set(block) - set(names))
+    if missing or unknown:
+        raise SchemaError(f"manifest {key!r} block: missing fields {missing}, "
+                          f"unknown fields {unknown}")
+    return block
+
+
 def template_params_from_manifest(manifest: dict) -> TemplateParams:
-    tiles = manifest["tiles"]
-    hw = manifest["hardware"]
-    params = TemplateParams(
-        pn=tiles["pn"], pm=tiles["pm"], tn=tiles["tn"], tm=tiles["tm"],
-        bn=hw["ddr_banks"], kernels=hw["num_kernels"], lop=hw["lop"],
-        pack_factor=compute_pm(hw["axi_width_bits"], hw["data_width_bits"]),
-    )
-    params.validate()
-    return params
+    """The template parameters of a manifest whose board and tiles ``hw`` accepts."""
+    if not isinstance(manifest, Mapping):
+        raise SchemaError("manifest must be a JSON object")
+    hw = HardwareSpec(**_block(manifest, "hardware", HARDWARE_FIELDS))
+    tiles = TileParams(**_block(manifest, "tiles", [f.name for f in fields(TileParams)]))
+    verdict = validate_tiles(tiles, hw)
+    if not verdict:
+        raise InfeasibleTilesError(verdict.violations)
+    return TemplateParams(*tiles.astuple(), bn=hw.ddr_banks, kernels=hw.num_kernels,
+                          lop=hw.lop, pack_factor=hw.pack_factor)
 
 
 def emit_template_params(params: TemplateParams) -> str:
     """Flat key=value file, stable key order."""
-    params.validate()
-    return "".join(f"{k}={getattr(params, k)}\n" for k in _TEMPLATE_KEYS)
-
-
-def parse_template_params(text: str) -> TemplateParams:
-    values = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.partition("=")
-        values[key.strip()] = int(raw.strip())
-    missing = [k for k in _TEMPLATE_KEYS if k not in values]
-    if missing:
-        raise SchemaError(f"template parameter file missing keys: {missing}")
-    params = TemplateParams(**{k: values[k] for k in _TEMPLATE_KEYS})
-    params.validate()
-    return params
+    return "".join(f"{k}={v}\n" for k, v in asdict(params).items())

@@ -60,7 +60,7 @@ class ModelSpec:
         for fname in ("embed_dim", "num_heads", "num_layers", "num_tokens",
                       "batch", "data_width_bits", "patch_pixels", "num_classes"):
             value = getattr(self, fname)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise SchemaError(f"{fname} must be a positive integer, got {value!r}")
         if self.mlp_ratio <= 0:
             raise SchemaError(f"mlp_ratio must be positive, got {self.mlp_ratio!r}")
@@ -213,8 +213,6 @@ def build_dag(spec: ModelSpec) -> Dag:
     concatenation and the positional-embedding add happen on the host and
     carry no nodes.
     """
-    if spec.num_layers < 1:
-        raise SchemaError("num_layers must be >= 1")
     t, d = spec.num_tokens, spec.embed_dim
     dh, nh, h = spec.head_dim, spec.num_heads, spec.ffn_dim
     width = max(2, len(str(spec.num_layers - 1)))

@@ -294,6 +294,16 @@ class TestLayernorm:
         with pytest.raises(SchemaError):
             layernorm_approx(np.array([1], dtype=np.int64), FMT.one, 0, CFG)
 
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (2, 3, 4)])
+    def test_leading_axes_are_rows(self, shape):
+        # Every leading axis indexes rows: the last axis is the one normalized.
+        x = q(np.random.default_rng(8).normal(0, 1, shape))
+        out = layernorm_approx(x, FMT.one, 0, CFG)
+        assert out.shape == x.shape
+        rows = layernorm_approx(x.reshape(-1, shape[-1]), FMT.one, 0, CFG)
+        assert np.array_equal(out, rows.reshape(shape))
+        assert np.array_equal(out[1, 2], layernorm_approx(x[1, 2], FMT.one, 0, CFG))
+
 
 class TestErrorReport:
     def test_exact_hook_zeroes_everything(self):

@@ -5,7 +5,7 @@ import pytest
 
 from vitmap import cli, dse
 from vitmap.cli import main
-from vitmap.errors import SchemaError
+from vitmap.errors import InfeasibleTilesError
 from vitmap.layout import (
     ScheduleDescriptor,
     ScheduleKind,
@@ -16,7 +16,6 @@ from vitmap.layout import (
 from vitmap.manifest import (
     TemplateParams,
     emit_template_params,
-    parse_template_params,
     template_params_from_manifest,
 )
 
@@ -173,6 +172,20 @@ class TestCompile:
         bad = tmp_path / "badhw.json"
         bad.write_text(json.dumps({"schema_version": 1, "name": "x"}))
         assert run("compile", "--model", model, "--hw", bad, "--out-dir", tmp_path) == 3
+
+    def test_bool_model_field_exits_2(self, docs, tmp_path, capsys):
+        _, hw = docs
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TOY_MODEL, "num_layers": True}))
+        assert run("compile", "--model", bad, "--hw", hw, "--out-dir", tmp_path / "out") == 2
+        assert "num_layers must be a positive integer, got True" in capsys.readouterr().err
+
+    def test_bool_hw_field_exits_3(self, docs, tmp_path, capsys):
+        model, _ = docs
+        bad = tmp_path / "badhw.json"
+        bad.write_text(json.dumps({**TOY_HW, "num_kernels": True}))
+        assert run("compile", "--model", model, "--hw", bad, "--out-dir", tmp_path / "out") == 3
+        assert "num_kernels must be a positive integer, got True" in capsys.readouterr().err
 
 
 class TestSearch:
@@ -351,47 +364,108 @@ class TestApproxReport:
         assert not (tmp_path / "out").exists()
 
 
+# The criterion-2 board: S = 212·3072, 4 banks, 8 kernels at 200 MHz.
+SMALL_BOARD = {
+    "name": "board", "axi_width_bits": 512, "data_width_bits": 16,
+    "onchip_capacity_elems": 212 * 3072, "ddr_banks": 4, "num_kernels": 8,
+    "frequency_hz": 2e8, "lop": 16,
+}
+
+
+def board_manifest(hardware=None, **tiles):
+    """A manifest's emit-relevant blocks: deit-small's published tiles on SMALL_BOARD."""
+    return {"tiles": {"pn": 99, "pm": 16, "tn": 198, "tm": 1600, **tiles},
+            "hardware": {**SMALL_BOARD, **(hardware or {})}}
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
 class TestEmit:
     BOARD_SMALL = TemplateParams(pn=99, pm=16, tn=198, tm=1600, bn=4, kernels=8,
                                  lop=16, pack_factor=16)
+    BOARD_SMALL_TEXT = "pn=99\npm=16\ntn=198\ntm=1600\nbn=4\nkernels=8\nlop=16\npack_factor=16\n"
+
+    # sha256 of template_params.env from compile → emit on vu9p: the bytes
+    # emit wrote before it re-checked manifests with vitmap.hw.
+    PINNED_TEMPLATE_DIGESTS = {
+        "deit-tiny": "8d4e939de18db34c4506d04ed0c2e160232296276f392cda0e7017ee56d15bcc",
+        "deit-small": "865f1e5fac77c670ae4860ab34333e49b7fde90fb763033ea5fd9238afa16ddf",
+        "deit-base": "f44389290f8bf92789f667e1e3347c19a246da58486d8c068b36cb75dc657045",
+    }
 
     def test_small_board_manifest_emits_published_tiles(self):
-        manifest = {
-            "tiles": {"pn": 99, "pm": 16, "tn": 198, "tm": 1600},
-            "hardware": {"ddr_banks": 4, "num_kernels": 8, "lop": 16,
-                         "axi_width_bits": 512, "data_width_bits": 16},
-        }
-        text = emit_template_params(template_params_from_manifest(manifest))
-        lines = text.strip().splitlines()
-        assert lines[:4] == ["pn=99", "pm=16", "tn=198", "tm=1600"]
+        params = template_params_from_manifest(board_manifest())
+        assert params == self.BOARD_SMALL
+        assert emit_template_params(params) == self.BOARD_SMALL_TEXT
 
     def test_round_trip(self):
-        text = emit_template_params(self.BOARD_SMALL)
-        assert parse_template_params(text) == self.BOARD_SMALL
+        assert emit_template_params(self.BOARD_SMALL) == self.BOARD_SMALL_TEXT
 
     def test_corrupted_manifest_rejected(self):
-        manifest = {
-            "tiles": {"pn": 100, "pm": 16, "tn": 198, "tm": 1600},
-            "hardware": {"ddr_banks": 4, "num_kernels": 8, "lop": 16,
-                         "axi_width_bits": 512, "data_width_bits": 16},
-        }
-        with pytest.raises(SchemaError):
-            template_params_from_manifest(manifest)
+        with pytest.raises(InfeasibleTilesError) as exc:
+            template_params_from_manifest(board_manifest(pn=100))
+        assert exc.value.violations == ("pn 100 not < tm/pm = 1600/16",)
 
     def test_emit_command_exit_6_on_corrupt(self, tmp_path):
         bad = tmp_path / "manifest.json"
-        bad.write_text(json.dumps({
-            "tiles": {"pn": 100, "pm": 16, "tn": 198, "tm": 1600},
-            "hardware": {"ddr_banks": 4, "num_kernels": 8, "lop": 16,
-                         "axi_width_bits": 512, "data_width_bits": 16},
-        }))
+        bad.write_text(json.dumps(board_manifest(pn=100)))
         assert run("emit", "--manifest", bad, "--out-dir", tmp_path) == 6
+
+    @pytest.mark.parametrize("manifest, message", [
+        (board_manifest(tn=100_000), "exceeds on-chip capacity"),
+        (board_manifest(pn=100), "pn 100 not < tm/pm"),
+        (board_manifest(tm=1608), "tm 1608 not a multiple of pm 16"),
+        (board_manifest(pm=8), "pm 8 != floor(AXI/(2*DW)) = 16"),
+        (board_manifest(pn=1.5), "tile parameters must be integers"),
+        (board_manifest(pn=True), "tile parameters must be integers"),
+        (without(board_manifest(), "tiles"), "'tiles' must be a JSON object"),
+        (without(board_manifest(), "hardware"), "'hardware' must be a JSON object"),
+        (board_manifest({"resource_budget": None}), "unknown fields ['resource_budget']"),
+        (board_manifest({"frequency_hz": "2e8"}), "frequency_hz must be a positive"),
+        ([board_manifest()], "manifest must be a JSON object"),
+        (board_manifest({"data_width_bits": 0}), "data_width_bits must be a positive"),
+        (b"\xff\xfe", "cannot read manifest"),
+    ], ids=["tile-over-capacity", "pn-bound", "tm-not-multiple", "pm-not-pack-factor",
+            "float-pn", "bool-pn", "no-tiles", "no-hardware", "unknown-field",
+            "string-frequency", "json-list", "zero-data-width", "not-utf8"])
+    def test_emit_rejects(self, tmp_path, capsys, manifest, message):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode())
+        out = tmp_path / "out"
+        assert run("emit", "--manifest", path, "--out-dir", out) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: [emit] ") and message in err
+        assert not out.exists()
 
     def test_emit_command_round_trip(self, docs, tmp_path):
         model, hw = docs
         out = tmp_path / "c"
         assert run("compile", "--model", model, "--hw", hw, "--out-dir", out) == 0
         assert run("emit", "--manifest", out / "manifest.json", "--out-dir", out) == 0
-        params = parse_template_params((out / "template_params.env").read_text())
+        tiles = json.loads((out / "manifest.json").read_text())["tiles"]
+        assert (out / "template_params.env").read_text() == (
+            f"pn={tiles['pn']}\npm=2\ntn={tiles['tn']}\ntm={tiles['tm']}\n"
+            "bn=4\nkernels=4\nlop=16\npack_factor=2\n")
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("model", sorted(PINNED_TEMPLATE_DIGESTS))
+    def test_compile_then_emit_pinned(self, tmp_path, model, batch):
+        out = tmp_path / "c"
+        assert run("compile", "--model", model, "--hw", "vu9p", "--batch", batch,
+                   "--out-dir", out) == 0
+        assert run("emit", "--manifest", out / "manifest.json", "--out-dir", out) == 0
+        digest = hashlib.sha256((out / "template_params.env").read_bytes()).hexdigest()
+        assert digest == self.PINNED_TEMPLATE_DIGESTS[model]
+
+    def test_compiled_manifest_with_oversized_tile_exits_6(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert run("compile", "--model", "deit-tiny", "--hw", "vu9p", "--out-dir", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert params.pn == manifest["tiles"]["pn"]
+        manifest["tiles"]["tn"] = 100_000
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest))
+        assert run("emit", "--manifest", path, "--out-dir", out) == 6
+        assert "exceeds on-chip capacity 651264" in capsys.readouterr().err
+        assert not (out / "template_params.env").exists()

@@ -561,6 +561,12 @@ class TestParetoFront:
         with pytest.raises(SchemaError):
             pareto_front(exhaustive_search(dag, hw, space).all_evaluated[:0])
 
+    def test_parallelism_past_int64_rejected(self):
+        # 9223373 * 999999895576 passes 2^63: an int64 product would wrap
+        # negative and keep a dominated point.
+        with pytest.raises(SchemaError, match="leaves int64"):
+            pareto_front(EvaluationLog([9223373, 1], 999999895576, 1, 1, [1.0, 2.0], False))
+
     @settings(max_examples=400, deadline=None)
     @given(_small_evaluations)
     def test_matches_sweep_oracle(self, evals):

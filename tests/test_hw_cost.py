@@ -109,6 +109,17 @@ class TestValidateTiles:
         verdict = validate_tiles(TileParams(1, 16, 651265 // 16 + 1, 16), vu9p)
         assert not verdict.ok
 
+    @pytest.mark.parametrize("pn", [1.5, 35.0, "35", True])
+    def test_non_integer_tiles_rejected_everywhere(self, vu9p, pn):
+        # One rule for validate_tiles, graph_latency and matmul_cost.
+        tiles = TileParams(pn, 16, 210, 576)
+        assert validate_tiles(tiles, vu9p).violations == (
+            f"tile parameters must be integers, got {tiles}",)
+        with pytest.raises(InfeasibleTilesError, match="must be integers"):
+            graph_latency(single_matmul_dag(), tiles, vu9p)
+        with pytest.raises(InfeasibleTilesError, match="must be integers"):
+            matmul_cost((197, 192, 576), tiles, vu9p)
+
 
 class TestGraphLatency:
     def test_single_matmul_equals_matmul_cost(self):
