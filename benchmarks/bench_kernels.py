@@ -14,8 +14,8 @@ config) on deit-base's full space at batch 1 and 64. The output lines take
 deit-tiny's exhaustive log (372,527 evaluations) through ``pareto_front``
 and ``evaluations_to_csv`` (into a temporary file) and report each one's
 wall time and tracemalloc peak; the CSV's bytes are checked against the
-same rows formatted by ``csv.writer``. vitmap is imported from ``src/`` of
-this checkout.
+same rows formatted by ``csv.writer``, each numerator summed in Python ints
+from the cost classes. vitmap is imported from ``src/`` of this checkout.
 
     python3 benchmarks/bench_kernels.py [--points N] [--repeat K]
 """
@@ -95,13 +95,25 @@ def bench_scorer(count, repeat, rng):
           f"({t * 1e9 / count:.1f} ns/point)")
 
 
-def csv_reference(log):
-    """The evaluation CSV through ``csv.writer``, one row at a time."""
+def csv_reference(result):
+    """The evaluation CSV through ``csv.writer``, one row at a time.
+
+    ``N(tn, tm) = Σ w·ceil(n/tn)·tn·ceil(m/tm)·tm`` over the cost classes,
+    in Python ints, once per distinct (tn, tm).
+    """
+    arrays = result.arrays
+    classes = list(zip(arrays.cls_n.tolist(), arrays.cls_m.tolist(), arrays.cls_weight))
+    numerators = {}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pn", "pm", "tn", "tm", "latency_s", "feasible", "from_cache"])
-    for e in log:
-        writer.writerow([*e.tiles.astuple(), repr(e.latency_s), True, e.from_cache])
+    writer.writerow(["pn", "pm", "tn", "tm", "matmul_cycles_num", "cycles_den", "from_cache"])
+    for e in result.all_evaluated:
+        pn, pm, tn, tm = e.tiles.astuple()
+        if (tn, tm) not in numerators:
+            numerators[tn, tm] = sum(w * (-(-n // tn) * tn) * (-(-m // tm) * tm)
+                                     for n, m, w in classes)
+        writer.writerow([pn, pm, tn, tm, numerators[tn, tm], pn * pm * arrays.kernels,
+                         e.from_cache])
     return buf.getvalue().encode()
 
 
@@ -122,7 +134,7 @@ def bench_outputs(repeat):
             peak = traced_peak(fn)
             print(f"{f'{name} (deit-tiny)':<28}  {t * 1e3:9.3f} ms  tracemalloc peak "
                   f"{peak / 2 ** 20:6.1f} MB  ({len(log)} evaluations)")
-        assert path.read_bytes() == csv_reference(log), "CSV differs from csv.writer"
+        assert path.read_bytes() == csv_reference(result), "CSV differs from csv.writer"
 
 
 def main():

@@ -18,7 +18,10 @@ the padded extents and ``w_c = count·k·kernel_factor·kernels`` is a whole
 number. That is the rational ``graph_latency`` sums node by node, so one
 correctly rounded division gives its float bit for bit. ``latency_batch``
 computes ``N`` once per distinct ``(tn, tm)`` and divides once per point;
-``exact_search`` scores ``N`` column by column through the same routines.
+``exact_search`` scores ``N`` column by column through the same routines,
+and ``pair_numerators`` gives the search log's writer ``N`` for each
+distinct ``(tn, tm)`` of a block, so the log stores ``N`` and ``D`` as
+integers instead of the float.
 ``benchmarks/bench_kernels.py`` times the scorer on deit-base.
 """
 
@@ -143,6 +146,23 @@ def _distinct(values: np.ndarray):
     present = np.zeros(top + 1, dtype=bool)
     present[values] = True
     return np.flatnonzero(present), (np.cumsum(present) - 1).take
+
+
+def pair_numerators(arrays: DagCostArrays, tn: np.ndarray, tm: np.ndarray):
+    """The distinct ``(tn, tm)`` pairs of two positive int64 arrays and their ``N``.
+
+    Returns ``(tn_u, tm_u, numerators, pair)``: element ``i`` of the inputs
+    is the pair ``(tn_u[pair[i]], tm_u[pair[i]])``, and ``numerators[j]`` is
+    ``N(tn_u[j], tm_u[j])``, in the dtype of ``weighted_columns``.
+    """
+    (tns, tn_pos), (tms, tm_pos) = _distinct(tn), _distinct(tm)
+    code = tm_pos(tm) * tns.size + tn_pos(tn) + 1  # positive, as _distinct needs
+    codes, code_pos = _distinct(code)
+    tm_idx, tn_idx = np.divmod(codes - 1, tns.size)
+    tn_u, tm_u = tns[tn_idx], tms[tm_idx]
+    weighted = weighted_columns(arrays, tm_u, int(tns[-1]))
+    numerators = (padded_rows(arrays, tn_u, weighted.dtype) * weighted).sum(axis=1)
+    return tn_u, tm_u, numerators, code_pos(code)
 
 
 def latency_batch(arrays: DagCostArrays, tn, tm, pn) -> np.ndarray:

@@ -73,7 +73,7 @@ def _load_doc(spec: str, stage: str) -> dict:
         else:
             text = Path(spec).read_text(encoding="utf-8")
         return json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise StageError(stage, f"cannot read {spec}: {exc}") from exc
 
 

@@ -29,13 +29,16 @@ scored point.
 
 Results carry every evaluation made (cache hits flagged) as an
 ``EvaluationLog``: numpy columns that build ``Evaluation`` rows only when
-indexed or iterated. The Pareto front, the search comparison and the CSV
-export work on those columns directly, so a multi-million-point exhaustive
-search never materialises one Python object per point. The CSV export
-streams: it formats and writes a fixed block of rows at a time to an open
-file, so its memory does not grow with the log. The Pareto front holds a
-sort order and one gathered column at a time, and copies the columns only
-when a configuration repeats.
+indexed or iterated, and the ``DagCostArrays`` they were scored with. The
+Pareto front, the search comparison and the CSV export work on those
+columns directly, so a multi-million-point exhaustive search never
+materialises one Python object per point. The CSV export writes each
+evaluation's latency as the integers ``N`` and ``D`` of the cost model
+instead of a float, so it formats one string per distinct (tn, tm) and
+per distinct pn, not one per row. It streams a fixed block of rows at a
+time to an open file, so its memory does not grow with the log. The
+Pareto front holds a sort order and one gathered column at a time, and
+copies the columns only when a configuration repeats.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ import math
 import operator
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
-from itertools import repeat, starmap
+from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Iterator, Optional, TextIO
 
 import numpy as np
@@ -60,6 +63,7 @@ from ._latency import (
     extract_cost_arrays,
     latency_batch,
     padded_rows,
+    pair_numerators,
     weighted_columns,
 )
 from .errors import EmptySearchSpaceError, SchemaError
@@ -269,12 +273,18 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A search's outcome; ``arrays`` is the cost model its latencies came from.
+
+    ``arrays`` holds numpy columns, so it is left out of ``==``.
+    """
+
     best: Evaluation
     evaluations_used: int
     history: tuple[float, ...]
     all_evaluated: EvaluationLog
     wall_time_s: float
     space: SearchSpace
+    arrays: DagCostArrays = field(compare=False)
 
 
 class _Evaluator:
@@ -334,6 +344,7 @@ def exhaustive_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchR
         all_evaluated=log,
         wall_time_s=time.perf_counter() - start,
         space=space,
+        arrays=arrays,
     )
 
 
@@ -396,6 +407,7 @@ def exact_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult
         all_evaluated=EvaluationLog(pns, space.pm, tns, tms, latencies, False),
         wall_time_s=time.perf_counter() - start,
         space=space,
+        arrays=arrays,
     )
 
 
@@ -498,6 +510,7 @@ def heuristic_search(dag: Dag, hw: HardwareSpec, space: SearchSpace,
         all_evaluated=EvaluationLog(pn, space.pm, tn, tm, lat, hit),
         wall_time_s=time.perf_counter() - start,
         space=space,
+        arrays=ev.arrays,
     )
 
 
@@ -655,7 +668,11 @@ def compare_searches(exh: SearchResult, heur: SearchResult,
 
 
 def search_summary_json(result: SearchResult) -> str:
-    """Deterministic JSON summary of a search: best point, budget, history."""
+    """Deterministic JSON summary of a search: best point, budget, history.
+
+    ``nonlinear_cycles`` and ``frequency_hz`` turn the CSV log's integer
+    columns back into each latency (see ``evaluations_to_csv``).
+    """
     payload = {
         "best": {
             "pn": result.best.tiles.pn, "pm": result.best.tiles.pm,
@@ -666,6 +683,8 @@ def search_summary_json(result: SearchResult) -> str:
         "evaluations_logged": len(result.all_evaluated),
         "space_size": result.space.feasible_size(),
         "history": list(result.history),
+        "nonlinear_cycles": result.arrays.nl_cycles,
+        "frequency_hz": float(result.arrays.frequency),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -676,33 +695,54 @@ _CSV_BLOCK_ROWS = 32768
 
 
 def evaluations_to_csv(result: SearchResult, out: TextIO) -> None:
-    """Write one row per evaluation to ``out``: pn, pm, tn, tm, latency_s, feasible, from_cache.
+    """Write one row per evaluation to ``out``.
 
-    latency_s is the float's ``repr``. Every logged evaluation is feasible,
-    so the ``feasible`` column always reads ``True``; it stays for readers of
-    the format. Rows are formatted and written ``_CSV_BLOCK_ROWS`` at a time,
-    so the export's memory does not grow with the log.
+    Columns: pn, pm, tn, tm, matmul_cycles_num, cycles_den, from_cache.
+    ``matmul_cycles_num`` is the integer matmul numerator ``N(tn, tm)`` and
+    ``cycles_den`` is ``D = pn·pm·kernels``, so a row's latency is exactly
+    ``(N/D + nonlinear_cycles) / frequency_hz`` with the last two from
+    ``search_summary_json``; ``float()`` of that rational is the logged
+    latency bit for bit. Each block's numerators are checked against the
+    log's latencies, and a mismatch raises ``SchemaError``: the file never
+    describes a different number than the log.
+
+    Rows go out ``_CSV_BLOCK_ROWS`` at a time, so the export's memory does
+    not grow with the log. Per block, each distinct (tn, tm) becomes text
+    once, and each run of rows with equal (pn, pm, from_cache), a whole tn
+    sweep in the exhaustive log, is one ``str.join``.
     """
-    log = result.all_evaluated
-    out.write("pn,pm,tn,tm,latency_s,feasible,from_cache\n")
-    if len(log) == 0:
-        return
-    columns = (log.pn, log.pm, log.tn, log.tm, log.from_cache)
-    # A broadcast column holds one value: it is converted once for the log.
-    fixed = [repeat(str(c[0].item())) if _is_broadcast(c) else None for c in columns]
+    log, arrays = result.all_evaluated, result.arrays
+    out.write("pn,pm,tn,tm,matmul_cycles_num,cycles_den,from_cache\n")
+    # (pn, pm, from_cache) -> the text before a run's first row, between its
+    # rows and after its last row.
+    affixes: dict[tuple[int, int, bool], tuple[str, str, str]] = {}
     for lo in range(0, len(log), _CSV_BLOCK_ROWS):
-        hi = lo + _CSV_BLOCK_ROWS
-        pn, pm, tn, tm, hit = (_str_block(c[lo:hi]) if f is None else f
-                               for c, f in zip(columns, fixed))
-        rows = zip(pn, pm, tn, tm, map(repr, log.latency[lo:hi].tolist()), repeat("True"), hit)
-        out.write("\n".join(map(",".join, rows)))
-        out.write("\n")
-
-
-def _str_block(col: np.ndarray) -> list[str]:
-    """``str`` of each element of a block, converting each distinct value once."""
-    values, inverse = np.unique(col, return_inverse=True)
-    return np.array([str(v) for v in values.tolist()], dtype=object)[inverse].tolist()
+        block = log[lo:lo + _CSV_BLOCK_ROWS]
+        if (min(int(c.min()) for c in (block.pn, block.tn, block.tm)) < 1
+                or np.any(block.pm != arrays.pm)):
+            raise SchemaError(f"evaluations_to_csv: rows {lo}.. hold tiles the cost model "
+                              f"cannot score (pm {arrays.pm})")
+        tn, tm, numerators, pair = pair_numerators(arrays, block.tn, block.tm)
+        if not np.array_equal(divide(arrays, numerators[pair], block.pn), block.latency):
+            raise SchemaError(f"evaluations_to_csv: rows {lo}.. hold a latency that differs "
+                              "from the cost model's")
+        pair_text = np.array([f"{a},{b},{n}" for a, b, n in zip(
+            tn.tolist(), tm.tolist(), numerators.tolist())], dtype=object)[pair].tolist()
+        keys = (block.pn, block.pm, block.from_cache)
+        change = np.zeros(len(block) - 1, dtype=bool)
+        for col in keys:
+            change |= col[1:] != col[:-1]
+        starts = [0, *(np.flatnonzero(change) + 1).tolist()]
+        parts = []
+        for start, stop, key in zip(starts, starts[1:] + [len(block)],
+                                    zip(*(c[starts].tolist() for c in keys))):
+            if key not in affixes:
+                pn, pm, hit = key
+                prefix, suffix = f"{pn},{pm},", f",{pn * pm * arrays.kernels},{hit}\n"
+                affixes[key] = (prefix, suffix + prefix, suffix)
+            prefix, sep, suffix = affixes[key]
+            parts.append(prefix + sep.join(pair_text[start:stop]) + suffix)
+        out.write("".join(parts))
 
 
 def pareto_to_csv(front: Sequence[ParetoPoint]) -> str:

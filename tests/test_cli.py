@@ -44,6 +44,24 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+@pytest.mark.parametrize("stage, code, argv", [
+    ("model", 2, ["compile", "--model", "{bad}", "--hw", "{hw}"]),
+    ("hardware", 3, ["compile", "--model", "{model}", "--hw", "{bad}"]),
+    ("search", 4, ["search", "--model", "{model}", "--hw", "{hw}", "--mode", "heuristic",
+                   "--search-config", "{bad}"]),
+    ("approx", 7, ["approx-report", "--approx-config", "{bad}"]),
+], ids=["model", "hardware", "search", "approx"])
+def test_non_utf8_input_exits_with_its_stage(docs, tmp_path, capsys, stage, code, argv):
+    model, hw = docs
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out"
+    paths = {"bad": bad, "model": model, "hw": hw}
+    assert run(*(a.format(**paths) for a in argv), "--out-dir", out) == code
+    assert capsys.readouterr().err.startswith(f"error: [{stage}] cannot read {bad}")
+    assert not out.exists()
+
+
 class TestCompile:
     def test_compile_writes_manifest(self, docs, tmp_path):
         model, hw = docs
@@ -274,12 +292,12 @@ class TestSearch:
     # is checked field by field instead. search_heuristic.json's history ends
     # with the best latency after the line sweeps.
     PINNED_SEARCH_DIGESTS = {
-        "evals_exhaustive.csv": "f9c50db1cdcb5c51781cdd0674fcd3b6ab6a4da5cf2c17e99fd128321fd4697c",
-        "evals_heuristic.csv": "4255316993c1916f8eead8a819beae94a0ee7578f79763bdfcd9000ad2786546",
+        "evals_exhaustive.csv": "dd3716ae4fdc9b27b8aa0aedd85dbbc25beac2a0d7b56e23b32181be359f48ee",
+        "evals_heuristic.csv": "442c9d352a6676ad4fe62ab4477b8de92e091d8df96191688ba7383c9bb01de3",
         "pareto_exhaustive.csv": "2d612cffc653ce0ca31573c602814a79f81c69a0b0bfe5c7b6f57bc4a560cfaf",
         "pareto_heuristic.csv": "2d612cffc653ce0ca31573c602814a79f81c69a0b0bfe5c7b6f57bc4a560cfaf",
-        "search_exhaustive.json": "63712b4ab2f36bf5638af0ec77f69395f29063065296df50d0b98d602052e69e",
-        "search_heuristic.json": "659b9451ad17dd2b375194553bec6117782eb042553b0022ce39a1314843aa31",
+        "search_exhaustive.json": "f8840af89016ee9f6d126f9f706c6857469fafa81c54cfc4d7375bae95a8ae48",
+        "search_heuristic.json": "7b66c59976d0179e3bc6121adfee8fcfadb8e62721ffc977f100e8d85dc2a9c6",
     }
 
     def test_capped_deit_tiny_outputs_pinned(self, tmp_path):

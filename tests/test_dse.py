@@ -123,8 +123,7 @@ def _mixed_logs(draw, sizes):
     """Logs whose columns are each broadcast or full, over small and huge tiles.
 
     Small tile values make repeated configurations likely; large ones stay
-    below 2^31, so pn·pm fits the int64 columns. Latencies include ``1e-05``
-    (its ``repr`` is in exponent form) and ``inf``.
+    below 2^31, so pn·pm fits the int64 columns. Latencies include ``inf``.
     """
     n = draw(sizes)
     tiles = st.integers(1, 3) | st.integers(1, 2 ** 31)
@@ -133,25 +132,28 @@ def _mixed_logs(draw, sizes):
                          _column(draw, n, latency), _column(draw, n, st.booleans()))
 
 
-def _result_of(log):
-    """A SearchResult around ``log``; the CSV export reads only the log."""
-    return SearchResult(best=None, evaluations_used=len(log), history=(), all_evaluated=log,
-                        wall_time_s=0.0, space=None)
-
-
 def _csv_text(result):
     buf = io.StringIO()
     evaluations_to_csv(result, buf)
     return buf.getvalue()
 
 
-def _csv_reference(log):
-    """The evaluation CSV through ``csv.writer``, one ``Evaluation`` row at a time."""
+def _csv_reference(log, dag, hw):
+    """The evaluation CSV through ``csv.writer``, one ``Evaluation`` row at a time.
+
+    Each row's ``N`` is its matmul cycles, straight from the cost formulas in
+    Fractions, times ``D = pn·pm·kernels``.
+    """
+    terms, _ = cost_terms(dag, hw)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pn", "pm", "tn", "tm", "latency_s", "feasible", "from_cache"])
+    writer.writerow(["pn", "pm", "tn", "tm", "matmul_cycles_num", "cycles_den", "from_cache"])
     for e in log:
-        writer.writerow([*e.tiles.astuple(), repr(e.latency_s), True, e.from_cache])
+        pn, pm, tn, tm = e.tiles.astuple()
+        num = padded_work(terms, tn, tm) * hw.num_kernels
+        assert num.denominator == 1
+        writer.writerow([pn, pm, tn, tm, num.numerator, pn * pm * hw.num_kernels,
+                         e.from_cache])
     return buf.getvalue()
 
 
@@ -175,11 +177,11 @@ def brute_force_latency(dag, hw, pn, pm, tn, tm):
     return total
 
 
-def fraction_oracle(dag, hw, space):
-    """Exact cycles of every feasible (pn, tn, tm) triple, in exhaustive loop order.
+def cost_terms(dag, hw):
+    """The cost formulas' matmul terms ``(c, n, m)`` and the non-linear cycles.
 
-    Straight from the cost formulas in Fractions: no pn pinning, no integer
-    numerators.
+    A matmul class of ``count`` nodes contributes ``c·R(tn)·C(tm)/(pn·pm)``
+    cycles, with ``c = count·k·kernel_factor`` as a Fraction.
     """
     kernels = hw.num_kernels
     classes = Counter((n.dims, n.heads, n.head_scoped) for n in dag.matmuls())
@@ -189,10 +191,23 @@ def fraction_oracle(dag, hw, space):
     ]
     nl = sum(-(-node.work_elems // (hw.lop * kernels))
              for node in dag.nodes if node.kind is not OpKind.MATMUL)
+    return terms, nl
+
+
+def padded_work(terms, tn, tm):
+    """``Σ c·R(tn)·C(tm)``: the matmul cycles of tiles (pn, pm, tn, tm) times pn·pm."""
+    return sum(c * (-(-n // tn) * tn) * (-(-m // tm) * tm) for c, n, m in terms)
+
+
+def fraction_oracle(dag, hw, space):
+    """Exact cycles of every feasible (pn, tn, tm) triple, in exhaustive loop order.
+
+    Straight from the cost formulas in Fractions: no pn pinning, no integer
+    numerators.
+    """
+    terms, nl = cost_terms(dag, hw)
     return [
-        ((pn, tn, tm),
-         sum(c * (-(-n // tn) * tn) * (-(-m // tm) * tm) for c, n, m in terms) / (pn * space.pm)
-         + nl)
+        ((pn, tn, tm), padded_work(terms, tn, tm) / (pn * space.pm) + nl)
         for pn, tn, tm in _points(space)
     ]
 
@@ -261,6 +276,13 @@ class TestExhaustiveSearch:
         result = exhaustive_search(dag, hw, space)
         assert result.evaluations_used == 1
         assert result.best.tiles == TileParams(1, 2, 1, 4)
+
+    def test_result_equality_ignores_cost_arrays(self, toy_space):
+        # The cost arrays hold numpy columns, whose == is elementwise.
+        dag, hw, space = toy_space
+        result = exhaustive_search(dag, hw, space)
+        assert result == dataclasses.replace(result,
+                                             arrays=_latency.extract_cost_arrays(dag, hw))
 
     def test_matches_brute_force_minimizer(self, toy_space):
         dag, hw, space = toy_space
@@ -685,7 +707,7 @@ class TestCompareSearches:
 
         def result(log):
             return SearchResult(best=log[0], evaluations_used=len(log), history=(),
-                                all_evaluated=log, wall_time_s=1.0, space=space)
+                                all_evaluated=log, wall_time_s=1.0, space=space, arrays=None)
 
         report = compare_searches(result(_log(a, b, c, d)), result(_log(b, d)),
                                   pareto_front(_log(a, b, c, d)))
@@ -704,35 +726,103 @@ class TestCompareSearches:
             compare_searches(exh, heur, pareto_front(exh.all_evaluated))
 
 
+@st.composite
+def _scored_logs(draw, sizes):
+    """A slice of an exhaustive or heuristic search's log on a small random
+    model and board, with the model and board."""
+    dag, hw = draw(small_models_and_boards())
+    try:
+        space = enumerate_space(dag, hw)
+    except EmptySearchSpaceError:
+        assume(False)
+    if draw(st.booleans()):
+        result = exhaustive_search(dag, hw, space)
+    else:
+        result = heuristic_search(dag, hw, space, SearchConfig(
+            set_size=6, iterations=3, preservation_size=2, seed=draw(st.integers(0, 3))))
+    n = draw(sizes)
+    log = result.all_evaluated
+    assume(len(log) >= n)
+    start = draw(st.integers(0, len(log) - n))
+    return dataclasses.replace(result, all_evaluated=log[start:start + n]), dag, hw
+
+
 class TestCsvExport:
+    HEADER = "pn,pm,tn,tm,matmul_cycles_num,cycles_den,from_cache"
+
     def test_one_row_per_evaluation(self, toy_space):
         dag, hw, space = toy_space
         result = heuristic_search(dag, hw, space,
                                   SearchConfig(seed=1, set_size=10, iterations=3,
                                                preservation_size=2))
         lines = _csv_text(result).strip().splitlines()
-        assert lines[0] == "pn,pm,tn,tm,latency_s,feasible,from_cache"
+        assert lines[0] == self.HEADER
         assert len(lines) == 1 + len(result.all_evaluated)
         assert any(line.endswith("True") for line in lines[1:])  # cache hits logged
 
     def test_rows_match_csv_writer_format(self, toy_space):
-        # Floats are written as repr; every logged evaluation is feasible.
-        log = EvaluationLog([3, 1], 2, [10, 2], [8, 4], [1 / 3, 1e-5], [True, False])
+        # One 40x32x64 matmul: N = 32·R(tn)·C(tm) and D = pn·pm·kernels, as
+        # integers, one row per evaluation in log order.
+        dag, hw, space = toy_space
+        arrays = _latency.extract_cost_arrays(dag, hw)
+        pn, tn, tm = np.array([3, 1]), np.array([10, 3]), np.array([8, 6])
+        log = EvaluationLog(pn, 2, tn, tm, _latency.latency_batch(arrays, tn, tm, pn),
+                            [True, False])
         result = SearchResult(best=log[0], evaluations_used=2, history=(),
-                              all_evaluated=log, wall_time_s=1.0, space=toy_space[2])
+                              all_evaluated=log, wall_time_s=1.0, space=space, arrays=arrays)
         assert _csv_text(result) == (
-            "pn,pm,tn,tm,latency_s,feasible,from_cache\n"
-            f"3,2,10,8,{1 / 3!r},True,True\n"
-            "1,2,2,4,1e-05,True,False\n"
+            f"{self.HEADER}\n"
+            f"3,2,10,8,{32 * 40 * 64},24,True\n"
+            f"1,2,3,6,{32 * 42 * 66},8,False\n"
         )
 
     @settings(max_examples=300, deadline=None)
-    @given(_mixed_logs(st.sampled_from([0, 1, 3, 4, 5]) | st.integers(0, 13)))
-    def test_blocks_match_csv_writer(self, log):
+    @given(_scored_logs(st.sampled_from([0, 1, 3, 4, 5]) | st.integers(0, 13)))
+    def test_blocks_match_csv_writer(self, scored):
         # A block of 4 rows: lengths 0, 1, 3, 4 and 5 cover an empty log, a
         # partial block, one full block and a full block plus one row.
+        result, dag, hw = scored
         with mock.patch.object(dse, "_CSV_BLOCK_ROWS", 4):
-            assert _csv_text(_result_of(log)) == _csv_reference(log)
+            text = _csv_text(result)
+        self.check_against_reference(text, result, dag, hw)
+
+    def test_numerators_beyond_int64_written_exactly(self):
+        # k * R * C is about 2^67: the numerators are Python ints.
+        dag = single_matmul_dag(n=2 ** 20 + 1, k=2 ** 26, m=2 ** 21 + 3)
+        hw = toy_hw(onchip_capacity_elems=64)
+        result = exhaustive_search(dag, hw, enumerate_space(dag, hw))
+        text = _csv_text(result)
+        assert max(int(row.split(",")[4]) for row in text.splitlines()[1:]) > 2 ** 63
+        self.check_against_reference(text, result, dag, hw)
+
+    @staticmethod
+    def check_against_reference(text, result, dag, hw):
+        """``text`` equals the ``csv.writer`` reference, and every row rounds
+        back, through the summary's two fields, to its logged latency bit for bit."""
+        log = result.all_evaluated
+        assert text == _csv_reference(log, dag, hw)
+        summary = json.loads(dse.search_summary_json(result))
+        nl, freq = summary["nonlinear_cycles"], Fraction(summary["frequency_hz"])
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [float((Fraction(int(r["matmul_cycles_num"]), int(r["cycles_den"])) + nl) / freq)
+                for r in rows] == log.latency.tolist()
+
+    @pytest.mark.parametrize("column, row, change", [
+        ("latency", 0, lambda v: np.nextafter(v, np.inf)),
+        ("latency", 5, lambda v: np.nextafter(v, 0)),
+        ("latency", -1, lambda v: 2 * v),
+        ("pm", 6, lambda v: 2 * v),
+        ("tn", 2, lambda v: 0),
+    ], ids=["latency-up", "latency-down", "latency-last", "pm", "tn-zero"])
+    def test_altered_log_raises(self, toy_space, column, row, change):
+        dag, hw, space = toy_space
+        result = exhaustive_search(dag, hw, space)
+        columns = {name: np.array(getattr(result.all_evaluated, name))
+                   for name in EvaluationLog.__slots__}
+        columns[column][row] = change(columns[column][row])
+        altered = dataclasses.replace(result, all_evaluated=EvaluationLog(**columns))
+        with mock.patch.object(dse, "_CSV_BLOCK_ROWS", 4), pytest.raises(SchemaError):
+            _csv_text(altered)
 
 
 class TestOutputMemory:
