@@ -15,7 +15,12 @@ deit-tiny's exhaustive log (372,527 evaluations) through ``pareto_front``
 and ``evaluations_to_csv`` (into a temporary file) and report each one's
 wall time and tracemalloc peak; the CSV's bytes are checked against the
 same rows formatted by ``csv.writer``, each numerator summed in Python ints
-from the cost classes. vitmap is imported from ``src/`` of this checkout.
+from the cost classes. Two more lines, each with wall time and tracemalloc
+peak, time ``pareto_front`` on that log followed by a shuffled copy of it
+flagged as cache hits (every third copy at half its latency; the front must
+stay the log's), and ``compare_searches`` on deit-tiny's exhaustive and
+default heuristic search, the two logs of ``vitmap search --mode both``.
+vitmap is imported from ``src/`` of this checkout.
 
     python3 benchmarks/bench_kernels.py [--points N] [--repeat K]
 """
@@ -39,7 +44,9 @@ from vitmap import _latency  # noqa: E402
 from vitmap import approx  # noqa: E402
 from vitmap.approx import ApproxConfig, _fixmath  # noqa: E402
 from vitmap.dse import (  # noqa: E402
+    EvaluationLog,
     SearchConfig,
+    compare_searches,
     enumerate_space,
     evaluations_to_csv,
     exact_search,
@@ -117,10 +124,25 @@ def csv_reference(result):
     return buf.getvalue().encode()
 
 
-def bench_outputs(repeat):
+def doubled_log(log, rng):
+    """``log``, then a shuffled copy of it flagged as cache hits, every third
+    copy at half its latency."""
+    perm = rng.permutation(len(log))
+    copy = [c[perm] for c in log.columns()[:5]]
+    copy[4][::3] /= 2
+    return EvaluationLog(*(np.concatenate(pair) for pair in zip(log.columns()[:5], copy)),
+                         np.repeat([False, True], len(log)))
+
+
+def bench_outputs(repeat, rng):
     dag, hw = preset_dag("deit-tiny", 1)
-    result = exhaustive_search(dag, hw, enumerate_space(dag, hw))
+    space = enumerate_space(dag, hw)
+    result = exhaustive_search(dag, hw, space)
+    heur = heuristic_search(dag, hw, space, SearchConfig())
     log = result.all_evaluated
+    doubled = doubled_log(log, rng)
+    front = pareto_front(log)
+    assert pareto_front(doubled) == front, "a repeat's lower latency counted"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "evals.csv"
 
@@ -128,12 +150,16 @@ def bench_outputs(repeat):
             with path.open("w", encoding="utf-8") as fh:
                 evaluations_to_csv(result, fh)
 
-        for name, fn in (("pareto_front", lambda: pareto_front(log)),
-                         ("evaluations_to_csv", export)):
+        for name, fn, rows in (
+                ("pareto_front", lambda: pareto_front(log), len(log)),
+                ("evaluations_to_csv", export, len(log)),
+                ("pareto_front x2", lambda: pareto_front(doubled), len(doubled)),
+                ("compare_searches", lambda: compare_searches(result, heur, front),
+                 len(heur.all_evaluated))):
             t, _ = best_of(fn, repeat)
             peak = traced_peak(fn)
             print(f"{f'{name} (deit-tiny)':<28}  {t * 1e3:9.3f} ms  tracemalloc peak "
-                  f"{peak / 2 ** 20:6.1f} MB  ({len(log)} evaluations)")
+                  f"{peak / 2 ** 20:6.1f} MB  ({rows} evaluations)")
         assert path.read_bytes() == csv_reference(result), "CSV differs from csv.writer"
 
 
@@ -192,7 +218,7 @@ def main():
               f"({heur.evaluations_used} evaluations)  same tiles: "
               f"{exact.best.tiles == heur.best.tiles}")
 
-    bench_outputs(args.repeat)
+    bench_outputs(args.repeat, rng)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,9 @@ computes ``N`` once per distinct ``(tn, tm)`` and divides once per point;
 ``exact_search`` scores ``N`` column by column through the same routines,
 and ``pair_numerators`` gives the search log's writer ``N`` for each
 distinct ``(tn, tm)`` of a block, so the log stores ``N`` and ``D`` as
-integers instead of the float.
+integers instead of the float. ``row_codes`` packs a log's tile columns
+into one int64 per row, by which the Pareto front and the search
+comparison tell configurations apart.
 ``benchmarks/bench_kernels.py`` times the scorer on deit-base.
 """
 
@@ -33,6 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import SchemaError
 from .hw import HardwareSpec, nonlinear_cycles
 from .model_ir import Dag, OpKind
 
@@ -47,14 +50,15 @@ _FLOAT_EXACT = 1 << 53
 _BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DagCostArrays:
     """Matmul classes plus the tile-independent non-linear cost.
 
     ``cls_n`` and ``cls_m`` hold each class's row and column extents and
     ``cls_weight`` its whole-number weight ``count·k·kernel_factor·kernels``
     as a Python int. ``nl_cycles`` is the integer non-linear cycle count and
-    ``frequency`` the clock as an exact fraction.
+    ``frequency`` the clock as an exact fraction. Two of them are equal when
+    every field is; the numpy columns make them unhashable.
     """
 
     cls_n: np.ndarray
@@ -64,6 +68,17 @@ class DagCostArrays:
     pm: int
     kernels: int
     frequency: Fraction
+
+    def __eq__(self, other):
+        if not isinstance(other, DagCostArrays):
+            return NotImplemented
+        return (np.array_equal(self.cls_n, other.cls_n)
+                and np.array_equal(self.cls_m, other.cls_m)
+                and (self.cls_weight, self.nl_cycles, self.pm, self.kernels, self.frequency)
+                == (other.cls_weight, other.nl_cycles, other.pm, other.kernels,
+                    other.frequency))
+
+    __hash__ = None
 
 
 def extract_cost_arrays(dag: Dag, hw: HardwareSpec) -> DagCostArrays:
@@ -136,16 +151,56 @@ def divide(arrays: DagCostArrays, numerators: np.ndarray, pn: np.ndarray) -> np.
 
 
 def _distinct(values: np.ndarray):
-    """Ascending distinct values of a positive int64 array, and a function
+    """Ascending distinct values of a non-negative int64 array, and a function
     that maps an array of those values to their positions among them."""
     top = int(values.max())
     if top > 4 * values.size:  # sparse values: sort rather than tabulate
         ordered = np.sort(values)
-        distinct = ordered[np.diff(ordered, prepend=0) != 0]
+        distinct = ordered[np.diff(ordered, prepend=-1) != 0]
         return distinct, functools.partial(np.searchsorted, distinct)
     present = np.zeros(top + 1, dtype=bool)
     present[values] = True
     return np.flatnonzero(present), (np.cumsum(present) - 1).take
+
+
+def row_codes(columns) -> tuple[np.ndarray, int]:
+    """One int64 code per row of equal-length int64 columns, and a bound on them.
+
+    Returns ``(code, size)`` with ``0 <= code < size``. Two rows get equal
+    codes exactly when they are equal in every column, and codes order the
+    rows like their tuples, the first column most significant. Each column
+    is one mixed-radix digit: ``value - min`` when the column spans at most
+    the row count, else the value's rank among the column's distinct values
+    (a column of one value adds nothing). Before a digit could take the
+    code past int64, the code is renumbered to its rank among its distinct
+    values, so ``size`` stays below (rows + 1)². A column whose values
+    span 2^63 or more raises ``SchemaError``.
+    """
+    code, size = None, 1
+    for col in columns:
+        lo = col.min()
+        span = int(col.max()) - int(lo)
+        if span > _INT64_MAX:
+            raise SchemaError(f"row_codes: a column spans {span}, more than int64 holds")
+        if span == 0:
+            continue
+        digits = col - lo  # exact, as the span fits
+        if span > digits.size:
+            distinct, position = _distinct(digits)
+            digits, span = position(digits), distinct.size - 1
+        if code is None:
+            code, size = digits, span + 1
+            continue
+        if size * (span + 1) > _INT64_MAX + 1:
+            distinct, position = _distinct(code)
+            code, size = position(code), distinct.size
+        code *= span + 1
+        code += digits
+        size *= span + 1
+        del digits  # freed before the next column's digits are made
+    if code is None:
+        code = np.zeros(columns[0].shape[0], dtype=np.int64)
+    return code, size
 
 
 def pair_numerators(arrays: DagCostArrays, tn: np.ndarray, tm: np.ndarray):
@@ -156,9 +211,9 @@ def pair_numerators(arrays: DagCostArrays, tn: np.ndarray, tm: np.ndarray):
     ``N(tn_u[j], tm_u[j])``, in the dtype of ``weighted_columns``.
     """
     (tns, tn_pos), (tms, tm_pos) = _distinct(tn), _distinct(tm)
-    code = tm_pos(tm) * tns.size + tn_pos(tn) + 1  # positive, as _distinct needs
+    code = tm_pos(tm) * tns.size + tn_pos(tn)
     codes, code_pos = _distinct(code)
-    tm_idx, tn_idx = np.divmod(codes - 1, tns.size)
+    tm_idx, tn_idx = np.divmod(codes, tns.size)
     tn_u, tm_u = tns[tn_idx], tms[tm_idx]
     weighted = weighted_columns(arrays, tm_u, int(tns[-1]))
     numerators = (padded_rows(arrays, tn_u, weighted.dtype) * weighted).sum(axis=1)

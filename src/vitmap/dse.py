@@ -37,7 +37,10 @@ evaluation's latency as the integers ``N`` and ``D`` of the cost model
 instead of a float, so it formats one string per distinct (tn, tm) and
 per distinct pn, not one per row. It streams a fixed block of rows at a
 time to an open file, so its memory does not grow with the log. The
-Pareto front holds a sort order and one gathered column at a time, and
+Pareto front and the search comparison tell configurations apart by one
+int64 code per row (``_config_codes``), whose digits follow the exhaustive
+loop order. The front finds repeats with one stable sort of those codes,
+skipped when they already ascend, tabulates the parallelism levels, and
 copies the columns only when a configuration repeats.
 """
 
@@ -64,6 +67,7 @@ from ._latency import (
     latency_batch,
     padded_rows,
     pair_numerators,
+    row_codes,
     weighted_columns,
 )
 from .errors import EmptySearchSpaceError, SchemaError
@@ -554,8 +558,14 @@ def pareto_front(log: EvaluationLog) -> tuple[ParetoPoint, ...]:
     with at least one strict. Ties on both objectives are mutually
     non-dominating and all kept. Repeated tile configurations count once,
     with their first evaluation. Output is sorted by (latency, -parallelism,
-    tiles). An empty log has no front, and a log whose pn·pm can leave int64
-    (no feasible search reaches it) is rejected; both raise ``SchemaError``.
+    tiles). An empty log has no front, and a log whose pn·pm can leave
+    int64, or whose tile or pn·pm values spread wider than int64 holds (no
+    feasible search reaches either), is rejected; both raise ``SchemaError``.
+
+    The work is linear in the log apart from one stable sort of one int64
+    code per row (``_first_evaluations``), which a log in loop order, such
+    as the exhaustive one, skips. The parallelism levels are tabulated, and
+    one pass of per-level minimum latencies decides the front.
     """
     if len(log) == 0:
         raise SchemaError("pareto_front requires at least one evaluation")
@@ -565,21 +575,22 @@ def pareto_front(log: EvaluationLog) -> tuple[ParetoPoint, ...]:
     corners = [a * b for a in ends[0] for b in ends[1]]
     if min(corners) <= -2**63 or max(corners) >= 2**63:  # -par must fit too
         raise SchemaError(f"pareto_front: pn*pm leaves int64 (pn in {ends[0]}, pm in {ends[1]})")
-    keep = _first_evaluations((pn, pm, tn, tm))
+    keep = _first_evaluations(pn, pm, tn, tm)
     if keep is not None:
         pn, pm, tn, tm, lat = (c[keep] for c in (pn, pm, tn, tm, lat))
-    par = pn * pm
-    # A point is dominated iff some point of equal parallelism is faster, or
-    # some point of higher parallelism is at least as fast.
-    levels = np.unique(par)
-    level = np.searchsorted(levels, par)
-    fastest = np.full(levels.shape[0], np.inf)
+    # Levels of equal parallelism, in ascending order. A point is dominated
+    # iff some point of its level is faster, or some higher level holds a
+    # point at least as fast, so a level's fastest points are on the front
+    # iff every higher level is slower.
+    level, levels = row_codes((pn * pm,))
+    fastest = np.full(levels, np.inf)
     np.minimum.at(fastest, level, lat)
-    fastest_above = np.full_like(fastest, np.inf)
-    np.minimum.accumulate(fastest[:0:-1], out=fastest_above[-2::-1])
-    top = level == levels.shape[0] - 1
-    on_front = (lat == fastest[level]) & (top | (lat < fastest_above[level]))
-    pn, pm, tn, tm, lat, par = (c[on_front] for c in (pn, pm, tn, tm, lat, par))
+    slower_above = np.empty(levels, dtype=bool)
+    slower_above[-1] = True
+    np.less(fastest[:-1], np.minimum.accumulate(fastest[:0:-1])[::-1], out=slower_above[:-1])
+    rows = np.flatnonzero(lat == np.where(slower_above, fastest, np.nan)[level])
+    pn, pm, tn, tm, lat = (c[rows] for c in (pn, pm, tn, tm, lat))
+    par = pn * pm
     order = np.lexsort((tm, tn, pm, pn, -par, lat))
     return tuple(
         ParetoPoint(TileParams(*t), latency, parallelism)
@@ -588,39 +599,32 @@ def pareto_front(log: EvaluationLog) -> tuple[ParetoPoint, ...]:
     )
 
 
-def _is_broadcast(col: np.ndarray) -> bool:
-    """Whether ``col`` repeats one value through a zero stride (a scalar column)."""
-    return col.strides[0] == 0
+def _config_codes(pn, pm, tn, tm) -> np.ndarray:
+    """``row_codes`` of tile columns, most significant digit first in the
+    exhaustive loop order (tm, pn, tn, then pm), so a log in that order has
+    ascending codes."""
+    return row_codes((tm, pn, tn, pm))[0]
 
 
-def _first_evaluations(columns) -> Optional[np.ndarray]:
+def _first_evaluations(pn, pm, tn, tm) -> Optional[np.ndarray]:
     """Mask, in log order, of each configuration's first row; None without repeats.
 
-    ``columns`` are the configuration's key columns. One stable sort groups
-    equal configurations with their first row leading; the sorted keys are
-    compared one column at a time. Broadcast columns, equal on every row,
-    are left out unless all of them are.
+    One stable sort of the configuration codes puts each configuration's
+    repeats right behind its first row. A log whose codes strictly ascend,
+    such as the exhaustive one in loop order, has no repeats and is not
+    sorted.
     """
-    keys = [c for c in columns if not _is_broadcast(c)] or list(columns[:1])
-    n = keys[0].shape[0]
-    order = np.lexsort(keys[::-1])
-    repeats = np.ones(n - 1, dtype=bool)
-    for col in keys:
-        ranked = col[order]
-        repeats &= ranked[1:] == ranked[:-1]
-        del ranked  # freed before the next column is gathered
-    repeat_rows = order[1:][repeats]
+    code = _config_codes(pn, pm, tn, tm)
+    if np.all(code[1:] > code[:-1]):
+        return None
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    repeat_rows = order[1:][code[1:] == code[:-1]]
     if repeat_rows.shape[0] == 0:
         return None
-    keep = np.ones(n, dtype=bool)
+    keep = np.ones(order.shape[0], dtype=bool)
     keep[repeat_rows] = False
     return keep
-
-
-def _tile_rows(pn, pm, tn, tm) -> np.ndarray:
-    """One opaque comparable element per (pn, pm, tn, tm) row."""
-    rows = np.ascontiguousarray(np.stack((pn, pm, tn, tm), axis=1), dtype=np.int64)
-    return rows.view(np.dtype((np.void, rows.itemsize * 4))).ravel()
 
 
 @dataclass(frozen=True)
@@ -648,9 +652,12 @@ def compare_searches(exh: SearchResult, heur: SearchResult,
     """
     if exh.space != heur.space:
         raise SchemaError("search results cover different spaces")
-    matched = np.isin(
-        _tile_rows(*zip(*(p.tiles.astuple() for p in front))),
-        _tile_rows(*heur.all_evaluated.columns()[:4])).tolist()
+    # Codes compare only within one call, so the front's rows and the
+    # heuristic log's rows are coded together.
+    code = _config_codes(*(np.concatenate((f, h)) for f, h in zip(
+        np.array([p.tiles.astuple() for p in front], dtype=np.int64).T,
+        heur.all_evaluated.columns()[:4])))
+    matched = np.isin(code[:len(front)], code[len(front):]).tolist()
     pairs: dict[tuple[float, int], bool] = {}
     for p, hit in zip(front, matched):
         key = (p.latency_s, p.parallelism)

@@ -74,6 +74,11 @@ class HardwareSpec:
         if not (_is_int(freq) or isinstance(freq, float)) or not 0 < freq <= sys.float_info.max:
             raise SchemaError(f"frequency_hz must be a positive finite number, got {freq!r}")
         object.__setattr__(self, "frequency_hz", float(freq))
+        budget = self.resource_budget
+        if budget is not None:
+            if not isinstance(budget, Mapping) or not all(map(_is_int, budget.values())):
+                raise SchemaError(f"resource_budget must be an object of integers, got {budget!r}")
+            object.__setattr__(self, "resource_budget", dict(budget))
         compute_pm(self.axi_width_bits, self.data_width_bits)  # the bus fits two elements
 
     @property
@@ -266,8 +271,8 @@ def parse_hardware(doc: Mapping) -> HardwareSpec:
     if missing:
         raise SchemaError(f"hardware document missing fields: {missing}")
     kwargs = {f: doc[f] for f in HARDWARE_FIELDS}
-    if "resource_budget" in doc and doc["resource_budget"] is not None:
-        kwargs["resource_budget"] = dict(doc["resource_budget"])
+    if "resource_budget" in doc:
+        kwargs["resource_budget"] = doc["resource_budget"]
     return HardwareSpec(**kwargs)
 
 

@@ -62,8 +62,10 @@ class ModelSpec:
             value = getattr(self, fname)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise SchemaError(f"{fname} must be a positive integer, got {value!r}")
-        if self.mlp_ratio <= 0:
-            raise SchemaError(f"mlp_ratio must be positive, got {self.mlp_ratio!r}")
+        ratio = self.mlp_ratio
+        if (isinstance(ratio, bool) or not isinstance(ratio, (int, float))
+                or not 0 < ratio < float("inf")):
+            raise SchemaError(f"mlp_ratio must be a positive finite number, got {ratio!r}")
         if self.embed_dim % self.num_heads != 0:
             raise SchemaError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"

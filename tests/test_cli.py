@@ -1,5 +1,6 @@
 import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -204,6 +205,23 @@ class TestCompile:
         bad.write_text(json.dumps({**TOY_HW, "num_kernels": True}))
         assert run("compile", "--model", model, "--hw", bad, "--out-dir", tmp_path / "out") == 3
         assert "num_kernels must be a positive integer, got True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, preset, field, value, code, message", [
+        ("--model", "deit_tiny.json", "mlp_ratio", "4", 2,
+         "error: [model] mlp_ratio must be a positive finite number, got '4'"),
+        ("--hw", "vu9p.json", "resource_budget", [1], 3,
+         "error: [hardware] resource_budget must be an object of integers, got [1]"),
+    ], ids=["string-mlp-ratio", "list-resource-budget"])
+    def test_mistyped_preset_field_exits_with_its_stage(self, tmp_path, capsys, flag, preset,
+                                                        field, value, code, message):
+        doc = json.loads(resources.files("vitmap.presets").joinpath(preset).read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, field: value}))
+        inputs = {"--model": "deit-tiny", "--hw": "vu9p", flag: bad}
+        out = tmp_path / "out"
+        assert run("compile", *(x for kv in inputs.items() for x in kv), "--out-dir", out) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
 
 
 class TestSearch:

@@ -825,6 +825,89 @@ class TestCsvExport:
             _csv_text(altered)
 
 
+@pytest.fixture(scope="module")
+def tiny_exhaustive():
+    """The exhaustive search over deit-tiny's full space (372,527 evaluations)."""
+    dag, hw = preset_dag("deit-tiny")
+    return exhaustive_search(dag, hw, enumerate_space(dag, hw))
+
+
+@pytest.fixture(scope="module")
+def doubled_log(tiny_exhaustive):
+    """deit-tiny's exhaustive log, then a shuffled copy of it flagged as cache hits.
+
+    Every third copy carries half its latency, which must not count: each
+    configuration's first evaluation is the original.
+    """
+    log = tiny_exhaustive.all_evaluated
+    perm = np.random.default_rng(7).permutation(len(log))
+    copy = [c[perm] for c in log.columns()[:5]]
+    copy[4][::3] /= 2
+    return EvaluationLog(*(np.concatenate(pair) for pair in zip(log.columns()[:5], copy)),
+                         np.repeat([False, True], len(log)))
+
+
+class TestParetoAtScale:
+    def test_repeats_keep_first_evaluation(self, tiny_exhaustive, doubled_log):
+        log = tiny_exhaustive.all_evaluated
+        front = pareto_front(log)
+        assert pareto_front(doubled_log) == front
+        assert oracle_pareto_front(doubled_log) == front
+        # Had the lowered copies counted, the front would differ.
+        assert pareto_front(doubled_log[len(log):]) != front
+
+    def test_codes_renumbered_before_int64_overflow(self):
+        # Four columns of 65,536 distinct values each: the four rank digits
+        # need 2^64 codes, so the code is renumbered before the last one.
+        n = 1 << 16
+        rng = np.random.default_rng(11)
+        pn = rng.choice(1 << 31, n, replace=False) + 1
+        pm = pn[np.arange(n) ^ 1]  # rows 2i and 2i+1 tie on pn·pm
+        tn, tm = (rng.choice(1 << 40, n, replace=False) + 1 for _ in range(2))
+        code, size = _latency.row_codes((tm, pn, tn, pm))
+        assert size <= n * n
+        assert np.array_equal(np.argsort(code, kind="stable"), np.lexsort((pm, tn, pn, tm)))
+        assert np.unique(code).size == n
+        log = EvaluationLog(pn, pm, tn, tm, rng.integers(0, 64, n) / 8, False)
+        assert pareto_front(log) == oracle_pareto_front(list(log))
+
+    def test_codes_of_columns_spanning_int64(self):
+        # Spans of 2^63 - 1 need rank digits; a span of 2^63 cannot be coded.
+        top = 2 ** 63 - 1
+        columns = (np.array([top, 0, 1, top, 1]), np.array([0, -top, 0, 0, 0]),
+                   np.array([1, top, 0, 1, top]))
+        code, size = _latency.row_codes(columns)
+        assert size <= 5 * 5
+        assert np.array_equal(np.argsort(code, kind="stable"), np.lexsort(columns[::-1]))
+        assert code[0] == code[3] and np.unique(code).size == 4
+        with pytest.raises(SchemaError, match="spans"):
+            _latency.row_codes((np.array([-2 ** 63, 0], dtype=np.int64),))
+        with pytest.raises(SchemaError, match="spans"):
+            pareto_front(EvaluationLog(1, 1, [-2 ** 62, 2 ** 62], 1, [1.0, 2.0], False))
+
+    def test_compare_searches_on_doubled_log(self, tiny_exhaustive, doubled_log):
+        n = len(tiny_exhaustive.all_evaluated)
+        front = pareto_front(doubled_log[n:])  # the lowered copies make two points
+        assert len(front) == 2
+
+        def heuristic(log):
+            return SearchResult(best=log[0], evaluations_used=len(log), history=(),
+                                all_evaluated=log, wall_time_s=1.0,
+                                space=tiny_exhaustive.space, arrays=None)
+
+        full = compare_searches(tiny_exhaustive, heuristic(doubled_log), front)
+        assert (full.pareto_coverage, full.pareto_point_coverage) == (1.0, 1.0)
+        # Without any row of the first front point's configuration.
+        pn, pm, tn, tm = doubled_log.columns()[:4]
+        dropped = front[0].tiles
+        rest = ~((pn == dropped.pn) & (pm == dropped.pm) & (tn == dropped.tn)
+                 & (tm == dropped.tm))
+        assert rest.sum() == 2 * n - 2
+        partial = compare_searches(tiny_exhaustive, heuristic(EvaluationLog(
+            *(c[rest] for c in doubled_log.columns()))), front)
+        assert (partial.pareto_coverage, partial.pareto_point_coverage) == (0.5, 0.5)
+
+
 class TestOutputMemory:
     """The search's outputs on deit-tiny's full space (372,527 evaluations).
 
@@ -832,11 +915,6 @@ class TestOutputMemory:
     export was written in blocks it peaked at 73.9 MB, and the Pareto front
     at 34.8 MB.
     """
-
-    @pytest.fixture(scope="class")
-    def tiny_exhaustive(self):
-        dag, hw = preset_dag("deit-tiny")
-        return exhaustive_search(dag, hw, enumerate_space(dag, hw))
 
     @staticmethod
     def _peak_mb(fn):
@@ -860,8 +938,9 @@ class TestOutputMemory:
             assert sum(1 for _ in fh) == 1 + 372_527
 
     def test_pareto_front_peak(self, tiny_exhaustive):
-        # About 40 bytes per evaluation: a sort order, one sorted column and
-        # the masks at a time.
+        # About 16 bytes per evaluation: the configuration codes and one
+        # column of digits at a time. The exhaustive log's codes ascend, so
+        # it is not sorted.
         assert self._peak_mb(lambda: pareto_front(tiny_exhaustive.all_evaluated)) < 14
 
 

@@ -108,6 +108,25 @@ def test_cost_classes_keep_matmul_order():
     assert all(type(w) is int for w in arrays.cls_weight)
 
 
+def test_cost_arrays_compare_by_value():
+    hw = parse_hardware(_preset("vu9p.json"))
+    dag = batch_expand(fuse_qkv(build_dag(parse_model(_preset("deit_tiny.json"))), hw), 1)
+    arrays = _latency.extract_cost_arrays(dag, hw)
+    assert arrays == _latency.extract_cost_arrays(dag, hw)
+    assert not arrays != _latency.extract_cost_arrays(dag, hw)
+    assert arrays != _latency.extract_cost_arrays(dag, dataclasses.replace(hw, num_kernels=4))
+    bumped_m = arrays.cls_m.copy()
+    bumped_m[-1] += 1
+    changes = {"cls_n": arrays.cls_n[:-1], "cls_m": bumped_m,
+               "cls_weight": arrays.cls_weight[:-1] + (arrays.cls_weight[-1] + 1,),
+               "nl_cycles": arrays.nl_cycles + 1, "pm": arrays.pm * 2,
+               "kernels": arrays.kernels + 1, "frequency": arrays.frequency * 2}
+    for name, value in changes.items():
+        assert arrays != dataclasses.replace(arrays, **{name: value}), name
+    with pytest.raises(TypeError):
+        hash(arrays)
+
+
 # ---------------------------------------------------------------------------
 # fixed-point kernels against the Python-int golden model
 # ---------------------------------------------------------------------------
