@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import SchemaError
+from ..errors import EXTENT_MAX, STRING, SchemaError, read
 from ._fixmath import EXP_FRAC
 from .formats import FixedFormat
 from .oracles import exact_gelu
@@ -16,6 +16,15 @@ APPROX_SCHEMA_VERSION = 1
 
 DEFAULT_EXP_DOMAIN_LO = -8.0
 DEFAULT_GELU_KNOTS = (-4, -3, -2, -1, 0, 1, 2, 3, 4)
+
+# An approximation config's fields, all optional. In 15-bit entries an isqrt table stays
+# strictly decreasing up to 2^12 entries; a reciprocal index shifts by 15 - log2(size).
+APPROX_FIELDS = {"format": STRING, "exp_domain_lo": ("number", -EXTENT_MAX, 0),
+                 "isqrt_table_size": ("int", 2, 2**12), "recip_table_size": ("int", 2, 2**15),
+                 "gelu_knots": ("int_list", -EXTENT_MAX, EXTENT_MAX),
+                 "gelu_pieces": ("int_triples", -EXTENT_MAX, EXTENT_MAX),
+                 "recip_refine": ("int", 0, 16), "renormalize": ("bool",),
+                 "ln_eps": ("int", 0, EXTENT_MAX)}
 
 
 def build_isqrt_table(size: int) -> np.ndarray:
@@ -109,8 +118,9 @@ class ApproxConfig:
     def __post_init__(self):
         if self.fmt.frac_bits > EXP_FRAC:
             raise SchemaError(f"frac_bits > {EXP_FRAC} not supported by the exp datapath")
-        if self.exp_domain_lo >= 0:
-            raise SchemaError("exp_domain_lo must be negative")
+        if self.exp_lo_fixed >= 0:
+            raise SchemaError(f"exp_domain_lo {self.exp_domain_lo} is >= 0 in {self.fmt.name}")
+        object.__setattr__(self, "exp_domain_lo", float(self.exp_domain_lo))
         if np.any(np.diff(self.isqrt_table) >= 0):
             raise SchemaError("isqrt table must be strictly decreasing")
         if self.gelu_pieces is None:
@@ -156,33 +166,20 @@ class ApproxConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ApproxConfig":
-        if doc.get("schema_version") != APPROX_SCHEMA_VERSION:
-            raise SchemaError(
-                f"approx config schema_version must be {APPROX_SCHEMA_VERSION}"
-            )
-        fmt = FixedFormat.parse(doc.get("format", "Q8.8"))
-        kwargs = {"fmt": fmt}
-        if "isqrt_table_size" in doc:
-            kwargs["isqrt_table"] = build_isqrt_table(int(doc["isqrt_table_size"]))
-        if "recip_table_size" in doc:
-            kwargs["recip_table"] = build_recip_table(int(doc["recip_table_size"]))
-        if "exp_domain_lo" in doc:
-            kwargs["exp_domain_lo"] = float(doc["exp_domain_lo"])
-        if "gelu_knots" in doc and "gelu_pieces" in doc:
+        fields = read(doc, "approx config", {}, APPROX_FIELDS, version=APPROX_SCHEMA_VERSION)
+        if "gelu_knots" in fields and "gelu_pieces" in fields:
             raise SchemaError("approx config takes gelu_knots or gelu_pieces, not both")
-        if "gelu_knots" in doc:
-            kwargs["gelu_pieces"] = build_gelu_pieces(fmt, doc["gelu_knots"])
-        if "gelu_pieces" in doc:
-            raw = doc["gelu_pieces"]  # list of [x, slope, intercept], fixed ints
-            kwargs["gelu_pieces"] = (
-                np.array([p[0] for p in raw], dtype=np.int64),
-                np.array([p[1] for p in raw], dtype=np.int64),
-                np.array([p[2] for p in raw], dtype=np.int64),
-            )
-        for key in ("recip_refine", "renormalize", "ln_eps"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        return cls(**kwargs)
+        fmt = FixedFormat.parse(fields.pop("format", "Q8.8"))
+        kwargs = {"fmt": fmt}
+        if "isqrt_table_size" in fields:
+            kwargs["isqrt_table"] = build_isqrt_table(fields.pop("isqrt_table_size"))
+        if "recip_table_size" in fields:
+            kwargs["recip_table"] = build_recip_table(fields.pop("recip_table_size"))
+        if "gelu_knots" in fields:
+            kwargs["gelu_pieces"] = build_gelu_pieces(fmt, fields.pop("gelu_knots"))
+        if "gelu_pieces" in fields:
+            kwargs["gelu_pieces"] = tuple(np.array(fields.pop("gelu_pieces"), dtype=np.int64).T)
+        return cls(**kwargs, **fields)
 
     def describe(self) -> dict:
         """JSON-ready summary (embedded in compilation manifests)."""

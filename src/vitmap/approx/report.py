@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SchemaError
+from ..errors import SEED, SchemaError, check
 from . import kernels, oracles
 from ._fixmath import EXP_FRAC
 from .config import ApproxConfig
@@ -22,6 +22,7 @@ DEFAULT_DOMAINS = {
     "layernorm": (-2.0, 2.0),
 }
 _ROW_FNS = {"softmax": 197, "layernorm": 192}
+_SAMPLING = {"samples": ("int", 1, 2**20), "seed": SEED}  # samples sizes every sweep array
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,7 @@ def error_report(fn_id: str, cfg: ApproxConfig, domain=None, samples: int = 1024
     """
     if fn_id not in DEFAULT_DOMAINS:
         raise SchemaError(f"unknown approximation {fn_id!r}; have {sorted(DEFAULT_DOMAINS)}")
+    check({"samples": samples, "seed": seed}, _SAMPLING)
     domain = tuple(domain) if domain else DEFAULT_DOMAINS[fn_id]
     if not domain[0] < domain[1]:
         raise SchemaError(f"empty domain {domain}")

@@ -28,7 +28,7 @@ from .dse import (
     pareto_to_csv,
     search_summary_json,
 )
-from .errors import StageError, VitmapError
+from .errors import StageError, VitmapError, json_object
 from .hw import graph_latency, parse_hardware
 from .layout import ScheduleDescriptor, ScheduleKind
 # Not called here: ScheduleDescriptor.expand runs the generators. The names
@@ -57,22 +57,16 @@ STAGE_EXIT_CODES = {
     "approx": 7,
 }
 
-_PRESETS = {
-    "deit-tiny": "deit_tiny.json",
-    "deit-small": "deit_small.json",
-    "deit-base": "deit_base.json",
-    "vu9p": "vu9p.json",
-}
+_PRESETS = ("deit-tiny", "deit-small", "deit-base", "vu9p")  # presets/deit_tiny.json, ...
 
 
 def _load_doc(spec: str, stage: str) -> dict:
     """Read a JSON document from a path or a built-in preset name."""
     try:
+        path = Path(spec)
         if spec in _PRESETS:
-            text = resources.files("vitmap.presets").joinpath(_PRESETS[spec]).read_text()
-        else:
-            text = Path(spec).read_text(encoding="utf-8")
-        return json.loads(text)
+            path = resources.files("vitmap.presets") / f"{spec.replace('-', '_')}.json"
+        return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise StageError(stage, f"cannot read {spec}: {exc}") from exc
 
@@ -95,23 +89,23 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _space_caps(args) -> SpaceCaps:
-    return SpaceCaps(
+def _space(args, dag, hw):
+    return enumerate_space(dag, hw, SpaceCaps(
         tn_max=args.tn_cap, tm_max=args.tm_cap, pn_max=args.pn_cap,
-        tn_step=args.tn_step, tm_step=args.tm_step,
-    )
+        tn_step=args.tn_step, tm_step=args.tm_step))
+
+
+def _with_flags(stage: str, doc, what: str, flags: dict) -> dict:
+    """Document ``doc`` with the command-line values in ``flags`` that were given laid over it."""
+    given = {key: value for key, value in flags.items() if value is not None}
+    return {**_stage(stage, json_object, doc, what), **given}
 
 
 def _search_config(args) -> SearchConfig:
-    doc = {}
-    if args.search_config:
-        doc = _load_doc(args.search_config, "search")
-    doc.setdefault("seed", args.seed)
-    for key, flag in (("set_size", args.set_size), ("iterations", args.iterations),
-                      ("preservation_size", args.preservation),
-                      ("max_evaluations", args.max_evals)):
-        if flag is not None:
-            doc[key] = flag
+    doc = _load_doc(args.search_config, "search") if args.search_config else {}
+    doc = {"seed": args.seed, **_with_flags("search", doc, "search config", {
+        "set_size": args.set_size, "iterations": args.iterations,
+        "preservation_size": args.preservation, "max_evaluations": args.max_evals})}
     return _stage("search", SearchConfig.from_doc, doc)
 
 
@@ -161,7 +155,7 @@ def cmd_compile(args) -> int:
     model_doc = _load_doc(args.model, "model")
     spec, batch, dag, hw, fusion = _front_end(args, model_doc)
 
-    space = _stage("search", enumerate_space, dag, hw, _space_caps(args))
+    space = _stage("search", _space, args, dag, hw)
     if args.exhaustive:
         _check_exhaustive_cap(args, space)
         result = _stage("search", exhaustive_search, dag, hw, space)
@@ -200,16 +194,16 @@ def cmd_compile(args) -> int:
 
 def cmd_search(args) -> int:
     _, _, dag, hw, _ = _front_end(args, _load_doc(args.model, "model"))
-    space = _stage("search", enumerate_space, dag, hw, _space_caps(args))
+    space = _stage("search", _space, args, dag, hw)
     out_dir = Path(args.out_dir)
 
     results = {}
+    cfg = _search_config(args) if args.mode != "exhaustive" else None
     if args.mode in ("exhaustive", "both"):
         _check_exhaustive_cap(args, space)
         results["exhaustive"] = _stage("search", exhaustive_search, dag, hw, space)
-    if args.mode in ("heuristic", "both"):
-        results["heuristic"] = _stage("search", heuristic_search, dag, hw, space,
-                                      _search_config(args))
+    if cfg is not None:
+        results["heuristic"] = _stage("search", heuristic_search, dag, hw, space, cfg)
 
     fronts = {}
     for name, result in results.items():
@@ -252,11 +246,8 @@ def cmd_schedule(args) -> int:
 
 
 def _approx_config(args) -> ApproxConfig:
-    doc = {"schema_version": 1}
-    if getattr(args, "approx_config", None):
-        doc = _load_doc(args.approx_config, "approx")
-    if getattr(args, "format", None):
-        doc["format"] = args.format
+    doc = _load_doc(args.approx_config, "approx") if args.approx_config else {"schema_version": 1}
+    doc = _with_flags("approx", doc, "approx config", {"format": args.format})
     return _stage("approx", ApproxConfig.from_doc, doc)
 
 
@@ -276,10 +267,7 @@ def cmd_approx_report(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    try:
-        manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise StageError("emit", f"cannot read manifest: {exc}") from exc
+    manifest = _load_doc(args.manifest, "emit")
     params = _stage("emit", template_params_from_manifest, manifest)
     text = emit_template_params(params)
     out = Path(args.out) if args.out else Path(args.out_dir) / "template_params.env"

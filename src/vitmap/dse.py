@@ -70,7 +70,7 @@ from ._latency import (
     row_codes,
     weighted_columns,
 )
-from .errors import EmptySearchSpaceError, SchemaError
+from .errors import EXTENT, EXTENT_MAX, SEED, EmptySearchSpaceError, SchemaError, check, read
 from .hw import HardwareSpec, TileParams
 from .model_ir import Dag
 
@@ -91,8 +91,7 @@ class SpaceCaps:
     tm_step: int = 1  # in multiples of pm
 
     def __post_init__(self):
-        if self.tn_step < 1 or self.tm_step < 1:
-            raise SchemaError("range steps must be >= 1")
+        check(vars(self), {"tn_step": EXTENT, "tm_step": EXTENT})
 
 
 @dataclass(frozen=True)
@@ -242,6 +241,11 @@ def _row(pn: int, pm: int, tn: int, tm: int, latency: float, from_cache: bool) -
     return Evaluation(TileParams(pn, pm, tn, tm), latency, from_cache)
 
 
+# A search config's fields, all optional. An iteration logs set_size rows: at most 1M.
+SEARCH_FIELDS = {"set_size": ("int", 1, 1024), "iterations": ("int", 0, 1024), "seed": SEED,
+                 "preservation_size": ("int", 1, 1024), "max_evaluations": ("int?", 1, EXTENT_MAX)}
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """The heuristic search's population, iteration and budget settings.
@@ -259,8 +263,7 @@ class SearchConfig:
     max_evaluations: Optional[int] = None
 
     def __post_init__(self):
-        if self.set_size < 1 or self.iterations < 0 or self.preservation_size < 1:
-            raise SchemaError("set_size/preservation_size must be >= 1, iterations >= 0")
+        check(vars(self), SEARCH_FIELDS)
         if not self.preservation_size < self.set_size:
             raise SchemaError("preservation_size must be < set_size")
         if self.max_evaluations is not None and self.max_evaluations < self.set_size:
@@ -269,10 +272,7 @@ class SearchConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "SearchConfig":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise SchemaError(f"unknown search-config fields: {sorted(unknown)}")
-        return cls(**doc)
+        return cls(**read(doc, "search config", {}, SEARCH_FIELDS))
 
 
 @dataclass(frozen=True)

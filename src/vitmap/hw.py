@@ -12,11 +12,12 @@ the non-linear units: ``ceil(elems / (lop * kernels))`` cycles. Tiling pads:
 partial tiles cost the same as full ones, so ceiling tile counts are used.
 
 This module owns the hardware envelope: which boards and which tile
-configurations are valid. ``HardwareSpec`` rejects a malformed board, and
-``HARDWARE_FIELDS`` lists the fields a hardware document gives, which the
-manifest's hardware block repeats. A configuration is feasible when every
-parameter is a positive integer, ``pm`` is the bus's pack factor, ``tm`` is
-a multiple of ``pm``, ``pn·pm < tm`` and a ``tn × tm`` tile fits on chip.
+configurations are valid. ``HARDWARE_FIELDS`` and ``TILE_FIELDS`` are the
+``vitmap.errors`` rule tables of a board (a hardware document and the
+manifest's hardware block) and of the manifest's tiles block. A configuration
+is feasible when every parameter is a positive integer, ``pm`` is the bus's
+pack factor, ``tm`` is a multiple of ``pm``, ``pn·pm < tm`` and a ``tn × tm``
+tile fits on chip.
 ``validate_tiles`` reports the violated constraints; ``graph_latency``
 raises ``InfeasibleTilesError`` with the same list, and ``matmul_cost`` with
 that list minus the pn bound. Other modules ask these functions rather than
@@ -33,19 +34,22 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .errors import InfeasibleTilesError, SchemaError
+from .errors import EXTENT, EXTENT_MAX, STRING, InfeasibleTilesError, SchemaError
+from .errors import check, is_int, read
 from .model_ir import Dag, OpKind
 
 HW_SCHEMA_VERSION = 1
 
-# The fields of a hardware document, and of the manifest's hardware block.
-HARDWARE_FIELDS = ("name", "axi_width_bits", "data_width_bits", "onchip_capacity_elems",
-                   "ddr_banks", "num_kernels", "frequency_hz", "lop")
+# A hardware document's (and manifest block's) required and optional fields; tiles.
+HARDWARE_FIELDS = {"name": STRING, "axi_width_bits": EXTENT, "data_width_bits": EXTENT,
+                   "onchip_capacity_elems": EXTENT, "ddr_banks": EXTENT, "num_kernels": EXTENT,
+                   "frequency_hz": ("number", 0, 10**12), "lop": EXTENT}
+HARDWARE_OPTIONAL = {"resource_budget": ("int_map?", 0, EXTENT_MAX)}
+TILE_FIELDS = {"pn": EXTENT, "pm": EXTENT, "tn": EXTENT, "tm": EXTENT}
 
 
 @dataclass(frozen=True)
@@ -63,22 +67,10 @@ class HardwareSpec:
     resource_budget: Optional[dict[str, int]] = None
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise SchemaError(f"name must be a string, got {self.name!r}")
-        for fname in ("axi_width_bits", "data_width_bits", "onchip_capacity_elems",
-                      "ddr_banks", "num_kernels", "lop"):
-            value = getattr(self, fname)
-            if not _is_int(value) or value < 1:
-                raise SchemaError(f"{fname} must be a positive integer, got {value!r}")
-        freq = self.frequency_hz
-        if not (_is_int(freq) or isinstance(freq, float)) or not 0 < freq <= sys.float_info.max:
-            raise SchemaError(f"frequency_hz must be a positive finite number, got {freq!r}")
-        object.__setattr__(self, "frequency_hz", float(freq))
-        budget = self.resource_budget
-        if budget is not None:
-            if not isinstance(budget, Mapping) or not all(map(_is_int, budget.values())):
-                raise SchemaError(f"resource_budget must be an object of integers, got {budget!r}")
-            object.__setattr__(self, "resource_budget", dict(budget))
+        check(vars(self), HARDWARE_FIELDS, HARDWARE_OPTIONAL)
+        object.__setattr__(self, "frequency_hz", float(self.frequency_hz))
+        if self.resource_budget is not None:
+            object.__setattr__(self, "resource_budget", dict(self.resource_budget))
         compute_pm(self.axi_width_bits, self.data_width_bits)  # the bus fits two elements
 
     @property
@@ -124,11 +116,6 @@ class CostBreakdown:
     latency_s: float
 
 
-def _is_int(value) -> bool:
-    """Whether ``value`` is an integer; a JSON boolean is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def compute_pm(axi_width_bits: int, data_width_bits: int) -> int:
     """MAC units per PE, fixed by the bus word: floor(AXI / (2 * DW))."""
     if axi_width_bits < 2 * data_width_bits:
@@ -157,7 +144,7 @@ def _violations(tiles: TileParams, hw: HardwareSpec, pn_bound: bool = True) -> l
     ``pn_bound`` includes the PE-count pipelining bound pn < tm/pm.
     """
     values = tiles.astuple()
-    if not all(map(_is_int, values)):
+    if not all(map(is_int, values)):
         return [f"tile parameters must be integers, got {tiles}"]
     if min(values) < 1:
         return ["all tile parameters must be >= 1"]
@@ -260,20 +247,8 @@ def graph_latency(dag: Dag, tiles: TileParams, hw: HardwareSpec) -> GraphCost:
 
 def parse_hardware(doc: Mapping) -> HardwareSpec:
     """Validate a hardware-description document (parsed JSON)."""
-    if not isinstance(doc, Mapping):
-        raise SchemaError("hardware document must be a JSON object")
-    if doc.get("schema_version") != HW_SCHEMA_VERSION:
-        raise SchemaError(
-            f"hardware document schema_version must be {HW_SCHEMA_VERSION}, "
-            f"got {doc.get('schema_version')!r}"
-        )
-    missing = [f for f in HARDWARE_FIELDS if f not in doc]
-    if missing:
-        raise SchemaError(f"hardware document missing fields: {missing}")
-    kwargs = {f: doc[f] for f in HARDWARE_FIELDS}
-    if "resource_budget" in doc:
-        kwargs["resource_budget"] = doc["resource_budget"]
-    return HardwareSpec(**kwargs)
+    return HardwareSpec(**read(doc, "hardware document", HARDWARE_FIELDS, HARDWARE_OPTIONAL,
+                               version=HW_SCHEMA_VERSION))
 
 
 def load_hardware(path) -> HardwareSpec:

@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import SchemaError
+from .errors import EXTENT, EXTENT_MAX, INT64_MAX, SchemaError, check, read
 from .hw import compute_pm
 
 
@@ -52,10 +52,6 @@ class BankLayout:
     bank_count: int
     segments: tuple[tuple[int, int], ...]  # per-bank [start, end) column interval
     words_per_row_segment: tuple[int, ...]
-
-    def segment_width(self, bank: int) -> int:
-        start, end = self.segments[bank]
-        return end - start
 
 
 def partition_banks(rows: int, cols: int, bn: int, pack_factor: int = 16) -> BankLayout:
@@ -144,15 +140,14 @@ def _shape_steps(kind: ScheduleKind, rows: int, banks: int, kernels: int,
     ``1 <= kernels <= banks`` and takes ``ceil(rows / kernels) * banks``.
     Only softmax has head units; the other kinds need ``heads == 0``.
     """
+    check({"rows": rows, "banks": banks, "kernels": kernels, "heads": heads}, DESCRIPTOR_FIELDS)
     if kind is ScheduleKind.SOFTMAX:
-        if heads < 1 or banks < 1 or rows < 1:
-            raise SchemaError("num_heads, bn, rows must be >= 1")
+        if heads < 1:
+            raise SchemaError(f"softmax schedule needs heads >= 1, got {heads}")
         if kernels != banks:
             raise SchemaError(f"softmax schedule requires kernels == banks, "
                               f"got {kernels} != {banks}")
         return rows * -(-heads // banks)
-    if rows < 1 or banks < 1 or kernels < 1:
-        raise SchemaError("rows, bn, kernels must be >= 1")
     if kernels > banks:
         raise SchemaError(f"kernels {kernels} > banks {banks}: one bank feeds one kernel per step")
     if heads:
@@ -231,7 +226,10 @@ def schedule_layernorm(rows: int, bn: int, kernels: int) -> Schedule:
     return Schedule(ScheduleKind.LAYERNORM, tuple(steps), kernels, bn, rows)
 
 
-_SHAPE_FIELDS = ("rows", "banks", "kernels", "heads")
+# A schedule descriptor document's rules; rows may reach the product of two extents.
+DESCRIPTOR_FIELDS = {"op_kind": ("choice", tuple(kind.value for kind in ScheduleKind)),
+                     "rows": ("int", 1, INT64_MAX), "banks": EXTENT, "kernels": EXTENT,
+                     "heads": ("int", 0, EXTENT_MAX), "steps": ("int", 1, INT64_MAX)}
 
 
 @dataclass(frozen=True)
@@ -259,22 +257,14 @@ class ScheduleDescriptor:
         return _shape_steps(self.op_kind, self.rows, self.banks, self.kernels, self.heads)
 
     def to_doc(self) -> dict:
-        doc = {name: getattr(self, name) for name in _SHAPE_FIELDS}
-        doc.update(op_kind=self.op_kind.value, steps=self.step_count)
-        return doc
+        return dict(vars(self), op_kind=self.op_kind.value, steps=self.step_count)
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> ScheduleDescriptor:
         """Inverse of ``to_doc``; ``steps`` must match the shape's step count."""
-        try:
-            kind = ScheduleKind(doc["op_kind"])
-            shape = [doc[name] for name in _SHAPE_FIELDS]
-            steps = doc["steps"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed schedule descriptor {doc!r}: {exc!r}") from exc
-        if any(type(v) is not int for v in (*shape, steps)):
-            raise SchemaError(f"schedule descriptor fields must be integers: {doc!r}")
-        desc = cls(kind, *shape)
+        fields = read(doc, "schedule descriptor", DESCRIPTOR_FIELDS)
+        steps = fields.pop("steps")
+        desc = cls(ScheduleKind(fields.pop("op_kind")), **fields)
         if steps != desc.step_count:
             raise SchemaError(f"schedule descriptor says {steps} steps, its shape has "
                               f"{desc.step_count}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Optional
 
-from .errors import SchemaError
+from .errors import EXTENT, EXTENT_MAX, STRING, SchemaError, check, read
 
 log = logging.getLogger(__name__)
 
@@ -29,6 +29,12 @@ MODEL_SCHEMA_VERSION = 1
 # Default pixels per image patch (16x16 RGB) feeding the embedding matmul.
 DEFAULT_PATCH_PIXELS = 16 * 16 * 3
 DEFAULT_NUM_CLASSES = 1000
+
+# A model document's required and optional fields; num_layers sizes the DAG.
+MODEL_FIELDS = {"name": STRING, "embed_dim": EXTENT, "num_heads": EXTENT,
+                "num_layers": ("int", 1, 1024), "num_tokens": EXTENT}
+MODEL_OPTIONAL = {"mlp_ratio": ("number", 0, EXTENT_MAX), "batch": EXTENT,
+                  "data_width_bits": EXTENT, "patch_pixels": EXTENT, "num_classes": EXTENT}
 
 
 class OpKind(str, Enum):
@@ -57,23 +63,16 @@ class ModelSpec:
     num_classes: int = DEFAULT_NUM_CLASSES
 
     def __post_init__(self):
-        for fname in ("embed_dim", "num_heads", "num_layers", "num_tokens",
-                      "batch", "data_width_bits", "patch_pixels", "num_classes"):
-            value = getattr(self, fname)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise SchemaError(f"{fname} must be a positive integer, got {value!r}")
-        ratio = self.mlp_ratio
-        if (isinstance(ratio, bool) or not isinstance(ratio, (int, float))
-                or not 0 < ratio < float("inf")):
-            raise SchemaError(f"mlp_ratio must be a positive finite number, got {ratio!r}")
+        check(vars(self), MODEL_FIELDS, MODEL_OPTIONAL)
         if self.embed_dim % self.num_heads != 0:
             raise SchemaError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
             )
         hidden = self.embed_dim * self.mlp_ratio
-        if abs(hidden - round(hidden)) > 1e-9:
+        if abs(hidden - round(hidden)) > 1e-9 or not 1 <= round(hidden) <= EXTENT_MAX:
             raise SchemaError(
-                f"embed_dim * mlp_ratio = {hidden} is not an integer FFN width"
+                f"embed_dim * mlp_ratio = {hidden} is not an integer FFN width "
+                f"in [1, {EXTENT_MAX}]"
             )
 
     @property
@@ -186,24 +185,8 @@ def _check_shapes(dag: Dag) -> None:
 
 def parse_model(doc: Mapping) -> ModelSpec:
     """Validate a model-description document (parsed JSON) into a ModelSpec."""
-    if not isinstance(doc, Mapping):
-        raise SchemaError("model document must be a JSON object")
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise SchemaError(
-            f"model document schema_version must be {MODEL_SCHEMA_VERSION}, "
-            f"got {doc.get('schema_version')!r}"
-        )
-    required = ("name", "embed_dim", "num_heads", "num_layers", "num_tokens")
-    missing = [f for f in required if f not in doc]
-    if missing:
-        raise SchemaError(f"model document missing fields: {missing}")
-    kwargs = {f: doc[f] for f in required}
-    for opt in ("mlp_ratio", "batch", "data_width_bits", "patch_pixels", "num_classes"):
-        if opt in doc:
-            kwargs[opt] = doc[opt]
-    if not isinstance(kwargs["name"], str) or not kwargs["name"]:
-        raise SchemaError("name must be a non-empty string")
-    return ModelSpec(**kwargs)
+    return ModelSpec(**read(doc, "model document", MODEL_FIELDS, MODEL_OPTIONAL,
+                            version=MODEL_SCHEMA_VERSION))
 
 
 def build_dag(spec: ModelSpec) -> Dag:
@@ -315,8 +298,7 @@ def fuse_qkv(dag: Dag, hw) -> Dag:
 
 def batch_expand(dag: Dag, batch: int) -> Dag:
     """Stack ``batch`` inputs row-wise: every node's row count scales by batch."""
-    if batch < 1:
-        raise SchemaError(f"batch must be >= 1, got {batch}")
+    check({"batch": batch}, MODEL_OPTIONAL)
     if batch == 1:
         return dag
     new_nodes = []

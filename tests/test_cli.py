@@ -197,20 +197,22 @@ class TestCompile:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**TOY_MODEL, "num_layers": True}))
         assert run("compile", "--model", bad, "--hw", hw, "--out-dir", tmp_path / "out") == 2
-        assert "num_layers must be a positive integer, got True" in capsys.readouterr().err
+        assert "num_layers must be an integer in [1, 1024], got True" in capsys.readouterr().err
 
     def test_bool_hw_field_exits_3(self, docs, tmp_path, capsys):
         model, _ = docs
         bad = tmp_path / "badhw.json"
         bad.write_text(json.dumps({**TOY_HW, "num_kernels": True}))
         assert run("compile", "--model", model, "--hw", bad, "--out-dir", tmp_path / "out") == 3
-        assert "num_kernels must be a positive integer, got True" in capsys.readouterr().err
+        assert ("num_kernels must be an integer in [1, 2147483647], got True"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag, preset, field, value, code, message", [
         ("--model", "deit_tiny.json", "mlp_ratio", "4", 2,
-         "error: [model] mlp_ratio must be a positive finite number, got '4'"),
+         "error: [model] mlp_ratio must be a number in (0, 2147483647), got '4'"),
         ("--hw", "vu9p.json", "resource_budget", [1], 3,
-         "error: [hardware] resource_budget must be an object of integers, got [1]"),
+         "error: [hardware] resource_budget must be an object of integers in "
+         "[0, 2147483647] or null, got [1]"),
     ], ids=["string-mlp-ratio", "list-resource-budget"])
     def test_mistyped_preset_field_exits_with_its_stage(self, tmp_path, capsys, flag, preset,
                                                         field, value, code, message):
@@ -454,15 +456,17 @@ class TestEmit:
         (board_manifest(pn=100), "pn 100 not < tm/pm"),
         (board_manifest(tm=1608), "tm 1608 not a multiple of pm 16"),
         (board_manifest(pm=8), "pm 8 != floor(AXI/(2*DW)) = 16"),
-        (board_manifest(pn=1.5), "tile parameters must be integers"),
-        (board_manifest(pn=True), "tile parameters must be integers"),
+        (board_manifest(pn=1.5), "pn must be an integer in [1, 2147483647], got 1.5"),
+        (board_manifest(pn=True), "pn must be an integer in [1, 2147483647], got True"),
         (without(board_manifest(), "tiles"), "'tiles' must be a JSON object"),
         (without(board_manifest(), "hardware"), "'hardware' must be a JSON object"),
         (board_manifest({"resource_budget": None}), "unknown fields ['resource_budget']"),
-        (board_manifest({"frequency_hz": "2e8"}), "frequency_hz must be a positive"),
+        (board_manifest({"frequency_hz": "2e8"}),
+         "frequency_hz must be a number in (0, 1000000000000), got '2e8'"),
         ([board_manifest()], "manifest must be a JSON object"),
-        (board_manifest({"data_width_bits": 0}), "data_width_bits must be a positive"),
-        (b"\xff\xfe", "cannot read manifest"),
+        (board_manifest({"data_width_bits": 0}),
+         "data_width_bits must be an integer in [1, 2147483647], got 0"),
+        (b"\xff\xfe", "manifest.json: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["tile-over-capacity", "pn-bound", "tm-not-multiple", "pm-not-pack-factor",
             "float-pn", "bool-pn", "no-tiles", "no-hardware", "unknown-field",
             "string-frequency", "json-list", "zero-data-width", "not-utf8"])
