@@ -20,6 +20,8 @@ peak, time ``pareto_front`` on that log followed by a shuffled copy of it
 flagged as cache hits (every third copy at half its latency; the front must
 stay the log's), and ``compare_searches`` on deit-tiny's exhaustive and
 default heuristic search, the two logs of ``vitmap search --mode both``.
+The ``heuristic_search (deit-tiny)`` line times that default heuristic
+search itself, with its tracemalloc peak and the rows it logs.
 vitmap is imported from ``src/`` of this checkout.
 
     python3 benchmarks/bench_kernels.py [--points N] [--repeat K]
@@ -151,6 +153,8 @@ def bench_outputs(repeat, rng):
                 evaluations_to_csv(result, fh)
 
         for name, fn, rows in (
+                ("heuristic_search", lambda: heuristic_search(dag, hw, space, SearchConfig()),
+                 len(heur.all_evaluated)),
                 ("pareto_front", lambda: pareto_front(log), len(log)),
                 ("evaluations_to_csv", export, len(log)),
                 ("pareto_front x2", lambda: pareto_front(doubled), len(doubled)),

@@ -19,7 +19,8 @@ number. That is the rational ``graph_latency`` sums node by node, so one
 correctly rounded division gives its float bit for bit. ``latency_batch``
 computes ``N`` once per distinct ``(tn, tm)`` and divides once per point;
 ``exact_search`` scores ``N`` column by column through the same routines,
-and ``pair_numerators`` gives the search log's writer ``N`` for each
+``column_numerators`` gives the heuristic search one column of ``N`` per
+tm, and ``pair_numerators`` gives the search log's writer ``N`` for each
 distinct ``(tn, tm)`` of a block, so the log stores ``N`` and ``D`` as
 integers instead of the float. ``row_codes`` packs a log's tile columns
 into one int64 per row, by which the Pareto front and the search
@@ -125,6 +126,26 @@ def weighted_columns(arrays: DagCostArrays, tm, tn_max: int) -> np.ndarray:
 def padded_rows(arrays: DagCostArrays, tn, dtype) -> np.ndarray:
     """``R[i, c] = R_c(tn_i)`` in ``dtype``, the dtype of ``weighted_columns``."""
     return _padded(arrays.cls_n, tn).astype(dtype, copy=False)
+
+
+def column_numerators(arrays: DagCostArrays, tm, tn: np.ndarray, counts) -> list[np.ndarray]:
+    """One column per ``tm[j]``: ``N(tn[i], tm[j])`` for ``i < counts[j]``.
+
+    ``tn`` is an ascending positive int64 array and every count is at least
+    1. The columns share the dtype of ``weighted_columns``. Rows are padded
+    ``_BLOCK`` elements at a time and shared by every column, so no
+    temporary grows with ``tn`` and each column costs one product per block.
+    """
+    longest = max(counts)
+    weighted = weighted_columns(arrays, tm, int(tn[longest - 1]))
+    columns = [np.empty(count, dtype=weighted.dtype) for count in counts]
+    step = max(1, _BLOCK // weighted.shape[1])
+    for lo in range(0, longest, step):
+        rows = padded_rows(arrays, tn[lo:lo + step], weighted.dtype)
+        for column, w, count in zip(columns, weighted, counts):
+            if count > lo:
+                column[lo:lo + step] = rows[:count - lo] @ w
+    return columns
 
 
 def divide(arrays: DagCostArrays, numerators: np.ndarray, pn: np.ndarray) -> np.ndarray:

@@ -54,6 +54,13 @@ def build_gelu_pieces(fmt: FixedFormat, knots=DEFAULT_GELU_KNOTS):
     if len(knots) < 2 or any(b - a < 1 for a, b in zip(knots, knots[1:])):
         raise SchemaError("gelu knots must be at least two strictly increasing integers")
     one = fmt.one
+    # The first piece starts one below the format's minimum, below the first knot.
+    if knots[0] * one < fmt.min_int:
+        lo, hi = fmt.min_int / one, fmt.max_int / one
+        which = "the default gelu knots" if knots == DEFAULT_GELU_KNOTS else "gelu knots"
+        outside = ", ".join(str(k) for k in knots if not lo <= k <= hi)
+        raise SchemaError(f"{fmt.name} holds [{lo:g}, {hi:g}]: {which} {outside} fall "
+                          f"outside it (the first knot must be at least {lo:g})")
     ys = [int(fmt.quantize(float(exact_gelu(k)))) for k in knots]
     # Propagate rounded slopes so each piece lands exactly on the next knot.
     px = [fmt.min_int - 1, knots[0] * one]

@@ -19,8 +19,13 @@ Three searches share one feasible space:
   mode) runs an elitist population search: random feasible seeding,
   latency ranking, preservation of the best configurations, and neighbor
   mutations biased toward pn and tm moves, then line sweeps around the
-  elites. A cache makes each distinct configuration cost at most one
-  scorer call.
+  elites. Its draws come from one ``random.Random`` seeded by the config.
+  It works on int codes of range positions, so a move or a sweep is index
+  arithmetic, and a cache makes each distinct configuration cost one read
+  of its tm's column of numerators ``N(tn, tm)``. A column is built the
+  first time its tm is scored; together the columns hold at most
+  ``(S/pm)(1 + ln |tm_range|)`` entries, and the full tn × tm grid is
+  never built.
 
 Every search scores through the exact integer cost scorer in ``_latency``,
 so each latency it reports equals ``graph_latency``'s bit for bit. Every
@@ -52,8 +57,9 @@ import io
 import json
 import math
 import operator
+import random
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Iterator, Optional, TextIO
@@ -62,6 +68,7 @@ import numpy as np
 
 from ._latency import (
     DagCostArrays,
+    column_numerators,
     divide,
     extract_cost_arrays,
     latency_batch,
@@ -75,6 +82,9 @@ from .hw import HardwareSpec, TileParams
 from .model_ir import Dag
 
 _MUTATION_RETRIES = 10
+# A space of at most this many index triples codes its points (``_Sampler``)
+# in int64; a larger one, which needs S/pm above 2^21, keeps Python ints.
+_INT64_CODES = 2**63
 # Running sums of the mutation weights: pn 0.35, tm 0.35, tn 0.15 and a fresh
 # random draw 0.15.
 _MUTATION_CUM_WEIGHTS = (0.35, 0.7, 0.85)
@@ -292,43 +302,76 @@ class SearchResult:
 
 
 class _Evaluator:
-    """Budgeted scorer with a memo keyed by (pn, tn, tm) and a row log.
+    """Budgeted scorer of point codes (see ``_Sampler``) with a memo and a row log.
 
-    ``cache`` holds one latency per distinct point, in scoring order, and
-    counts the evaluations made. ``rows`` logs every answered request as
-    ``(pn, tn, tm, latency, from_cache)``; a repeat of a point already logged
-    is a cache hit.
+    ``cache`` holds one latency per scored code, in scoring order, and counts
+    the evaluations made. ``rows`` logs the code of every answered request;
+    a code's first row is its scoring and its later rows are cache hits.
+    A tm's numerators ``N(tn, tm)`` over its feasible tn are one column,
+    built the first time a point of that tm is scored, so scoring a point
+    reads one entry and each ``evaluate`` call divides once.
     """
 
-    def __init__(self, arrays: DagCostArrays, budget: Optional[int]):
+    def __init__(self, arrays: DagCostArrays, sampler: "_Sampler", budget: Optional[int]):
         self.arrays = arrays
+        self.sampler = sampler
         self.budget = budget
-        self.cache: dict[tuple[int, int, int], float] = {}
-        self.rows: list[tuple[int, int, int, float, bool]] = []
+        self.cache: dict[int, float] = {}
+        self.rows: list[int] = []
+        self.columns: dict[int, Callable[[int], int]] = {}  # tm position -> column entry
+        self.dtype = np.int64  # object once a column needs Python ints
 
     def exhausted(self) -> bool:
         return self.budget is not None and len(self.cache) >= self.budget
 
-    def evaluate(self, points: Sequence[tuple[int, int, int]]) -> list[Optional[float]]:
+    def evaluate(self, points: Sequence[int]) -> list[Optional[float]]:
         """Latency per point, None where the budget ran out first; logs the rest."""
-        fresh: dict[tuple[int, int, int], None] = {}  # ordered set of new points
+        cache = self.cache
+        room = math.inf if self.budget is None else self.budget - len(cache)
+        fresh: dict[int, None] = {}  # ordered set of new points
         for pt in points:
-            if pt not in self.cache and pt not in fresh and (
-                    self.budget is None or len(self.cache) + len(fresh) < self.budget):
+            if pt not in cache and pt not in fresh:
+                if len(fresh) >= room:
+                    break
                 fresh[pt] = None
         if fresh:
-            pn, tn, tm = (np.array(c, dtype=np.int64) for c in zip(*fresh))
-            self.cache.update(zip(fresh, latency_batch(self.arrays, tn, tm, pn).tolist()))
-        lats = [self.cache.get(pt) for pt in points]
-        for pt, lat in zip(points, lats):
-            if lat is not None:
-                self.rows.append((*pt, lat, pt not in fresh))
-                fresh.pop(pt, None)  # a repeat later in this batch is a cache hit
+            self._score(fresh)
+        lats = [cache.get(pt) for pt in points]
+        self.rows.extend(pt for pt, lat in zip(points, lats) if lat is not None)
         return lats
 
-    def best(self) -> tuple[int, int, int]:
+    def _score(self, points) -> None:
+        s = self.sampler
+        positions = [s.positions(pt) for pt in points]
+        columns = self.columns
+        new = sorted({itm for itm, _, _ in positions if itm not in columns})
+        if new:
+            built = column_numerators(self.arrays, s.tm_values[new], s.tn_values,
+                                      [s.tn_counts[itm] for itm in new])
+            columns.update(zip(new, (column.item for column in built)))
+            if built[0].dtype == object:
+                self.dtype = object
+        numerators = [columns[itm](itn) for itm, itn, _ in positions]
+        lats = divide(self.arrays, np.array(numerators, dtype=self.dtype),
+                      s.pn_values[[ipn for _, _, ipn in positions]])
+        self.cache.update(zip(points, lats.tolist()))
+
+    def best(self) -> int:
         """The first point scored at the lowest latency."""
         return min(self.cache, key=self.cache.__getitem__)
+
+    def log(self) -> EvaluationLog:
+        """``rows`` as tile columns, each code's first row unflagged."""
+        s = self.sampler
+        codes = np.array(self.rows, dtype=s.code_dtype)
+        first = np.zeros(codes.shape[0], dtype=bool)
+        first[np.unique(codes, return_index=True)[1]] = True
+        itm, rest = codes // s.tm_stride, codes % s.tm_stride  # divmod has no object loop
+        itn, ipn = rest // s.tn_stride, rest % s.tn_stride
+        pn, tn, tm = (values[i.astype(np.int64, copy=False)] for values, i in (
+            (s.pn_values, ipn), (s.tn_values, itn), (s.tm_values, itm)))
+        lats = np.fromiter(map(self.cache.__getitem__, self.rows), np.float64, codes.shape[0])
+        return EvaluationLog(pn, s.space.pm, tn, tm, lats, ~first)
 
 
 def exhaustive_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult:
@@ -416,70 +459,106 @@ def exact_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult
 
 
 class _Sampler:
-    """Uniform feasible sampling: tm first, then pn and tn conditioned on it."""
+    """Index tables of a search space and its uniform feasible draws.
+
+    A point is one int code ``itm·tm_stride + itn·tn_stride + ipn`` of its
+    positions in ``tm_range``, ``tn_range`` and ``pn_range``, so a pn step
+    adds ±1, a tn step ±``tn_stride``, and a line along pn or tn is a
+    ``range`` of codes. The tm at position ``itm`` admits the first
+    ``pn_counts[itm]`` pn and the first ``tn_counts[itm]`` tn of their
+    ranges; ``feasible`` lists the positions of the tms that admit both. A
+    draw picks tm first, then pn and tn conditioned on it.
+    """
 
     def __init__(self, space: SearchSpace):
         self.space = space
-        self.feasible_tms = space.feasible_tms()
-        if not self.feasible_tms:
+        self.pn_values = np.asarray(space.pn_range, dtype=np.int64)
+        self.tn_values = np.asarray(space.tn_range, dtype=np.int64)
+        self.tm_values = np.asarray(space.tm_range, dtype=np.int64)
+        self.pn_counts = [space.pn_count(tm) for tm in space.tm_range]
+        self.tn_counts = [space.tn_count(tm) for tm in space.tm_range]
+        self.feasible = [j for j, (npn, ntn) in enumerate(zip(self.pn_counts, self.tn_counts))
+                         if npn > 0 and ntn > 0]
+        if not self.feasible:
             raise EmptySearchSpaceError("no feasible tm candidates")
+        self.tn_stride = len(space.pn_range)
+        self.tm_stride = self.tn_stride * len(space.tn_range)
+        codes = self.tm_stride * len(space.tm_range)
+        self.code_dtype = np.int64 if codes <= _INT64_CODES else object
 
-    def draw(self, rng: np.random.Generator) -> tuple[int, int, int]:
-        tm = self.feasible_tms[int(rng.integers(len(self.feasible_tms)))]
-        pn = self.space.pn_range[int(rng.integers(self.space.pn_count(tm)))]
-        tn = self.space.tn_range[int(rng.integers(self.space.tn_count(tm)))]
-        return (pn, tn, tm)
+    def draw(self, rng: random.Random) -> int:
+        itm = self.feasible[rng.randrange(len(self.feasible))]
+        ipn = rng.randrange(self.pn_counts[itm])
+        itn = rng.randrange(self.tn_counts[itm])
+        return self.code(itm, itn, ipn)
+
+    def code(self, itm: int, itn: int, ipn: int) -> int:
+        return itm * self.tm_stride + itn * self.tn_stride + ipn
+
+    def positions(self, code: int) -> tuple[int, int, int]:
+        """``(itm, itn, ipn)`` of a code."""
+        itm, rest = divmod(code, self.tm_stride)
+        return (itm, *divmod(rest, self.tn_stride))
+
+    def point(self, code: int) -> tuple[int, int, int]:
+        """The (pn, tn, tm) values of a code."""
+        itm, itn, ipn = self.positions(code)
+        return self.space.pn_range[ipn], self.space.tn_range[itn], self.space.tm_range[itm]
 
 
-def _mutate(space: SearchSpace, sampler: _Sampler, parent: tuple[int, int, int],
-            rng: np.random.Generator) -> tuple[int, int, int]:
+def _mutate(sampler: _Sampler, parent: int, rng: random.Random) -> int:
     """Step one parameter to a neighboring feasible candidate; resample on dead ends.
 
     A tm step clamps pn to the new tm's bound. A step that leaves the
     feasible space is retried.
     """
+    s = sampler
+    itm, itn, ipn = s.positions(parent)
     c_pn, c_tm, c_tn = _MUTATION_CUM_WEIGHTS
     for _ in range(_MUTATION_RETRIES):
         r = rng.random()
         step = -1 if rng.random() < 0.5 else 1
-        pn, tn, tm = parent
         if r < c_pn:
-            idx = bisect.bisect_left(space.pn_range, pn) + step
-            if 0 <= idx < space.pn_count(tm):
-                return (space.pn_range[idx], tn, tm)
+            if 0 <= ipn + step < s.pn_counts[itm]:
+                return parent + step
         elif r < c_tm:
-            idx = bisect.bisect_left(space.tm_range, tm) + step
-            if not 0 <= idx < len(space.tm_range):
-                continue
-            new_tm = space.tm_range[idx]
-            if space.pn_count(new_tm) > 0 and tn * new_tm <= space.capacity:
-                return (min(pn, space.max_pn_for_tm(new_tm)), tn, new_tm)
+            j = itm + step
+            # tn·tm <= S holds exactly when tn is among the first tn_counts of its range.
+            if 0 <= j < len(s.pn_counts) and s.pn_counts[j] > 0 and itn < s.tn_counts[j]:
+                return s.code(j, itn, min(ipn, s.pn_counts[j] - 1))
         elif r < c_tn:
-            idx = bisect.bisect_left(space.tn_range, tn) + step
-            if 0 <= idx < space.tn_count(tm):
-                return (pn, space.tn_range[idx], tm)
+            if 0 <= itn + step < s.tn_counts[itm]:
+                return parent + step * s.tn_stride
         else:
-            return sampler.draw(rng)
-    return sampler.draw(rng)
+            return s.draw(rng)
+    return s.draw(rng)
 
 
 def heuristic_search(dag: Dag, hw: HardwareSpec, space: SearchSpace,
                      cfg: SearchConfig) -> SearchResult:
     """Elitist population search, then line sweeps around its elites.
 
-    Deterministic for a fixed seed: every random draw comes from one
-    generator, and evaluation batching never influences the draw sequence.
-    ``history`` holds the best latency after the initial population, after
-    each iteration and, last, after the line sweeps.
+    Deterministic for a fixed seed: every random draw is a ``random()`` or
+    ``randrange(n)`` of one ``random.Random(cfg.seed)``, and evaluation
+    batching never influences the draw sequence. ``history`` holds the best
+    latency after the initial population, after each iteration and, last,
+    after the line sweeps.
+
+    Points are int codes of range positions (``_Sampler``), and the moves
+    and sweeps are index arithmetic on them. A point is scored from its
+    tm's column of numerators ``N(tn, tm)``, built once when the tm is
+    first scored; the full tn × tm grid is never built. The columns hold at
+    most ``Σ_tm min(|tn_range|, S // tm) <= (S/pm)(1 + ln |tm_range|)``
+    entries (under 4 MB on vu9p for any model).
     """
     start = time.perf_counter()
     sampler = _Sampler(space)
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     main_budget = cfg.max_evaluations
     if cfg.max_evaluations is not None:
         # Reserve part of the budget for the line-sweep refinement phase.
         main_budget = max(cfg.set_size, (cfg.max_evaluations * 3) // 5)
-    ev = _Evaluator(extract_cost_arrays(dag, hw), main_budget)
+    ev = _Evaluator(extract_cost_arrays(dag, hw), sampler, main_budget)
 
     # The budget covers at least one population, so the first one is fully
     # scored, and every later one holds the scored elites.
@@ -492,7 +571,7 @@ def heuristic_search(dag: Dag, hw: HardwareSpec, space: SearchSpace,
             break
         elites = [population[i] for _, i in ranked[: cfg.preservation_size]]
         offspring = [
-            _mutate(space, sampler, elites[int(rng.integers(len(elites)))], rng)
+            _mutate(sampler, elites[rng.randrange(len(elites))], rng)
             for _ in range(cfg.set_size - len(elites))
         ]
         population = elites + offspring
@@ -500,25 +579,25 @@ def heuristic_search(dag: Dag, hw: HardwareSpec, space: SearchSpace,
         history.append(min(history[-1], ranked[0][0]))
 
     ev.budget = cfg.max_evaluations
-    _refine(space, ev, [population[i] for _, i in ranked[: cfg.preservation_size]])
+    _refine(ev, [population[i] for _, i in ranked[: cfg.preservation_size]])
     # Second round around whatever the first sweeps uncovered.
-    _refine(space, ev, [ev.best()])
+    _refine(ev, [ev.best()])
 
     best = ev.best()
     history.append(ev.cache[best])
-    pn, tn, tm, lat, hit = zip(*ev.rows)
+    pn, tn, tm = sampler.point(best)
     return SearchResult(
-        best=Evaluation(TileParams(best[0], space.pm, best[1], best[2]), ev.cache[best]),
+        best=Evaluation(TileParams(pn, space.pm, tn, tm), ev.cache[best]),
         evaluations_used=len(ev.cache),
         history=tuple(history),
-        all_evaluated=EvaluationLog(pn, space.pm, tn, tm, lat, hit),
+        all_evaluated=ev.log(),
         wall_time_s=time.perf_counter() - start,
         space=space,
         arrays=ev.arrays,
     )
 
 
-def _refine(space: SearchSpace, ev: _Evaluator, elites) -> None:
+def _refine(ev: _Evaluator, elites: Sequence[int]) -> None:
     """Line sweeps along each parameter axis around the elite tiles.
 
     Per elite, in rank order: every feasible pn for its (tn, tm); every tm
@@ -526,22 +605,26 @@ def _refine(space: SearchSpace, ev: _Evaluator, elites) -> None:
     mutation rarely visits); every tn for its (pn, tm). Deterministic order,
     budget-guarded by the evaluator, deduplicated across elites.
     """
-    done_pn_lines: set[tuple[int, int]] = set()
-    done_tm_lines: set[int] = set()
-    done_tn_lines: set[tuple[int, int]] = set()
-    for pn, tn, tm in elites:
+    s = ev.sampler
+    done_pn_lines: set[int] = set()  # codes of (tn, tm) with the first pn
+    done_tm_lines: set[int] = set()  # tn positions
+    done_tn_lines: set[int] = set()  # codes of (pn, tm) with the first tn
+    for code in elites:
         if ev.exhausted():
             return
-        if (tn, tm) not in done_pn_lines:
-            done_pn_lines.add((tn, tm))
-            ev.evaluate([(p, tn, tm) for p in space.pn_range[: space.pn_count(tm)]])
-        if tn not in done_tm_lines and not ev.exhausted():
-            done_tm_lines.add(tn)
-            ev.evaluate([(space.pn_range[space.pn_count(t) - 1], tn, t)
-                         for t in space.feasible_tms() if tn * t <= space.capacity])
-        if (pn, tm) not in done_tn_lines and not ev.exhausted():
-            done_tn_lines.add((pn, tm))
-            ev.evaluate([(pn, t, tm) for t in space.tn_range[: space.tn_count(tm)]])
+        itm, itn, ipn = s.positions(code)
+        line = code - ipn
+        if line not in done_pn_lines:
+            done_pn_lines.add(line)
+            ev.evaluate(range(line, line + s.pn_counts[itm]))
+        if itn not in done_tm_lines and not ev.exhausted():
+            done_tm_lines.add(itn)
+            ev.evaluate([s.code(j, itn, s.pn_counts[j] - 1)
+                         for j in s.feasible if itn < s.tn_counts[j]])
+        line = code - itn * s.tn_stride
+        if line not in done_tn_lines and not ev.exhausted():
+            done_tn_lines.add(line)
+            ev.evaluate(range(line, line + s.tn_counts[itm] * s.tn_stride, s.tn_stride))
 
 
 @dataclass(frozen=True)

@@ -219,13 +219,24 @@ _small_caps = st.builds(
     tm_step=st.integers(1, 2))
 
 
-def preset_dag(name, batch=1):
-    def doc(file):
-        return json.loads(resources.files("vitmap.presets").joinpath(file).read_text())
+def preset_doc(file):
+    return json.loads(resources.files("vitmap.presets").joinpath(file).read_text())
 
-    hw = parse_hardware(doc("vu9p.json"))
-    dag = build_dag(parse_model(doc(name.replace("-", "_") + ".json")))
+
+def preset_dag(name, batch=1):
+    hw = parse_hardware(preset_doc("vu9p.json"))
+    dag = build_dag(parse_model(preset_doc(name.replace("-", "_") + ".json")))
     return batch_expand(fuse_qkv(dag, hw), batch), hw
+
+
+def peak_bytes(fn):
+    """tracemalloc's peak over one call of ``fn``; it counts numpy's buffers too."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEnumerateSpace:
@@ -510,6 +521,82 @@ class TestHeuristicSearch:
                            max_evaluations=120)
         result = heuristic_search(dag, hw, space, cfg)
         assert result.evaluations_used <= 120
+
+    @settings(max_examples=150)
+    @given(small_models_and_boards(), st.data())
+    def test_logged_rows_are_sound(self, model_and_board, data):
+        dag, hw = model_and_board
+        try:
+            space = enumerate_space(dag, hw, data.draw(_small_caps))
+        except EmptySearchSpaceError:
+            assume(False)
+        set_size = data.draw(st.integers(2, 12), label="set_size")
+        budget = data.draw(st.none() | st.integers(set_size, 4 * set_size), label="budget")
+        cfg = SearchConfig(set_size=set_size, iterations=data.draw(st.integers(0, 5)),
+                           preservation_size=data.draw(st.integers(1, set_size - 1)),
+                           seed=data.draw(st.integers(0, 2**63 - 1)), max_evaluations=budget)
+        result = heuristic_search(dag, hw, space, cfg)
+        log = result.all_evaluated
+        for e in log:
+            assert validate_tiles(e.tiles, hw).ok
+        assert np.array_equal(_latency.latency_batch(result.arrays, log.tn, log.tm, log.pn),
+                              log.latency)
+        # A point's first row scored it; its repeats are cache hits.
+        seen = set()
+        for point, hit in zip(zip(log.pn.tolist(), log.tn.tolist(), log.tm.tolist()),
+                              log.from_cache.tolist()):
+            assert hit == (point in seen)
+            seen.add(point)
+        assert result.evaluations_used == len(seen)
+        assert budget is None or result.evaluations_used <= budget
+        again = heuristic_search(dag, hw, space, cfg)
+        assert dataclasses.replace(again, wall_time_s=result.wall_time_s) == result
+
+    def test_python_int_fallbacks_give_same_result(self, toy_space, monkeypatch):
+        # Object numerators and object point codes score and log the same.
+        dag, hw, space = toy_space
+        cfg = SearchConfig(seed=6, set_size=20, iterations=6, preservation_size=4)
+        fast = heuristic_search(dag, hw, space, cfg)
+        monkeypatch.setattr(_latency, "_INT64_MAX", 1)
+        monkeypatch.setattr(dse, "_INT64_CODES", 1)
+        slow = heuristic_search(dag, hw, space, cfg)
+        assert dataclasses.replace(slow, wall_time_s=fast.wall_time_s) == fast
+
+    def test_numerators_beyond_int64_stay_exact(self):
+        # k * R * C is about 2^67: the columns hold Python ints.
+        dag = single_matmul_dag(n=2 ** 20 + 1, k=2 ** 26, m=2 ** 21 + 3)
+        hw = toy_hw(onchip_capacity_elems=64)
+        space = enumerate_space(dag, hw)
+        result = heuristic_search(dag, hw, space, SearchConfig(
+            seed=2, set_size=8, iterations=3, preservation_size=2))
+        log = result.all_evaluated
+        oracle = dict(fraction_oracle(dag, hw, space))
+        assert [float(oracle[p] / Fraction(hw.frequency_hz)) for p in zip(
+            log.pn.tolist(), log.tn.tolist(), log.tm.tolist())] == log.latency.tolist()
+
+    def test_wide_model_builds_columns_not_grid(self):
+        # On vu9p, a 65,536-token model with a 65,536-wide MLP has a tn × tm
+        # grid of N above 1 GB. Its columns hold at most (S/pm)(1 + ln |tm|)
+        # entries, about 2.9 MB here; a small-budget search stays below that.
+        hw = parse_hardware(preset_doc("vu9p.json"))
+        spec = parse_model({**preset_doc("deit_tiny.json"), "embed_dim": 64, "num_heads": 1,
+                            "num_layers": 1, "num_tokens": 2**16, "mlp_ratio": 1024.0})
+        dag = build_dag(spec)
+        space = enumerate_space(dag, hw)
+        assert 8 * len(space.tn_range) * len(space.tm_range) > 2**30
+        bound = 8 * (space.capacity // space.pm) * (1 + math.log(len(space.tm_range)))
+        cfg = SearchConfig(set_size=20, iterations=5, preservation_size=4, seed=1,
+                           max_evaluations=200)
+        assert peak_bytes(lambda: heuristic_search(dag, hw, space, cfg)) < bound
+        result = heuristic_search(dag, hw, space, cfg)
+        assert result.evaluations_used == 200
+        # The longest column, 20,352 entries, is built a block of rows at a
+        # time: no temporary grows with it.
+        tm = space.feasible_tms()[0]
+        count = space.tn_count(tm)
+        tn = np.asarray(space.tn_range, dtype=np.int64)
+        assert peak_bytes(lambda: _latency.column_numerators(
+            result.arrays, [tm], tn, [count])) < 8 * count + 2**20
 
 
 class TestSearchConfig:
@@ -918,12 +1005,7 @@ class TestOutputMemory:
 
     @staticmethod
     def _peak_mb(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1] / 2 ** 20
-        finally:
-            tracemalloc.stop()
+        return peak_bytes(fn) / 2 ** 20
 
     def test_csv_export_peak_is_bounded_by_a_block(self, tiny_exhaustive, tmp_path):
         path = tmp_path / "evals.csv"

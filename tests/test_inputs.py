@@ -122,6 +122,8 @@ REGRESSIONS = {
     "approx-isqrt-table-2**70": (APPROX, approx(isqrt_table_size=2**70), 7),
     "approx-recip-table-2**16": (APPROX, approx(recip_table_size=2**16), 7),
     "approx-refine-2**70": (APPROX, approx(recip_refine=2**70), 7),
+    "approx-format-q1.15": (APPROX, approx(format="Q1.15"), 7),
+    "approx-format-q2.0": (APPROX, approx(format="Q2.0"), 7),
     "search-set-size-2**70": (SEARCH + ["--search-config", "{doc}"], {"set_size": 2**70}, 4),
     "search-iterations-2**70": (SEARCH + ["--search-config", "{doc}"], {"iterations": 2**70}, 4),
     "compile-tn-step-0": (COMPILE + ["--tn-step", "0"], None, 4),
@@ -148,6 +150,15 @@ def test_messages_name_the_field_and_value(tmp_path):
     argv, doc, _ = REGRESSIONS["model-unknown-key"]
     assert run(argv, {"doc": doc}, tmp_path)[1] == (
         "error: [model] model document: missing fields [], unknown fields ['depth']\n")
+    # A format too narrow for the default GELU knots names them, not the pieces.
+    argv, doc, _ = REGRESSIONS["approx-format-q1.15"]
+    assert run(argv, {"doc": doc}, tmp_path)[1] == (
+        "error: [approx] Q1.15 holds [-1, 0.999969]: the default gelu knots -4, -3, -2, 1, 2, "
+        "3, 4 fall outside it (the first knot must be at least -1)\n")
+    argv, doc, _ = REGRESSIONS["approx-format-q2.0"]
+    assert run(argv, {"doc": doc}, tmp_path)[1] == (
+        "error: [approx] Q2.0 holds [-2, 1]: the default gelu knots -4, -3, 2, 3, 4 fall "
+        "outside it (the first knot must be at least -2)\n")
 
 
 def search_one(model="deit-tiny", hw="vu9p"):
