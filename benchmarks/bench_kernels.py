@@ -218,7 +218,7 @@ def main():
         t_heur, heur = best_of(lambda: heuristic_search(dag, hw, space, SearchConfig()),
                                args.repeat)
         print(f"{f'search (deit-base b{batch})':<28}  exact: {t_exact * 1e3:9.3f} ms "
-              f"({exact.evaluations_used} (tn, tm) pairs)  heuristic: {t_heur * 1e3:9.3f} ms "
+              f"({exact.evaluations_used} pairs scored)  heuristic: {t_heur * 1e3:9.3f} ms "
               f"({heur.evaluations_used} evaluations)  same tiles: "
               f"{exact.best.tiles == heur.best.tiles}")
 

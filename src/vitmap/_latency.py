@@ -18,13 +18,13 @@ the padded extents and ``w_c = count·k·kernel_factor·kernels`` is a whole
 number. That is the rational ``graph_latency`` sums node by node, so one
 correctly rounded division gives its float bit for bit. ``latency_batch``
 computes ``N`` once per distinct ``(tn, tm)`` and divides once per point;
-``exact_search`` scores ``N`` column by column through the same routines,
-``column_numerators`` gives the heuristic search one column of ``N`` per
-tm, and ``pair_numerators`` gives the search log's writer ``N`` for each
-distinct ``(tn, tm)`` of a block, so the log stores ``N`` and ``D`` as
-integers instead of the float. ``row_codes`` packs a log's tile columns
-into one int64 per row, by which the Pareto front and the search
-comparison tell configurations apart.
+``numerator_blocks`` computes ``N`` a block of tn rows at a time, one
+product per block, for ``exact_search`` and for ``column_numerators``, the
+heuristic's one column of ``N`` per tm; ``pair_numerators`` gives the search
+log's writer ``N`` for each distinct ``(tn, tm)`` of a block, so the log
+stores ``N`` and ``D`` as integers instead of the float. ``row_codes``
+packs a log's tile columns into one int64 per row, by which the Pareto
+front and the search comparison tell configurations apart.
 ``benchmarks/bench_kernels.py`` times the scorer on deit-base.
 """
 
@@ -128,24 +128,45 @@ def padded_rows(arrays: DagCostArrays, tn, dtype) -> np.ndarray:
     return _padded(arrays.cls_n, tn).astype(dtype, copy=False)
 
 
+def numerator_blocks(arrays: DagCostArrays, weighted: np.ndarray, tn, counts: np.ndarray,
+                     max_elems: int, rows: int):
+    """``N(tn[lo + i], tm_j)`` for the rows ``j`` of ``weighted``, one product per block.
+
+    Yields ``(lo, open, block, valid)``: ``block[r, i]`` is for ``j = open[r]``,
+    one of the ``j`` with ``counts[j] > lo``, valid where ``lo + i < counts[j]
+    <= len(tn)``; ``tn`` ascends. Blocks start at ``rows`` rows and double while
+    the product and the padded rows (one per distinct ``n``) fit ``max_elems``
+    and at most half the open columns end inside. Lowering ``counts`` between
+    blocks ends a column early.
+    """
+    extents, cls = np.unique(arrays.cls_n, return_inverse=True)
+    weighted = weighted @ (cls[:, None] == np.arange(extents.size)).astype(weighted.dtype)
+    lo = 0
+    while (open_ := np.flatnonzero(counts > lo)).size:
+        half = int(np.sort(counts[open_])[open_.size // 2]) - lo  # rows left in half the columns
+        rows = max(1, min(rows, half, max_elems // max(extents.size, open_.size)))
+        padded = _padded(extents, tn[lo:lo + rows]).astype(weighted.dtype, copy=False)
+        valid = np.arange(padded.shape[0]) < (counts[open_] - lo)[:, None]
+        yield lo, open_, weighted[open_] @ padded.T, valid
+        lo += padded.shape[0]
+        rows *= 2
+
+
 def column_numerators(arrays: DagCostArrays, tm, tn: np.ndarray, counts) -> list[np.ndarray]:
     """One column per ``tm[j]``: ``N(tn[i], tm[j])`` for ``i < counts[j]``.
 
-    ``tn`` is an ascending positive int64 array and every count is at least
-    1. The columns share the dtype of ``weighted_columns``. Rows are padded
-    ``_BLOCK`` elements at a time and shared by every column, so no
-    temporary grows with ``tn`` and each column costs one product per block.
+    ``tn`` ascends and every count is at least 1. The columns, in the dtype of
+    ``weighted_columns``, are views of one array that ``numerator_blocks``
+    fills ``_BLOCK`` elements at a time: no temporary grows with ``tn``.
     """
-    longest = max(counts)
-    weighted = weighted_columns(arrays, tm, int(tn[longest - 1]))
-    columns = [np.empty(count, dtype=weighted.dtype) for count in counts]
-    step = max(1, _BLOCK // weighted.shape[1])
-    for lo in range(0, longest, step):
-        rows = padded_rows(arrays, tn[lo:lo + step], weighted.dtype)
-        for column, w, count in zip(columns, weighted, counts):
-            if count > lo:
-                column[lo:lo + step] = rows[:count - lo] @ w
-    return columns
+    counts = np.asarray(counts, dtype=np.int64)
+    weighted = weighted_columns(arrays, tm, int(tn[counts.max() - 1]))
+    starts = np.cumsum(counts) - counts
+    flat = np.empty(int(counts.sum()), dtype=weighted.dtype)
+    for lo, open_, block, valid in numerator_blocks(arrays, weighted, tn, counts, _BLOCK, len(tn)):
+        at = (starts[open_] + lo)[:, None] + np.arange(block.shape[1])  # where block[r, i] goes
+        flat[at[valid]] = block[valid]
+    return [flat[a:a + n] for a, n in zip(starts.tolist(), counts.tolist())]
 
 
 def divide(arrays: DagCostArrays, numerators: np.ndarray, pn: np.ndarray) -> np.ndarray:

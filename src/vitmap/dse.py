@@ -7,10 +7,10 @@ Three searches share one feasible space:
   non-linear cycles ``nl`` do not depend on the tiles and the integer
   matmul numerator ``N = Σ_c w_c·R_c(tn)·C_c(tm)`` does not depend on pn.
   Latency therefore strictly decreases in pn at fixed (tn, tm), so every
-  tm's optimum sits at its largest feasible pn, and the search scores
-  |tn|·|tm| pairs instead of |tn|·|tm|·|pn| points. It returns the point
-  ``exhaustive_search`` would return if it compared exact rationals
-  instead of their correctly rounded floats.
+  tm's optimum sits at its largest feasible pn; as padding only adds, a tm's
+  tn scan stops at the bound ``Σ_c w_c·n_c·C_c(tm)``, which tn = 1 meets. It
+  returns the point ``exhaustive_search`` would return if it compared exact
+  rationals instead of their correctly rounded floats.
 * ``exhaustive_search`` scores every feasible (tm, pn, tn) triple in fixed
   loop order (tm outer, pn middle, tn inner) and keeps the first minimum,
   so the first point in loop order wins ties. It is the oracle the other
@@ -72,7 +72,7 @@ from ._latency import (
     divide,
     extract_cost_arrays,
     latency_batch,
-    padded_rows,
+    numerator_blocks,
     pair_numerators,
     row_codes,
     weighted_columns,
@@ -127,10 +127,6 @@ class SearchSpace:
 
     def feasible_size(self) -> int:
         return sum(self.pn_count(tm) * self.tn_count(tm) for tm in self.tm_range)
-
-    def feasible_tms(self) -> list[int]:
-        """The tm candidates with at least one feasible (pn, tn), ascending."""
-        return [tm for tm in self.tm_range if self.pn_count(tm) > 0 and self.tn_count(tm) > 0]
 
     def point_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All feasible points in loop order as (pn, tn, tm) arrays."""
@@ -395,8 +391,7 @@ def exhaustive_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchR
     )
 
 
-# Elements per block of the padded-row matrix R: 64 KiB of int64, so no
-# temporary of the exact search grows with the tn range.
+# Elements per block of the exact search's padded rows and products.
 _BLOCK_ELEMS = 8192
 
 
@@ -404,52 +399,54 @@ def exact_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult
     """Exact optimum over the feasible space with pn pinned at its bound.
 
     Latency strictly decreases in pn at fixed (tn, tm), so each tm's best
-    point uses its largest feasible pn. Each tm column scores every feasible
-    tn with the integer numerator ``N = R @ (C·w)``, a block of tn rows at a
-    time; the column minimum is its first tn. Columns are compared exactly as
-    ``N / (pn·pm·kernels)``, and the first tm wins ties, so the result is the
-    first minimum in the exhaustive loop order (tm, pn, tn) under exact
-    arithmetic. ``all_evaluated`` holds each column's winner in tm order;
-    ``evaluations_used`` counts the (tn, tm) pairs scored.
+    point uses its largest feasible pn. Each tm column scans its tn in order,
+    one product ``N = R @ (C·w)`` per block. Padding only adds, ``R_c(tn) >=
+    n_c``, and weights are non-negative, so ``Σ_c w_c·n_c·C_c(tm)`` bounds a
+    column from below, as it would under any non-negative extra cost term;
+    a column stops once its first minimum meets it, as tn = 1 does. Columns
+    compare exactly as ``N / (pn·pm·kernels)``, the first tm winning ties: the
+    first minimum in loop order (tm, pn, tn). ``all_evaluated`` holds the
+    column winners; ``evaluations_used`` counts the (tn, tm) pairs scored.
     """
     start = time.perf_counter()
     arrays = extract_cost_arrays(dag, hw)
-    tms = space.feasible_tms()
-    if not tms:
+    feasible = [(tm, space.pn_range[npn - 1], ntn) for tm in space.tm_range
+                if (npn := space.pn_count(tm)) and (ntn := space.tn_count(tm))]
+    if not feasible:
         raise EmptySearchSpaceError("search space has no feasible points")
-    tn_counts = [space.tn_count(tm) for tm in tms]
-    tn_values = np.asarray(space.tn_range[:max(tn_counts)], dtype=np.int64)
-    weighted = weighted_columns(arrays, tms, int(tn_values[-1]))
+    tms, pns, counts = zip(*feasible)
+    counts = np.array(counts, dtype=np.int64)
+    weighted = weighted_columns(arrays, tms, space.tn_range[counts.max() - 1])
+    bound = weighted @ arrays.cls_n.astype(weighted.dtype)
 
     # Blocks run in tn order and a block only replaces a column's minimum when
     # strictly lower, so each column keeps its first minimum.
-    column_min: list = [None] * len(tms)  # (numerator, tn index) per tm column
-    block = max(1, _BLOCK_ELEMS // max(1, len(arrays.cls_weight)))
-    for lo in range(0, len(tn_values), block):
-        rows = padded_rows(arrays, tn_values[lo:lo + block], weighted.dtype)
-        for j, count in enumerate(tn_counts):
-            if count <= lo:
-                continue
-            numerators = rows[:count - lo] @ weighted[j]
-            i = int(np.argmin(numerators))
-            low = int(numerators[i])
-            if column_min[j] is None or low < column_min[j][0]:
-                column_min[j] = (low, lo + i)
+    scored = 0
+    for lo, open_, block, valid in numerator_blocks(arrays, weighted, space.tn_range,
+                                                    counts, _BLOCK_ELEMS, 1):
+        scored += int(valid.sum())
+        block = np.where(valid, block, block[:, :1])  # a row's first entry is valid
+        i = block.argmin(axis=1)
+        low = block[np.arange(open_.size), i]
+        if lo == 0:  # every column is open
+            numerators, tn_idx = low, i
+        else:
+            lower = low < numerators[open_]
+            numerators[open_[lower]] = low[lower]
+            tn_idx[open_[lower]] = lo + i[lower]
+        counts[open_[numerators[open_] == bound[open_]]] = 0  # met the bound: closed
 
-    numerators, tn_idx = zip(*column_min)
-    pns = [space.pn_range[space.pn_count(tm) - 1] for tm in tms]
+    latencies = divide(arrays, numerators, np.array(pns, dtype=np.int64)).tolist()
+    numerators = numerators.tolist()
     best = 0
     for j in range(1, len(tms)):
-        # N/pn < N'/pn' by cross-multiplication (pm·kernels is common); a tie
-        # keeps the earlier tm.
+        # N/pn < N'/pn' by cross-multiplication (pm·kernels is common); ties keep the first.
         if numerators[j] * pns[best] < numerators[best] * pns[j]:
             best = j
-    latencies = divide(arrays, np.array(numerators, dtype=weighted.dtype),
-                       np.array(pns, dtype=np.int64)).tolist()
-    tns = [space.tn_range[i] for i in tn_idx]
+    tns = [space.tn_range[i] for i in tn_idx.tolist()]
     return SearchResult(
         best=Evaluation(TileParams(pns[best], space.pm, tns[best], tms[best]), latencies[best]),
-        evaluations_used=sum(tn_counts),
+        evaluations_used=scored,
         history=(latencies[best],),
         all_evaluated=EvaluationLog(pns, space.pm, tns, tms, latencies, False),
         wall_time_s=time.perf_counter() - start,

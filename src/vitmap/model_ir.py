@@ -142,8 +142,8 @@ class Dag:
             for src in node.inputs:
                 if src not in by_id:
                     raise SchemaError(f"node {node.id}: unknown input {src!r}")
-        # Raises on cycles.
-        topo_schedule(self)
+        # Raises on cycles; ``analyze`` reads the order back.
+        object.__setattr__(self, "_order", topo_schedule(self))
         _check_shapes(self)
 
     def node(self, node_id: str) -> OpNode:
@@ -155,7 +155,7 @@ class Dag:
 
 def _check_shapes(dag: Dag) -> None:
     """Every edge must connect a producer output to a matching consumer slot."""
-    by_id = {n.id: n for n in dag.nodes}
+    by_id = dag._by_id
     for node in dag.nodes:
         ins = [by_id[i].out_shape for i in node.inputs]
         if node.kind is OpKind.MATMUL:
@@ -365,7 +365,7 @@ def analyze(dag: Dag) -> AnalysisReport:
         for n in dag.matmuls()
     )
     depth: dict[str, int] = {}
-    for node_id in topo_schedule(dag):
+    for node_id in dag._order:
         node = dag.node(node_id)
         depth[node_id] = 1 + max((depth[i] for i in node.inputs), default=0)
     return AnalysisReport(

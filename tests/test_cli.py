@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,54 @@ def test_non_utf8_input_exits_with_its_stage(docs, tmp_path, capsys, stage, code
     assert run(*(a.format(**paths) for a in argv), "--out-dir", out) == code
     assert capsys.readouterr().err.startswith(f"error: [{stage}] cannot read {bad}")
     assert not out.exists()
+
+
+class TestParser:
+    # Good calls and usage errors, in an order where a cached parser could
+    # leak state: a flag given once (--no-fuse, --batch) must not persist,
+    # and a usage error must not disturb the next call.
+    CALLS = [
+        ["compile", "--model", "deit-tiny", "--hw", "vu9p", "--no-fuse", "--batch", "2"],
+        ["search", "--model", "deit-tiny", "--hw", "vu9p", "--mode", "exhaustive",
+         "--set-size", "5"],
+        ["compile", "--model", "deit-tiny", "--hw", "vu9p", "--tm-cap", "256"],
+        ["compile", "--model", "deit-tiny"],
+        ["approx-report", "--samples", "64", "--format", "Q4.4"],
+        ["search", "--model", "deit-tiny", "--hw", "vu9p", "--mode", "heuristic",
+         "--tn-cap", "8", "--tm-cap", "128"],
+        ["schedule", "--model", "deit-tiny", "--hw", "vu9p"],
+    ]
+    CODES = [0, 2, 0, 2, 0, 0, 0]
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for i, argv in enumerate(self.CALLS):
+            results = []
+            for where in ("here", "fresh"):
+                out = tmp_path / where / str(i)
+                args = [*argv, "--out-dir", str(out)]
+                if where == "here":
+                    try:
+                        code = main(args)
+                    except SystemExit as exc:  # usage errors exit through argparse
+                        code = exc.code
+                    text = capsys.readouterr()
+                    stdout, stderr = text.out, text.err
+                else:
+                    proc = subprocess.run(
+                        [sys.executable, "-c", "import sys; from vitmap.cli import main; "
+                                               "sys.exit(main(sys.argv[1:]))", *args],
+                        capture_output=True, text=True, env=env, check=False)
+                    code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+                files = {p.relative_to(out): p.read_bytes()
+                         for p in sorted(out.rglob("*")) if p.is_file()}
+                results.append((code, stdout, stderr, files))
+            assert results[0] == results[1], argv
+            assert results[0][0] == self.CODES[i]
 
 
 class TestCompile:

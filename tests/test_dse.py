@@ -199,6 +199,11 @@ def padded_work(terms, tn, tm):
     return sum(c * (-(-n // tn) * tn) * (-(-m // tm) * tm) for c, n, m in terms)
 
 
+def feasible_tms(space):
+    """The tm candidates with at least one feasible (pn, tn), ascending."""
+    return [tm for tm in space.tm_range if space.pn_count(tm) > 0 and space.tn_count(tm) > 0]
+
+
 def fraction_oracle(dag, hw, space):
     """Exact cycles of every feasible (pn, tn, tm) triple, in exhaustive loop order.
 
@@ -217,6 +222,14 @@ _small_caps = st.builds(
     tn_max=st.none() | st.integers(1, 16), tm_max=st.none() | st.integers(1, 64),
     pn_max=st.none() | st.integers(1, 16), tn_step=st.integers(1, 2),
     tm_step=st.integers(1, 2))
+
+
+# One matmul whose row count may share divisors with a tn range: its columns
+# can meet their padding-free bound past the first tn.
+_single_matmuls = st.builds(
+    lambda n, k, m, capacity: (single_matmul_dag(n, k, m),
+                               toy_hw(onchip_capacity_elems=capacity)),
+    st.integers(1, 48), st.integers(1, 8), st.integers(1, 64), st.integers(16, 512))
 
 
 def preset_doc(file):
@@ -337,7 +350,50 @@ class TestExactSearch:
         assert result.best.latency_s == graph_latency(dag, result.best.tiles, hw).total_latency_s
         feasible_tms = set(space.point_arrays()[2].tolist())
         assert len(result.all_evaluated) == len(feasible_tms)
-        assert result.evaluations_used == sum(map(space.tn_count, feasible_tms))
+        # tn = 1 pads nothing, so each column meets its padding-free bound on
+        # its first row and scores one pair.
+        assert result.evaluations_used == len(feasible_tms)
+
+    @settings(max_examples=200)
+    @given(small_models_and_boards() | _single_matmuls, st.sets(st.integers(2, 24), max_size=8),
+           st.booleans(), st.sampled_from([1, 16, 8192]), st.booleans())
+    def test_hand_built_tn_ranges_match_fraction_oracle(self, model_and_board, tns, with_one,
+                                                         block_elems, python_ints):
+        dag, hw = model_and_board
+        try:
+            base = enumerate_space(dag, hw)
+        except EmptySearchSpaceError:
+            assume(False)
+        tn_range = tuple(sorted(tns | {1} if with_one else tns))
+        space = dse.SearchSpace(tn_range, base.tm_range, base.pn_range, base.pm, base.capacity)
+        tms = feasible_tms(space)
+        assume(tms)
+        # Without tn = 1 a column may stay open over several blocks; an int64
+        # bound of 1 scores every numerator in Python ints.
+        with mock.patch.object(dse, "_BLOCK_ELEMS", block_elems), \
+                mock.patch.object(_latency, "_INT64_MAX", 1 if python_ints else _latency._INT64_MAX):
+            result = exact_search(dag, hw, space)
+        oracle = fraction_oracle(dag, hw, space)
+        (pn, tn, tm), cycles = min(oracle, key=lambda point: point[1])
+        assert result.best.tiles == TileParams(pn, space.pm, tn, tm)
+        assert result.best.latency_s == float(cycles / Fraction(hw.frequency_hz))
+        # Each column's winner is the first minimum of its tn at its largest pn.
+        top_pn = {tm: space.pn_range[space.pn_count(tm) - 1] for tm in tms}
+        assert result.all_evaluated.tn.tolist() == [
+            min(((p, c) for p, c in oracle if p[2] == tm and p[0] == top_pn[tm]),
+                key=lambda point: point[1])[0][1]
+            for tm in tms]
+        assert len(tms) <= result.evaluations_used <= sum(map(space.tn_count, tms))
+        if tn_range[0] == 1:
+            assert result.evaluations_used == len(tms)
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_one_pair_per_tm_on_presets(self, batch):
+        dag, hw = preset_dag("deit-base", batch)
+        space = enumerate_space(dag, hw)
+        result = exact_search(dag, hw, space)
+        assert result.evaluations_used == len(feasible_tms(space)) == 191
+        assert result.best.tiles == TileParams(191, space.pm, 1, 3072)
 
     @pytest.mark.parametrize("dims, caps, tied", [
         # tn in {1, 2, 4} pads n=4 to 4: ties within a tm column.
@@ -574,6 +630,28 @@ class TestHeuristicSearch:
         assert [float(oracle[p] / Fraction(hw.frequency_hz)) for p in zip(
             log.pn.tolist(), log.tn.tolist(), log.tm.tolist())] == log.latency.tolist()
 
+    @settings(max_examples=150)
+    @given(small_models_and_boards(), st.lists(st.tuples(st.integers(1, 40), st.integers(1, 99)),
+                                               min_size=1, max_size=12),
+           st.lists(st.integers(1, 5), min_size=40, max_size=40),
+           st.sampled_from([1, 7, 64, 1 << 14]), st.booleans())
+    def test_column_numerators_match_the_formula(self, model_and_board, columns, tn_steps,
+                                                 block, python_ints):
+        # Columns of any lengths, in any order, filled by blocks that end
+        # inside some columns; classes of equal n share a padded row.
+        dag, hw = model_and_board
+        arrays = _latency.extract_cost_arrays(dag, hw)
+        counts, tm = zip(*columns)
+        tn = np.cumsum(tn_steps)
+        with mock.patch.object(_latency, "_BLOCK", block), \
+                mock.patch.object(_latency, "_INT64_MAX", 1 if python_ints else _latency._INT64_MAX):
+            built = _latency.column_numerators(arrays, list(tm), tn, list(counts))
+        classes = list(zip(arrays.cls_n.tolist(), arrays.cls_m.tolist(), arrays.cls_weight))
+        assert [column.tolist() for column in built] == [
+            [sum(w * (-(-n // t) * t) * (-(-m // c) * c) for n, m, w in classes)
+             for t in tn[:count].tolist()]
+            for count, c in columns]
+
     def test_wide_model_builds_columns_not_grid(self):
         # On vu9p, a 65,536-token model with a 65,536-wide MLP has a tn × tm
         # grid of N above 1 GB. Its columns hold at most (S/pm)(1 + ln |tm|)
@@ -592,7 +670,7 @@ class TestHeuristicSearch:
         assert result.evaluations_used == 200
         # The longest column, 20,352 entries, is built a block of rows at a
         # time: no temporary grows with it.
-        tm = space.feasible_tms()[0]
+        tm = feasible_tms(space)[0]
         count = space.tn_count(tm)
         tn = np.asarray(space.tn_range, dtype=np.int64)
         assert peak_bytes(lambda: _latency.column_numerators(
