@@ -16,15 +16,17 @@ and the integer matmul numerator
 where ``R_c(tn) = ceil(n_c/tn)·tn`` and ``C_c(tm) = ceil(m_c/tm)·tm`` are
 the padded extents and ``w_c = count·k·kernel_factor·kernels`` is a whole
 number. That is the rational ``graph_latency`` sums node by node, so one
-correctly rounded division gives its float bit for bit. ``latency_batch``
-computes ``N`` once per distinct ``(tn, tm)`` and divides once per point;
-``numerator_blocks`` computes ``N`` a block of tn rows at a time, one
-product per block, for ``exact_search`` and for ``column_numerators``, the
-heuristic's one column of ``N`` per tm; ``pair_numerators`` gives the search
-log's writer ``N`` for each distinct ``(tn, tm)`` of a block, so the log
-stores ``N`` and ``D`` as integers instead of the float. ``row_codes``
-packs a log's tile columns into one int64 per row, by which the Pareto
-front and the search comparison tell configurations apart.
+correctly rounded division gives its float bit for bit.
+
+``numerator_blocks`` is the one producer of ``N``: one product per block of
+tn rows for all open tm columns. ``exact_search`` takes masked column
+minima from its blocks; ``column_numerators`` fills columns of ``N`` from
+them, which the heuristic reads one per tm, ``latency_batch`` reads as the
+grid of its distinct tn × distinct tm, and ``pair_numerators`` reads, each
+column only up to its largest tn, for the distinct ``(tn, tm)`` of a search
+log's block, so the log stores ``N`` and ``D`` as integers instead of the
+float. ``row_codes`` packs a log's tile columns into one int64 per row, by
+which the Pareto front and the search comparison tell configurations apart.
 ``benchmarks/bench_kernels.py`` times the scorer on deit-base.
 """
 
@@ -46,8 +48,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 # Integers below 2^53 are exact float64s, and one float64 division of two
 # of them is the correctly rounded quotient of the integers.
 _FLOAT_EXACT = 1 << 53
-# Points per block of the gather and division in ``latency_batch``: it caps
-# the temporaries at a few MB however many points are scored.
+# Points per block of the gather and division in ``latency_batch``, and
+# elements per block of ``column_numerators``: it caps the temporaries at a
+# few MB however many points are scored.
 _BLOCK = 1 << 14
 
 
@@ -110,7 +113,7 @@ def _padded(extents: np.ndarray, tiles) -> np.ndarray:
 
 
 def weighted_columns(arrays: DagCostArrays, tm, tn_max: int) -> np.ndarray:
-    """``W[j, c] = w_c·C_c(tm_j)``, so that ``padded_rows(tn) @ W[j]`` is ``N(tn, tm_j)``.
+    """``W[j, c] = w_c·C_c(tm_j)``, so that ``Σ_c R_c(tn)·W[j, c]`` is ``N(tn, tm_j)``.
 
     The dtype is int64 when no product or partial sum of those numerators
     for ``tn <= tn_max`` can exceed it, else object (Python ints).
@@ -121,11 +124,6 @@ def weighted_columns(arrays: DagCostArrays, tm, tn_max: int) -> np.ndarray:
         arrays.cls_weight, arrays.cls_n.tolist(), cols.max(axis=0, initial=0).tolist()))
     dtype = np.int64 if bound <= _INT64_MAX else object
     return cols.astype(dtype) * np.array(arrays.cls_weight, dtype=dtype)
-
-
-def padded_rows(arrays: DagCostArrays, tn, dtype) -> np.ndarray:
-    """``R[i, c] = R_c(tn_i)`` in ``dtype``, the dtype of ``weighted_columns``."""
-    return _padded(arrays.cls_n, tn).astype(dtype, copy=False)
 
 
 def numerator_blocks(arrays: DagCostArrays, weighted: np.ndarray, tn, counts: np.ndarray,
@@ -152,12 +150,14 @@ def numerator_blocks(arrays: DagCostArrays, weighted: np.ndarray, tn, counts: np
         rows *= 2
 
 
-def column_numerators(arrays: DagCostArrays, tm, tn: np.ndarray, counts) -> list[np.ndarray]:
-    """One column per ``tm[j]``: ``N(tn[i], tm[j])`` for ``i < counts[j]``.
+def column_numerators(arrays: DagCostArrays, tm, tn: np.ndarray,
+                      counts) -> tuple[np.ndarray, np.ndarray]:
+    """``N(tn[i], tm[j])`` for ``i < counts[j]``, one column per ``tm[j]`` in one array.
 
-    ``tn`` ascends and every count is at least 1. The columns, in the dtype of
-    ``weighted_columns``, are views of one array that ``numerator_blocks``
-    fills ``_BLOCK`` elements at a time: no temporary grows with ``tn``.
+    Returns ``(flat, starts)`` with ``flat[starts[j] + i] = N(tn[i], tm[j])``,
+    in the dtype of ``weighted_columns``. ``tn`` ascends and every count is
+    at least 1. ``numerator_blocks`` fills ``flat`` ``_BLOCK`` elements at a
+    time: no temporary grows with ``tn``.
     """
     counts = np.asarray(counts, dtype=np.int64)
     weighted = weighted_columns(arrays, tm, int(tn[counts.max() - 1]))
@@ -166,7 +166,7 @@ def column_numerators(arrays: DagCostArrays, tm, tn: np.ndarray, counts) -> list
     for lo, open_, block, valid in numerator_blocks(arrays, weighted, tn, counts, _BLOCK, len(tn)):
         at = (starts[open_] + lo)[:, None] + np.arange(block.shape[1])  # where block[r, i] goes
         flat[at[valid]] = block[valid]
-    return [flat[a:a + n] for a, n in zip(starts.tolist(), counts.tolist())]
+    return flat, starts
 
 
 def divide(arrays: DagCostArrays, numerators: np.ndarray, pn: np.ndarray) -> np.ndarray:
@@ -250,16 +250,18 @@ def pair_numerators(arrays: DagCostArrays, tn: np.ndarray, tm: np.ndarray):
 
     Returns ``(tn_u, tm_u, numerators, pair)``: element ``i`` of the inputs
     is the pair ``(tn_u[pair[i]], tm_u[pair[i]])``, and ``numerators[j]`` is
-    ``N(tn_u[j], tm_u[j])``, in the dtype of ``weighted_columns``.
+    ``N(tn_u[j], tm_u[j])``, in the dtype of ``weighted_columns``. Each
+    distinct tm's column runs up to its largest distinct tn, so a feasible
+    log's columns hold at most ``(S/pm)(1 + ln |tm|)`` entries.
     """
     (tns, tn_pos), (tms, tm_pos) = _distinct(tn), _distinct(tm)
     code = tm_pos(tm) * tns.size + tn_pos(tn)
     codes, code_pos = _distinct(code)
     tm_idx, tn_idx = np.divmod(codes, tns.size)
-    tn_u, tm_u = tns[tn_idx], tms[tm_idx]
-    weighted = weighted_columns(arrays, tm_u, int(tns[-1]))
-    numerators = (padded_rows(arrays, tn_u, weighted.dtype) * weighted).sum(axis=1)
-    return tn_u, tm_u, numerators, code_pos(code)
+    # Codes ascend, so each tm's last pair holds its largest tn position.
+    last = np.append(tm_idx[1:] != tm_idx[:-1], True)
+    flat, starts = column_numerators(arrays, tms, tns, tn_idx[last] + 1)
+    return tns[tn_idx], tms[tm_idx], flat[starts[tm_idx] + tn_idx], code_pos(code)
 
 
 def latency_batch(arrays: DagCostArrays, tn, tm, pn) -> np.ndarray:
@@ -275,10 +277,9 @@ def latency_batch(arrays: DagCostArrays, tn, tm, pn) -> np.ndarray:
     if out.size == 0:
         return out
     (tns, tn_pos), (tms, tm_pos) = _distinct(tn), _distinct(tm)
-    weighted = weighted_columns(arrays, tms, int(tns[-1]))
-    grid = padded_rows(arrays, tns, weighted.dtype) @ weighted.T  # N(tns[i], tms[j])
+    grid, starts = column_numerators(arrays, tms, tns, np.full(tms.size, tns.size))
     for lo in range(0, out.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        numerators = grid[tn_pos(tn[block]), tm_pos(tm[block])]
+        numerators = grid[starts[tm_pos(tm[block])] + tn_pos(tn[block])]
         out[block] = divide(arrays, numerators, pn[block])
     return out

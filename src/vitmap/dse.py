@@ -1,6 +1,10 @@
 """Design-space exploration over tile parameters.
 
-Three searches share one feasible space:
+Three searches share one feasible space and one cost model. The space
+tabulates, once, how many pn and how many tn each tm admits
+(``SearchSpace.feasible_counts``); every search and the space's own size
+and point listing read that table. Every numerator ``N(tn, tm)`` comes from
+one product per block of tn rows, ``_latency.numerator_blocks``.
 
 * ``exact_search`` (the default of ``vitmap compile``) uses the cost
   model's structure. Latency is ``nl + N(tn, tm) / (pn·pm·kernels)``: the
@@ -22,10 +26,10 @@ Three searches share one feasible space:
   elites. Its draws come from one ``random.Random`` seeded by the config.
   It works on int codes of range positions, so a move or a sweep is index
   arithmetic, and a cache makes each distinct configuration cost one read
-  of its tm's column of numerators ``N(tn, tm)``. A column is built the
-  first time its tm is scored; together the columns hold at most
-  ``(S/pm)(1 + ln |tm_range|)`` entries, and the full tn × tm grid is
-  never built.
+  of its tm's column of numerators ``N(tn, tm)``. The columns of all tms
+  first scored together are built by one ``column_numerators`` call;
+  together they hold at most ``(S/pm)(1 + ln |tm_range|)`` entries, and
+  the full tn × tm grid is never built.
 
 Every search scores through the exact integer cost scorer in ``_latency``,
 so each latency it reports equals ``graph_latency``'s bit for bit. Every
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import io
 import json
 import math
@@ -106,7 +111,13 @@ class SpaceCaps:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Candidate ranges; triples are additionally filtered by feasibility."""
+    """Candidate ranges; triples are additionally filtered by feasibility.
+
+    The ranges ascend, so the tm at position ``j`` of ``tm_range`` admits the
+    first ``pn_counts[j]`` pn (those with pn·pm < tm) and the first
+    ``tn_counts[j]`` tn (those with tn·tm <= capacity) of their ranges:
+    ``feasible_counts`` is that table, built once per space.
+    """
 
     tn_range: tuple[int, ...]
     tm_range: tuple[int, ...]
@@ -114,35 +125,26 @@ class SearchSpace:
     pm: int
     capacity: int
 
-    def max_pn_for_tm(self, tm: int) -> int:
-        return (tm // self.pm) - 1
-
-    def pn_count(self, tm: int) -> int:
-        """Candidates in pn_range with pn * pm < tm (pn_range is ascending)."""
-        return bisect.bisect_right(self.pn_range, self.max_pn_for_tm(tm))
-
-    def tn_count(self, tm: int) -> int:
-        """Candidates in tn_range with tn * tm <= capacity."""
-        return bisect.bisect_right(self.tn_range, self.capacity // tm)
+    @functools.cached_property
+    def feasible_counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(pn_counts, tn_counts)``, one entry per tm, by bisection."""
+        return (tuple(bisect.bisect_right(self.pn_range, tm // self.pm - 1)
+                      for tm in self.tm_range),
+                tuple(bisect.bisect_right(self.tn_range, self.capacity // tm)
+                      for tm in self.tm_range))
 
     def feasible_size(self) -> int:
-        return sum(self.pn_count(tm) * self.tn_count(tm) for tm in self.tm_range)
+        return sum(map(operator.mul, *self.feasible_counts))
 
     def point_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All feasible points in loop order as (pn, tn, tm) arrays."""
-        pns, tns, tms = [], [], []
         tn_arr = np.asarray(self.tn_range, dtype=np.int64)
         pn_arr = np.asarray(self.pn_range, dtype=np.int64)
-        for tm in self.tm_range:
-            npn = self.pn_count(tm)
-            ntn = self.tn_count(tm)
-            if npn == 0 or ntn == 0:
-                continue
+        pns, tns, tms = [pn_arr[:0]], [tn_arr[:0]], [np.empty(0, np.int64)]  # empty when no point
+        for tm, npn, ntn in zip(self.tm_range, *self.feasible_counts):
             pns.append(np.repeat(pn_arr[:npn], ntn))
             tns.append(np.tile(tn_arr[:ntn], npn))
             tms.append(np.full(npn * ntn, tm, dtype=np.int64))
-        if not pns:
-            return (np.empty(0, np.int64),) * 3
         return np.concatenate(pns), np.concatenate(tns), np.concatenate(tms)
 
 
@@ -342,10 +344,11 @@ class _Evaluator:
         columns = self.columns
         new = sorted({itm for itm, _, _ in positions if itm not in columns})
         if new:
-            built = column_numerators(self.arrays, s.tm_values[new], s.tn_values,
-                                      [s.tn_counts[itm] for itm in new])
-            columns.update(zip(new, (column.item for column in built)))
-            if built[0].dtype == object:
+            counts = [s.tn_counts[itm] for itm in new]
+            flat, starts = column_numerators(self.arrays, s.tm_values[new], s.tn_values, counts)
+            columns.update((itm, flat[a:a + n].item)
+                           for itm, a, n in zip(new, starts.tolist(), counts))
+            if flat.dtype == object:
                 self.dtype = object
         numerators = [columns[itm](itn) for itm, itn, _ in positions]
         lats = divide(self.arrays, np.array(numerators, dtype=self.dtype),
@@ -399,19 +402,21 @@ def exact_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult
     """Exact optimum over the feasible space with pn pinned at its bound.
 
     Latency strictly decreases in pn at fixed (tn, tm), so each tm's best
-    point uses its largest feasible pn. Each tm column scans its tn in order,
-    one product ``N = R @ (C·w)`` per block. Padding only adds, ``R_c(tn) >=
-    n_c``, and weights are non-negative, so ``Σ_c w_c·n_c·C_c(tm)`` bounds a
-    column from below, as it would under any non-negative extra cost term;
-    a column stops once its first minimum meets it, as tn = 1 does. Columns
-    compare exactly as ``N / (pn·pm·kernels)``, the first tm winning ties: the
-    first minimum in loop order (tm, pn, tn). ``all_evaluated`` holds the
-    column winners; ``evaluations_used`` counts the (tn, tm) pairs scored.
+    point uses its largest feasible pn; the space's table gives each tm
+    that pn and its tn count. All tm columns scan their tn in order through
+    ``numerator_blocks``, one product per block of tn rows, and take masked
+    column minima. Padding only adds, ``R_c(tn) >= n_c``, and weights are
+    non-negative, so ``Σ_c w_c·n_c·C_c(tm)`` bounds a column from below, as
+    it would under any non-negative extra cost term; a column stops once
+    its first minimum meets it, as tn = 1 does. Columns compare exactly as
+    ``N / (pn·pm·kernels)``, the first tm winning ties: the first minimum in
+    loop order (tm, pn, tn). ``all_evaluated`` holds the column winners;
+    ``evaluations_used`` counts the (tn, tm) pairs scored.
     """
     start = time.perf_counter()
     arrays = extract_cost_arrays(dag, hw)
-    feasible = [(tm, space.pn_range[npn - 1], ntn) for tm in space.tm_range
-                if (npn := space.pn_count(tm)) and (ntn := space.tn_count(tm))]
+    feasible = [(tm, space.pn_range[npn - 1], ntn)
+                for tm, npn, ntn in zip(space.tm_range, *space.feasible_counts) if npn and ntn]
     if not feasible:
         raise EmptySearchSpaceError("search space has no feasible points")
     tms, pns, counts = zip(*feasible)
@@ -461,10 +466,11 @@ class _Sampler:
     A point is one int code ``itm·tm_stride + itn·tn_stride + ipn`` of its
     positions in ``tm_range``, ``tn_range`` and ``pn_range``, so a pn step
     adds ±1, a tn step ±``tn_stride``, and a line along pn or tn is a
-    ``range`` of codes. The tm at position ``itm`` admits the first
-    ``pn_counts[itm]`` pn and the first ``tn_counts[itm]`` tn of their
-    ranges; ``feasible`` lists the positions of the tms that admit both. A
-    draw picks tm first, then pn and tn conditioned on it.
+    ``range`` of codes. ``pn_counts`` and ``tn_counts`` are the space's
+    table (``SearchSpace.feasible_counts``): the tm at position ``itm``
+    admits the first ``pn_counts[itm]`` pn and the first ``tn_counts[itm]``
+    tn of their ranges. ``feasible`` lists the positions of the tms that
+    admit both. A draw picks tm first, then pn and tn conditioned on it.
     """
 
     def __init__(self, space: SearchSpace):
@@ -472,10 +478,9 @@ class _Sampler:
         self.pn_values = np.asarray(space.pn_range, dtype=np.int64)
         self.tn_values = np.asarray(space.tn_range, dtype=np.int64)
         self.tm_values = np.asarray(space.tm_range, dtype=np.int64)
-        self.pn_counts = [space.pn_count(tm) for tm in space.tm_range]
-        self.tn_counts = [space.tn_count(tm) for tm in space.tm_range]
-        self.feasible = [j for j, (npn, ntn) in enumerate(zip(self.pn_counts, self.tn_counts))
-                         if npn > 0 and ntn > 0]
+        self.pn_counts, self.tn_counts = space.feasible_counts
+        self.feasible = [j for j, (npn, ntn) in enumerate(zip(*space.feasible_counts))
+                         if npn and ntn]
         if not self.feasible:
             raise EmptySearchSpaceError("no feasible tm candidates")
         self.tn_stride = len(space.pn_range)
@@ -520,7 +525,7 @@ def _mutate(sampler: _Sampler, parent: int, rng: random.Random) -> int:
                 return parent + step
         elif r < c_tm:
             j = itm + step
-            # tn·tm <= S holds exactly when tn is among the first tn_counts of its range.
+            # The table's tn count at the new tm says whether tn·tm <= S still holds.
             if 0 <= j < len(s.pn_counts) and s.pn_counts[j] > 0 and itn < s.tn_counts[j]:
                 return s.code(j, itn, min(ipn, s.pn_counts[j] - 1))
         elif r < c_tn:

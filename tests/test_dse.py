@@ -199,9 +199,14 @@ def padded_work(terms, tn, tm):
     return sum(c * (-(-n // tn) * tn) * (-(-m // tm) * tm) for c, n, m in terms)
 
 
+def tm_counts(space):
+    """tm -> (its pn count, its tn count), from the space's feasibility table."""
+    return dict(zip(space.tm_range, zip(*space.feasible_counts)))
+
+
 def feasible_tms(space):
     """The tm candidates with at least one feasible (pn, tn), ascending."""
-    return [tm for tm in space.tm_range if space.pn_count(tm) > 0 and space.tn_count(tm) > 0]
+    return [tm for tm, (npn, ntn) in tm_counts(space).items() if npn > 0 and ntn > 0]
 
 
 def fraction_oracle(dag, hw, space):
@@ -240,6 +245,22 @@ def preset_dag(name, batch=1):
     hw = parse_hardware(preset_doc("vu9p.json"))
     dag = build_dag(parse_model(preset_doc(name.replace("-", "_") + ".json")))
     return batch_expand(fuse_qkv(dag, hw), batch), hw
+
+
+def wide_model():
+    """A 65,536-token model with a 65,536-wide MLP on vu9p, its space, and
+    the column bound ``8·(S/pm)(1 + ln |tm_range|)`` in bytes (about 2.9 MB)."""
+    hw = parse_hardware(preset_doc("vu9p.json"))
+    spec = parse_model({**preset_doc("deit_tiny.json"), "embed_dim": 64, "num_heads": 1,
+                        "num_layers": 1, "num_tokens": 2**16, "mlp_ratio": 1024.0})
+    dag = build_dag(spec)
+    space = enumerate_space(dag, hw)
+    return dag, hw, space, 8 * (space.capacity // space.pm) * (1 + math.log(len(space.tm_range)))
+
+
+# The budgeted search of the wide-model memory tests.
+_WIDE_CFG = SearchConfig(set_size=20, iterations=5, preservation_size=4, seed=1,
+                         max_evaluations=200)
 
 
 def peak_bytes(fn):
@@ -378,12 +399,13 @@ class TestExactSearch:
         assert result.best.tiles == TileParams(pn, space.pm, tn, tm)
         assert result.best.latency_s == float(cycles / Fraction(hw.frequency_hz))
         # Each column's winner is the first minimum of its tn at its largest pn.
-        top_pn = {tm: space.pn_range[space.pn_count(tm) - 1] for tm in tms}
+        counts = tm_counts(space)
+        top_pn = {tm: space.pn_range[counts[tm][0] - 1] for tm in tms}
         assert result.all_evaluated.tn.tolist() == [
             min(((p, c) for p, c in oracle if p[2] == tm and p[0] == top_pn[tm]),
                 key=lambda point: point[1])[0][1]
             for tm in tms]
-        assert len(tms) <= result.evaluations_used <= sum(map(space.tn_count, tms))
+        assert len(tms) <= result.evaluations_used <= sum(counts[tm][1] for tm in tms)
         if tn_range[0] == 1:
             assert result.evaluations_used == len(tms)
 
@@ -442,8 +464,9 @@ class TestExactSearch:
         dag, hw = preset_dag("deit-tiny")
         space = enumerate_space(dag, hw)
         log = exact_search(dag, hw, space).all_evaluated
-        assert log.tm.tolist() == [tm for tm in space.tm_range if space.pn_count(tm) > 0]
-        assert log.pn.tolist() == [space.pn_range[space.pn_count(tm) - 1]
+        counts = tm_counts(space)
+        assert log.tm.tolist() == [tm for tm in space.tm_range if counts[tm][0] > 0]
+        assert log.pn.tolist() == [space.pn_range[counts[tm][0] - 1]
                                    for tm in log.tm.tolist()]
         assert not log.from_cache.any()
 
@@ -645,7 +668,8 @@ class TestHeuristicSearch:
         tn = np.cumsum(tn_steps)
         with mock.patch.object(_latency, "_BLOCK", block), \
                 mock.patch.object(_latency, "_INT64_MAX", 1 if python_ints else _latency._INT64_MAX):
-            built = _latency.column_numerators(arrays, list(tm), tn, list(counts))
+            flat, starts = _latency.column_numerators(arrays, list(tm), tn, list(counts))
+        built = np.split(flat, starts[1:])
         classes = list(zip(arrays.cls_n.tolist(), arrays.cls_m.tolist(), arrays.cls_weight))
         assert [column.tolist() for column in built] == [
             [sum(w * (-(-n // t) * t) * (-(-m // c) * c) for n, m, w in classes)
@@ -656,22 +680,15 @@ class TestHeuristicSearch:
         # On vu9p, a 65,536-token model with a 65,536-wide MLP has a tn × tm
         # grid of N above 1 GB. Its columns hold at most (S/pm)(1 + ln |tm|)
         # entries, about 2.9 MB here; a small-budget search stays below that.
-        hw = parse_hardware(preset_doc("vu9p.json"))
-        spec = parse_model({**preset_doc("deit_tiny.json"), "embed_dim": 64, "num_heads": 1,
-                            "num_layers": 1, "num_tokens": 2**16, "mlp_ratio": 1024.0})
-        dag = build_dag(spec)
-        space = enumerate_space(dag, hw)
+        dag, hw, space, bound = wide_model()
         assert 8 * len(space.tn_range) * len(space.tm_range) > 2**30
-        bound = 8 * (space.capacity // space.pm) * (1 + math.log(len(space.tm_range)))
-        cfg = SearchConfig(set_size=20, iterations=5, preservation_size=4, seed=1,
-                           max_evaluations=200)
-        assert peak_bytes(lambda: heuristic_search(dag, hw, space, cfg)) < bound
-        result = heuristic_search(dag, hw, space, cfg)
+        assert peak_bytes(lambda: heuristic_search(dag, hw, space, _WIDE_CFG)) < bound
+        result = heuristic_search(dag, hw, space, _WIDE_CFG)
         assert result.evaluations_used == 200
         # The longest column, 20,352 entries, is built a block of rows at a
         # time: no temporary grows with it.
         tm = feasible_tms(space)[0]
-        count = space.tn_count(tm)
+        count = tm_counts(space)[tm][1]
         tn = np.asarray(space.tn_range, dtype=np.int64)
         assert peak_bytes(lambda: _latency.column_numerators(
             result.arrays, [tm], tn, [count])) < 8 * count + 2**20
@@ -959,6 +976,45 @@ class TestCsvExport:
         text = _csv_text(result)
         assert max(int(row.split(",")[4]) for row in text.splitlines()[1:]) > 2 ** 63
         self.check_against_reference(text, result, dag, hw)
+
+    @settings(max_examples=150)
+    @given(small_models_and_boards(),
+           st.lists(st.tuples(st.integers(1, 40) | st.integers(1, 2**20),
+                              st.integers(1, 99) | st.integers(1, 2**20)), min_size=1, max_size=12),
+           st.data(), st.sampled_from([1, 7, 1 << 14]), st.booleans())
+    def test_pair_numerators_match_the_formula(self, model_and_board, distinct, data, block,
+                                               python_ints):
+        # Pairs repeat and come in any order; dense and sparse values take
+        # both ways of finding the distinct ones.
+        dag, hw = model_and_board
+        arrays = _latency.extract_cost_arrays(dag, hw)
+        pairs = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+        tn, tm = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+        with mock.patch.object(_latency, "_BLOCK", block), \
+                mock.patch.object(_latency, "_INT64_MAX", 1 if python_ints else _latency._INT64_MAX):
+            tn_u, tm_u, numerators, pair = _latency.pair_numerators(arrays, tn, tm)
+        assert list(zip(tn_u[pair].tolist(), tm_u[pair].tolist())) == pairs
+        assert len(set(zip(tn_u.tolist(), tm_u.tolist()))) == len(tn_u) == len(numerators)
+        classes = list(zip(arrays.cls_n.tolist(), arrays.cls_m.tolist(), arrays.cls_weight))
+        assert numerators[pair].tolist() == [
+            sum(w * (-(-n // t) * t) * (-(-m // c) * c) for n, m, w in classes) for t, c in pairs]
+
+    def test_wide_model_pairs_build_columns_not_grid(self):
+        # A tm's column of numerators runs only up to its largest tn, so a
+        # feasible log's columns stay under the column bound however wide
+        # the grid of its distinct tn × distinct tm.
+        dag, hw, space, bound = wide_model()
+        result = heuristic_search(dag, hw, space, _WIDE_CFG)
+        assert peak_bytes(lambda: evaluations_to_csv(result, io.StringIO())) < bound
+        # Four elites' line sweeps: one CSV block whose distinct tn ×
+        # distinct tm grid is over five times the bound. Its text alone
+        # exceeds the bound, so the pairs' numerators are measured alone.
+        result = heuristic_search(dag, hw, space, SearchConfig(
+            set_size=5, iterations=0, preservation_size=4, seed=4))
+        tn, tm = result.all_evaluated.tn, result.all_evaluated.tm
+        assert len(tn) <= dse._CSV_BLOCK_ROWS
+        assert 8 * np.unique(tn).size * np.unique(tm).size > 5 * bound
+        assert peak_bytes(lambda: _latency.pair_numerators(result.arrays, tn, tm)) < bound
 
     @staticmethod
     def check_against_reference(text, result, dag, hw):
