@@ -8,7 +8,9 @@ nanoseconds per point; it first checks that a few of its latencies equal
 and isqrt functions on a deit-base layer's shapes (Q8.8) through the
 config's whole-domain tables against their ``_fixmath`` kernels called
 directly, and check the two agree bit for bit; the tables are built in the
-warmup round. The layernorm line times its kernel on the same layer.
+warmup round. The layernorm line times its kernel on the same layer. Each
+of these five lines also gives one call's tracemalloc peak and its ratio to
+the bytes the call returns (1.0x when the output is the only full-size array).
 The search lines time ``exact_search`` against ``heuristic_search`` (default
 config) on deit-base's full space at batch 1 and 64. The output lines take
 deit-tiny's exhaustive log (372,527 evaluations) through ``pareto_front``
@@ -201,15 +203,21 @@ def main():
                   lambda x: _fixmath.isqrt_fixed(x, cfg.isqrt_table, cfg.table_bits,
                                                  cfg.inv_sqrt2_q15, f, fmt.max_int)),
     }
+    def peak_text(fn, out):
+        peak = traced_peak(fn)
+        return f"tracemalloc peak {peak / 2 ** 20:6.1f} MB ({peak / out.nbytes:4.2f}x output)"
+
     for name, (fn, x, direct) in layer.items():
         fn(x, cfg)  # warmup: builds the table
         t_table, table = best_of(lambda: fn(x, cfg), args.repeat)
         t_kernel, kernel = best_of(lambda: direct(x), args.repeat)
         assert np.array_equal(table, kernel), name
         print(f"{f'{name} table {x.shape[0]}x{x.shape[1]}':<28}  table: {t_table * 1e3:9.3f} ms"
-              f"  kernel: {t_kernel * 1e3:9.3f} ms  speedup: {t_kernel / t_table:6.2f}x")
-    t_ln, _ = best_of(lambda: approx.layernorm_approx(ln_in, fmt.one, 0, cfg), args.repeat)
-    print(f"{f'layernorm {ln_in.shape[0]}x{ln_in.shape[1]}':<28}  {t_ln * 1e3:9.3f} ms")
+              f"  kernel: {t_kernel * 1e3:9.3f} ms  speedup: {t_kernel / t_table:6.2f}x  "
+              + peak_text(lambda: fn(x, cfg), table))
+    t_ln, ln_out = best_of(lambda: approx.layernorm_approx(ln_in, fmt.one, 0, cfg), args.repeat)
+    print(f"{f'layernorm {ln_in.shape[0]}x{ln_in.shape[1]}':<28}  {t_ln * 1e3:9.3f} ms  "
+          + peak_text(lambda: approx.layernorm_approx(ln_in, fmt.one, 0, cfg), ln_out))
 
     for batch in (1, 64):
         dag, hw = preset_dag("deit-base", batch)

@@ -6,11 +6,20 @@ resolution of their internal datapath). Scalar inputs come back as scalars.
 Use ``cfg.fmt.quantize`` / ``dequantize`` to cross the float boundary.
 
 The exponential (also inside softmax), GELU and the inverse square root
-are element-wise over a small integer domain, and each has one call path,
-``_elementwise``: it gathers from a whole-domain table of the kernel, kept
-on the config, once it exists (see ``_table``), so the outputs equal the
-kernel's bit for bit; a call with an input outside the table runs the
-kernel itself.
+are element-wise over a small integer domain, and each has one call path:
+it gathers from a whole-domain table of the kernel, kept on the config,
+once it exists (see ``_table``), so the outputs equal the kernel's bit for
+bit; a call with an input outside the table runs the kernel itself.
+
+One buffer per call: a function allocates the array it returns and works
+in place in it. Table offsets become values in the same buffer (the
+exponential's clamp keeps every offset in its table, so it skips the range
+check), and softmax normalizes its exponentials where they are. A caller's
+arrays are never written: an input outside a table reaches the kernel
+unchanged (softmax shifts its buffer back first).
+
+``layernorm_approx`` turns the kernel's int64 headroom check (see
+``_fixmath``) into a ``SchemaError`` naming the format and the row length.
 """
 
 from __future__ import annotations
@@ -40,6 +49,8 @@ def _gelu_direct(x, cfg):
 
 
 def _isqrt_direct(x, cfg):
+    if x.size and x.min() <= 0:
+        raise SchemaError("isqrt_approx requires x > 0")
     return _fixmath.isqrt_fixed(x, cfg.isqrt_table, cfg.table_bits, cfg.inv_sqrt2_q15,
                                 cfg.fmt.frac_bits, cfg.fmt.max_int)
 
@@ -80,21 +91,23 @@ def _table(kind, cfg, n):
     return found
 
 
-def _gather(found, x):
-    """The table ``found`` at ``x``, or None if an input lies outside it."""
-    lo, table = found
-    idx = x - lo
-    # Seen as unsigned, offsets below lo (wrapped or not) exceed the table too.
-    if idx.size and idx.view(np.uint64).max() >= table.shape[0]:
-        return None
-    return table[idx]
+def _elementwise(kind, x, cfg, out=None):
+    """``kind``'s kernel on flat ``x``: a table gather when every input is in it.
 
-
-def _elementwise(kind, flat, cfg):
-    """``kind``'s kernel on ``flat``: a table gather when every input is in it."""
-    found = _table(kind, cfg, flat.size)
-    out = None if found is None else _gather(found, flat)
-    return _DIRECT[kind](flat, cfg) if out is None else out
+    The gather writes into ``out``, a new array when None; ``out`` may be
+    ``x`` itself. The kernel sees the original inputs: a buffer that held the
+    offsets of an input outside the table is shifted back first.
+    """
+    found = _table(kind, cfg, x.size)
+    if found is not None:
+        lo, table = found
+        idx = np.subtract(x, lo, out=out)
+        # Seen as unsigned, offsets below lo (wrapped or not) exceed the table too.
+        if not idx.size or idx.view(np.uint64).max() < table.shape[0]:
+            return table.take(idx, out=idx, mode="clip")
+        if idx is x:
+            np.add(x, lo, out=x)
+    return _DIRECT[kind](x, cfg)
 
 
 def isqrt_approx(x, cfg: ApproxConfig):
@@ -104,8 +117,7 @@ def isqrt_approx(x, cfg: ApproxConfig):
     table resolution (measured by the error harness).
     """
     flat, shape, scalar = _as_flat(x)
-    if np.any(flat <= 0):
-        raise SchemaError("isqrt_approx requires x > 0")
+    # x <= 0 lies outside the table, so the kernel's own check rejects it.
     out = _elementwise("isqrt", flat, cfg)
     return out[0] if scalar else out.reshape(shape)
 
@@ -118,7 +130,14 @@ def pade_exp(x, cfg: ApproxConfig):
     configured domain saturate to its edge. Output has 15 fractional bits.
     """
     flat, shape, scalar = _as_flat(x)
-    out = _elementwise("exp", np.clip(flat, cfg.exp_lo_fixed, 0), cfg)
+    out = np.clip(flat, cfg.exp_lo_fixed, 0)
+    found = _table("exp", cfg, out.size)
+    if found is None:
+        out = _exp_direct(out, cfg)
+    else:
+        # The clip keeps every offset inside the table: no range check.
+        lo, table = found
+        table.take(np.subtract(out, lo, out=out), out=out, mode="clip")
     return out[0] if scalar else out.reshape(shape)
 
 
@@ -136,8 +155,10 @@ def softmax_approx(row, cfg: ApproxConfig):
     # One row per last-axis vector (a scalar is one row of one); a contiguous
     # array reshapes without a copy.
     z = _fixmath.softmax_shift(arr.reshape(-1, arr.shape[-1]), cfg.exp_lo_fixed)
-    # The shifted inputs leave the exp table only if a row's span overflows int64.
-    exps = _elementwise("exp", z.reshape(-1), cfg).reshape(z.shape)
+    # The exponentials replace the shifted inputs in their buffer; the inputs
+    # leave the exp table only if a row's span overflows int64.
+    flat = z.reshape(-1)
+    exps = _elementwise("exp", flat, cfg, out=flat).reshape(z.shape)
     out = _fixmath.softmax_normalize(exps, cfg.recip_table, cfg.recip_bits,
                                      cfg.recip_refine, cfg.renormalize)
     return out.reshape(arr.shape)
@@ -155,6 +176,8 @@ def layernorm_approx(row, gamma, beta, cfg: ApproxConfig):
 
     Mean and variance are integer arithmetic; the scale is
     isqrt_approx(variance + eps); output is gamma * (x - mean) * scale + beta.
+    Rows whose int64 intermediates could overflow in the configured format
+    raise ``SchemaError`` (see ``_fixmath``).
     """
     arr = np.ascontiguousarray(row, dtype=np.int64)
     n = arr.shape[-1]  # ascontiguousarray gives a scalar shape (1,)
@@ -163,10 +186,14 @@ def layernorm_approx(row, gamma, beta, cfg: ApproxConfig):
     gamma = np.broadcast_to(np.asarray(gamma, dtype=np.int64), (n,)).copy()
     beta = np.broadcast_to(np.asarray(beta, dtype=np.int64), (n,)).copy()
     # One row per last-axis vector; a contiguous array reshapes without a copy.
-    out = _fixmath.layernorm_fixed(arr.reshape(-1, n), gamma, beta, cfg.ln_eps,
-                                   cfg.fmt.frac_bits, cfg.isqrt_table,
-                                   cfg.table_bits, cfg.inv_sqrt2_q15,
-                                   cfg.fmt.min_int, cfg.fmt.max_int)
+    try:
+        out = _fixmath.layernorm_fixed(arr.reshape(-1, n), gamma, beta, cfg.ln_eps,
+                                       cfg.fmt.frac_bits, cfg.isqrt_table,
+                                       cfg.table_bits, cfg.inv_sqrt2_q15,
+                                       cfg.fmt.min_int, cfg.fmt.max_int)
+    except OverflowError as exc:
+        raise SchemaError(f"layernorm_approx in {cfg.fmt.name}: {exc}; use a narrower "
+                          "format or smaller inputs") from None
     return out.reshape(arr.shape)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,16 @@ def isqrt_kernel(x, cfg):
     return _fixmath.isqrt_fixed(np.asarray(x, dtype=np.int64), cfg.isqrt_table,
                                 cfg.table_bits, cfg.inv_sqrt2_q15, cfg.fmt.frac_bits,
                                 cfg.fmt.max_int)
+
+
+def layernorm_kernel(rows, cfg):
+    """``layernorm_fixed`` on 2-D rows, gamma one and beta zero."""
+    fmt, n = cfg.fmt, rows.shape[1]
+    return _fixmath.layernorm_fixed(np.asarray(rows, dtype=np.int64),
+                                    np.full(n, fmt.one, dtype=np.int64),
+                                    np.zeros(n, dtype=np.int64), cfg.ln_eps, fmt.frac_bits,
+                                    cfg.isqrt_table, cfg.table_bits, cfg.inv_sqrt2_q15,
+                                    fmt.min_int, fmt.max_int)
 
 
 def gelu_via(x, cfg, kernel):
@@ -303,6 +315,44 @@ class TestLayernorm:
         rows = layernorm_approx(x.reshape(-1, shape[-1]), FMT.one, 0, CFG)
         assert np.array_equal(out, rows.reshape(shape))
         assert np.array_equal(out[1, 2], layernorm_approx(x[1, 2], FMT.one, 0, CFG))
+
+    @pytest.mark.parametrize("name,sigma", [("Q48.15", 1e6), ("Q24.8", 3e6)])
+    def test_rows_overflowing_int64_rejected(self, name, sigma):
+        # Σd² of these rows leaves int64; wrapped, it gives a negative variance
+        # (an IndexError in isqrt) or scales of zero.
+        cfg = ApproxConfig(fmt=FixedFormat.parse(name))
+        row = cfg.fmt.quantize(np.random.default_rng(0).normal(0, sigma, 192))
+        with pytest.raises(SchemaError, match=rf"{name}: .* rows of length 192 leave int64"):
+            layernorm_approx(row, cfg.fmt.one, 0, cfg)
+
+    def test_wide_format_rows_that_fit_equal_golden(self):
+        cfg = ApproxConfig(fmt=FixedFormat.parse("Q48.15"))
+        fmt = cfg.fmt
+        rows = fmt.quantize(np.random.default_rng(4).normal(0, 3.0, (6, 192)))
+        args = (cfg.ln_eps, fmt.frac_bits, cfg.isqrt_table.tolist(), cfg.table_bits,
+                cfg.inv_sqrt2_q15, fmt.min_int, fmt.max_int)
+        want = [golden.layernorm(row, [fmt.one] * 192, [0] * 192, *args)
+                for row in rows.tolist()]
+        assert layernorm_approx(rows, fmt.one, 0, cfg).tolist() == want
+
+    def test_affine_step_overflowing_int64_rejected(self):
+        row = q(np.random.default_rng(5).normal(0, 1, 192))
+        with pytest.raises(SchemaError, match=r"Q8\.8: d·scale·gamma \+ beta on rows of length 192"):
+            layernorm_approx(row, 1 << 55, 0, CFG)
+        # A constant row has d = 0, so the same gamma fits.
+        assert np.all(layernorm_approx(np.full(192, 7), 1 << 55, 3, CFG) == 3)
+
+    def test_narrow_formats_skip_the_row_pass(self, monkeypatch):
+        # Q8.8 and Q4.4 fit int64 on a deit-base row whatever its values, so
+        # only the format's worst case is bounded.
+        calls = []
+        fits = _fixmath._layernorm_fits
+        monkeypatch.setattr(_fixmath, "_layernorm_fits", lambda *a: calls.append(a) or fits(*a))
+        for name in ("Q8.8", "Q4.4"):
+            cfg = ApproxConfig(fmt=FixedFormat.parse(name))
+            rows = np.tile([cfg.fmt.min_int, cfg.fmt.max_int], (197, 384))
+            layernorm_approx(rows, cfg.fmt.max_int, cfg.fmt.min_int, cfg)
+        assert len(calls) == 2
 
 
 class TestErrorReport:
@@ -543,3 +593,59 @@ def test_tables_equal_the_numpy_kernels(case):
             got, ref = fn(arg, cfg), kernel(arg, cfg)
             assert got.dtype == ref.dtype == np.int64
             assert np.array_equal(got, ref)
+
+
+def read_only(values):
+    """An int64 copy of ``values`` that raises on any write."""
+    arr = np.array(values, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+@settings(max_examples=30)
+@given(formats_and_inputs())
+def test_inputs_are_never_written(case):
+    """Read-only inputs, in a table, outside it (the kernel's path) and in a
+    softmax row whose span wraps int64: each call equals its numpy kernel."""
+    cfg, x, pos, rows = case
+    x, pos, rows = map(read_only, (x, pos, rows))
+    ln_rows = rows if rows.shape[1] >= 2 else x[:x.size // 2 * 2].reshape(-1, 2)
+    calls = [
+        (pade_exp, exp_kernel, x),
+        (softmax_approx, softmax_kernel, rows),
+        (gelu_pwl, gelu_kernel, x),
+        (isqrt_approx, isqrt_kernel, pos),
+        (lambda v, c: layernorm_approx(v, c.fmt.one, 0, c), layernorm_kernel, ln_rows),
+        (softmax_approx, softmax_kernel, read_only([[2 ** 62, -2 ** 62 - 1]])),
+    ]
+    for fn, kernel, v in calls:
+        for arg in (v, v[-9:]):
+            got = fn(arg, cfg)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, kernel(arg, cfg))
+
+
+def test_one_buffer_per_call():
+    """On a deit-base layer's shapes (Q8.8, tables built) a call's traced peak
+    is at most 1.1x the bytes it returns: its output is its only full-size array."""
+    cfg = ApproxConfig()
+    rng = np.random.default_rng(0)
+    scores = q(rng.normal(0.0, 2.0, (12 * 197, 197)))
+    ln_in = q(rng.normal(0.0, 1.0, (197, 768)))
+    calls = {
+        "softmax": (softmax_approx, scores),
+        "exp": (pade_exp, np.maximum(scores - scores.max(axis=1, keepdims=True),
+                                     cfg.exp_lo_fixed)),
+        "gelu": (gelu_pwl, q(rng.normal(0.0, 1.5, (197, 3072)))),
+        "isqrt": (isqrt_approx, np.maximum(np.abs(ln_in), 1)),
+        "layernorm": (lambda x, c: layernorm_approx(x, FMT.one, 0, c), ln_in),
+    }
+    for name, (fn, x) in calls.items():
+        fn(x, cfg)  # builds the table
+        tracemalloc.start()
+        try:
+            out = fn(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes, (name, peak / out.nbytes)
