@@ -24,6 +24,10 @@ stay the log's), and ``compare_searches`` on deit-tiny's exhaustive and
 default heuristic search, the two logs of ``vitmap search --mode both``.
 The ``heuristic_search (deit-tiny)`` line times that default heuristic
 search itself, with its tracemalloc peak and the rows it logs.
+The front-end lines time, on deit-base at batch 1 and 64, the DAG build with
+its rewrites (``build_dag``, ``fuse_qkv``, ``batch_expand``), ``analyze``
+and ``graph_latency`` at the exact search's tiles, whose total must equal
+the search's best latency bit for bit.
 vitmap is imported from ``src/`` of this checkout.
 
     python3 benchmarks/bench_kernels.py [--points N] [--repeat K]
@@ -59,7 +63,7 @@ from vitmap.dse import (  # noqa: E402
     pareto_front,
 )
 from vitmap.hw import TileParams, graph_latency, parse_hardware  # noqa: E402
-from vitmap.model_ir import batch_expand, build_dag, fuse_qkv, parse_model  # noqa: E402
+from vitmap.model_ir import analyze, batch_expand, build_dag, fuse_qkv, parse_model  # noqa: E402
 
 
 def best_of(fn, repeat):
@@ -82,11 +86,12 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def preset(name):
+    return json.loads(resources.files("vitmap.presets").joinpath(name).read_text())
+
+
 def preset_dag(model, batch):
     """``model``'s DAG at ``batch`` and the vu9p board."""
-    def preset(name):
-        return json.loads(resources.files("vitmap.presets").joinpath(name).read_text())
-
     hw = parse_hardware(preset("vu9p.json"))
     dag = build_dag(parse_model(preset(model.replace("-", "_") + ".json")))
     return batch_expand(fuse_qkv(dag, hw), batch), hw
@@ -104,6 +109,21 @@ def bench_scorer(count, repeat, rng):
         assert lats[i] == graph_latency(dag, tiles, hw).total_latency_s, tiles
     print(f"{f'latency_batch ({count} pts)':<28}  {t * 1e3:9.3f} ms "
           f"({t * 1e9 / count:.1f} ns/point)")
+
+
+def bench_front_end(repeat):
+    hw = parse_hardware(preset("vu9p.json"))
+    spec = parse_model(preset("deit_base.json"))
+    for batch in (1, 64):
+        t_front, dag = best_of(lambda: batch_expand(fuse_qkv(build_dag(spec), hw), batch),
+                               repeat)
+        t_analyze, _ = best_of(lambda: analyze(dag), repeat)
+        best = exact_search(dag, hw, enumerate_space(dag, hw)).best
+        t_cost, cost = best_of(lambda: graph_latency(dag, best.tiles, hw), repeat)
+        assert cost.total_latency_s == best.latency_s, (batch, best.tiles)
+        print(f"{f'front end (deit-base b{batch})':<28}  build+fuse+expand: "
+              f"{t_front * 1e3:7.3f} ms  analyze: {t_analyze * 1e3:7.3f} ms  "
+              f"graph_latency: {t_cost * 1e3:7.3f} ms  ({len(dag.nodes)} nodes)")
 
 
 def csv_reference(result):
@@ -230,6 +250,7 @@ def main():
               f"({heur.evaluations_used} evaluations)  same tiles: "
               f"{exact.best.tiles == heur.best.tiles}")
 
+    bench_front_end(args.repeat)
     bench_outputs(args.repeat, rng)
 
 

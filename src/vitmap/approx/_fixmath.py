@@ -47,10 +47,22 @@ def _shift_right(out, shift):
     np.negative(shift, out=shift, where=left)
 
 
+def leading_one(x):
+    """Position of the leading one bit of each x >= 1, as int64.
+
+    ``frexp`` of x as a float64 gives it, except that the conversion rounds
+    an x >= 2^53 just below a power of two up to that power, one too high;
+    an integer shift finds and corrects those.
+    """
+    msb = np.frexp(x.astype(np.float64))[1].astype(np.int64)
+    msb -= 1
+    msb -= np.right_shift(x, msb) == 0
+    return msb
+
+
 def isqrt_fixed(x, table, table_bits, inv_sqrt2, frac_bits, max_int):
     """Inverse square root of x >= 1: x = 2^e·(1 + f), result ~ 2^(-e/2)·table[f]."""
-    msb = np.frexp(x.astype(np.float64))[1].astype(np.int64)
-    msb -= 1  # the leading one's position
+    msb = leading_one(x)
     out = np.left_shift(1, msb)
     np.subtract(x, out, out=out)  # the remainder below the leading one
     msb -= table_bits
@@ -100,7 +112,7 @@ def softmax_normalize(out, rtab, rt_bits, refine, renorm):
     optionally Newton-refined; ``renorm`` rescales the rows to sum to one.
     """
     total = out.sum(axis=1)
-    msb = (np.frexp(total.astype(np.float64))[1] - 1).astype(np.int64)
+    msb = leading_one(total)
     norm = total >> (msb - EXP_FRAC)
     recip = rtab[(norm - _ONE15) >> (EXP_FRAC - rt_bits)]
     for _ in range(refine):
@@ -118,20 +130,24 @@ def softmax_normalize(out, rtab, rt_bits, refine, renorm):
 def gelu_fixed(x, px, pslope, pintercept, frac_bits, min_int, max_int):
     """Piecewise-linear GELU: ``(slope·x >> f) + intercept`` of the piece holding x.
 
-    Zero below the first piece. Slopes are integers, so beyond ``±bound``
-    every piece's output already saturates; clipping x there first keeps
-    ``slope·x`` inside int64 without changing any output.
+    Zero below the first piece. x lies in the piece numbered by how many of
+    the ascending piece starts ``px`` it reaches, counted with one
+    comparison per start (a GELU fit has about ten); a count of 0, below
+    every piece, reads slope and intercept 0. Slopes are integers, so beyond
+    ``±bound`` every piece's output already saturates; clipping x there
+    first keeps ``slope·x`` inside int64 without changing any output.
     """
-    idx = np.searchsorted(px, x, side="right")
-    idx -= 1
-    below = idx < 0  # zero below the first piece
-    np.maximum(idx, 0, out=idx)
+    count = np.zeros(x.shape, dtype=np.min_scalar_type(len(px)))
+    reached = np.empty(x.shape, dtype=bool)
+    for start in px.tolist():
+        np.greater_equal(x, start, out=reached)
+        count += reached
+    idx = count.astype(np.intp)
     bound = (max_int - min_int + 1 + int(np.abs(pintercept).max())) << frac_bits
     out = np.clip(x, -bound, bound)
-    out *= pslope.take(idx)
+    out *= np.concatenate(([0], pslope)).take(idx)
     out >>= frac_bits
-    out += pintercept.take(idx)
-    out[below] = 0
+    out += np.concatenate(([0], pintercept)).take(idx)
     return np.clip(out, min_int, max_int, out=out)
 
 

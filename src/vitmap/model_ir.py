@@ -16,7 +16,7 @@ import heapq
 import io
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -107,7 +107,7 @@ class OpNode:
 
     def __post_init__(self):
         if self.kind is OpKind.MATMUL:
-            if self.dims is None or any(d < 1 for d in self.dims):
+            if self.dims is None or min(self.dims) < 1:
                 raise SchemaError(f"node {self.id}: MatMul dims must be >= 1, got {self.dims}")
         elif self.dims is not None:
             raise SchemaError(f"node {self.id}: dims only valid on MatMul nodes")
@@ -129,21 +129,40 @@ class OpNode:
 
 @dataclass(frozen=True)
 class Dag:
-    """Immutable operation DAG; node order is construction order."""
+    """Immutable operation DAG; node order is construction order.
+
+    Validation takes one pass over the nodes when every node's inputs come
+    before it: that node order is then a topological order, so the graph is
+    acyclic with every input known, and it is kept as the order ``analyze``
+    walks. Only a DAG listed out of order pays the unknown-input check over
+    all nodes and ``topo_schedule``, which raises on a cycle. Duplicate ids,
+    unknown inputs, cycles and mismatched shapes raise ``SchemaError``.
+    """
 
     nodes: tuple[OpNode, ...]
 
     def __post_init__(self):
-        by_id = {n.id: n for n in self.nodes}
+        by_id: dict[str, OpNode] = {}
+        in_order = True
+        for node in self.nodes:
+            if in_order:
+                for src in node.inputs:
+                    if src not in by_id:
+                        in_order = False
+                        break
+            by_id[node.id] = node
         if len(by_id) != len(self.nodes):
             raise SchemaError("duplicate node ids")
         object.__setattr__(self, "_by_id", by_id)
-        for node in self.nodes:
-            for src in node.inputs:
-                if src not in by_id:
-                    raise SchemaError(f"node {node.id}: unknown input {src!r}")
-        # Raises on cycles; ``analyze`` reads the order back.
-        object.__setattr__(self, "_order", topo_schedule(self))
+        if in_order:
+            order = tuple(by_id)
+        else:
+            for node in self.nodes:
+                for src in node.inputs:
+                    if src not in by_id:
+                        raise SchemaError(f"node {node.id}: unknown input {src!r}")
+            order = topo_schedule(self)  # raises on cycles
+        object.__setattr__(self, "_order", order)
         _check_shapes(self)
 
     def node(self, node_id: str) -> OpNode:
@@ -236,9 +255,9 @@ def build_dag(spec: ModelSpec) -> Dag:
     return Dag(tuple(nodes))
 
 
-def _qkv_triples(dag: Dag) -> list[tuple[OpNode, OpNode, OpNode]]:
-    """Q/K/V matmul triples: same input, same dims, feeding one attention block."""
-    triples = []
+def _qkv_triples(dag: Dag) -> dict[str, tuple[OpNode, OpNode, OpNode]]:
+    """Q/K/V matmul triples by Q id: same input, same dims, feeding one attention block."""
+    triples = {}
     for node in dag.nodes:
         if node.kind is OpKind.MATMUL and node.id.endswith(".q"):
             prefix = node.id[:-2]
@@ -250,8 +269,14 @@ def _qkv_triples(dag: Dag) -> list[tuple[OpNode, OpNode, OpNode]]:
             if (k_node.kind is OpKind.MATMUL and v_node.kind is OpKind.MATMUL
                     and node.inputs == k_node.inputs == v_node.inputs
                     and node.dims == k_node.dims == v_node.dims):
-                triples.append((node, k_node, v_node))
+                triples[node.id] = (node, k_node, v_node)
     return triples
+
+
+def _rebuilt(node: OpNode, inputs, out_shape, dims, work_elems) -> OpNode:
+    """``node`` with new inputs and sizes, constructed directly."""
+    return OpNode(node.id, node.kind, inputs, out_shape, dims, node.head_scoped, node.heads,
+                  work_elems, node.slice_rows)
 
 
 def fuse_qkv(dag: Dag, hw) -> Dag:
@@ -265,7 +290,7 @@ def fuse_qkv(dag: Dag, hw) -> Dag:
     triples = _qkv_triples(dag)
     if not triples:
         return dag
-    n0, k0, m0 = triples[0][0].dims
+    n0, k0, m0 = next(iter(triples.values()))[0].dims
     if k0 * 3 * m0 > hw.onchip_capacity_elems:
         log.info(
             "qkv fusion skipped: fused weights %d x %d = %d elems exceed on-chip capacity %d",
@@ -276,12 +301,11 @@ def fuse_qkv(dag: Dag, hw) -> Dag:
     replaced: dict[str, str] = {}
     new_nodes: list[OpNode] = []
     for node in dag.nodes:
-        triple = next((tr for tr in triples if node is tr[0]), None)
+        triple = triples.get(node.id)
         if triple is not None:
-            q, _, _ = triple
-            n, k, m = q.dims
-            prefix = q.id[:-2]
-            fused = OpNode(f"{prefix}.qkv", OpKind.MATMUL, q.inputs, (n, 3 * m),
+            n, k, m = node.dims
+            prefix = node.id[:-2]
+            fused = OpNode(f"{prefix}.qkv", OpKind.MATMUL, node.inputs, (n, 3 * m),
                            dims=(n, k, 3 * m))
             split = OpNode(f"{prefix}.qkv_split", OpKind.SPLIT, (fused.id,), (n, m),
                            work_elems=n * 3 * m)
@@ -292,7 +316,9 @@ def fuse_qkv(dag: Dag, hw) -> Dag:
             continue  # .k / .v of a fused triple
         else:
             new_inputs = tuple(replaced.get(i, i) for i in node.inputs)
-            new_nodes.append(replace(node, inputs=new_inputs) if new_inputs != node.inputs else node)
+            if new_inputs != node.inputs:
+                node = _rebuilt(node, new_inputs, node.out_shape, node.dims, node.work_elems)
+            new_nodes.append(node)
     return Dag(tuple(new_nodes))
 
 
@@ -308,12 +334,8 @@ def batch_expand(dag: Dag, batch: int) -> Dag:
         if dims is not None:
             n, k, m = dims
             dims = (n * batch, k, m)
-        new_nodes.append(replace(
-            node,
-            out_shape=(rows * batch, cols),
-            dims=dims,
-            work_elems=node.work_elems * batch,
-        ))
+        new_nodes.append(_rebuilt(node, node.inputs, (rows * batch, cols), dims,
+                                  node.work_elems * batch))
     return Dag(tuple(new_nodes))
 
 
@@ -359,15 +381,20 @@ def analyze(dag: Dag) -> AnalysisReport:
     """Classify the DAG: per-kind counts, matmul shapes, MACs, critical path."""
     kind_counts: dict[str, int] = {}
     for node in dag.nodes:
-        kind_counts[node.kind.value] = kind_counts.get(node.kind.value, 0) + 1
+        kind = node.kind.value
+        kind_counts[kind] = kind_counts.get(kind, 0) + 1
     matmuls = tuple(
         MatmulInfo(n.id, n.dims[0], n.dims[1], n.dims[2], n.heads, n.head_scoped, n.macs)
         for n in dag.matmuls()
     )
+    by_id = dag._by_id
     depth: dict[str, int] = {}
     for node_id in dag._order:
-        node = dag.node(node_id)
-        depth[node_id] = 1 + max((depth[i] for i in node.inputs), default=0)
+        deepest = 0
+        for src in by_id[node_id].inputs:
+            if depth[src] > deepest:
+                deepest = depth[src]
+        depth[node_id] = deepest + 1
     return AnalysisReport(
         kind_counts=kind_counts,
         matmuls=matmuls,

@@ -54,9 +54,7 @@ def tiny_model(**overrides) -> ModelSpec:
     return ModelSpec(**base)
 
 
-@st.composite
-def small_models_and_boards(draw):
-    """A small random DAG (optionally QKV-fused) and board."""
+def _draw_spec_and_board(draw):
     heads = draw(st.integers(1, 3))
     spec = tiny_model(
         embed_dim=heads * draw(st.integers(1, 6)), num_heads=heads,
@@ -67,6 +65,19 @@ def small_models_and_boards(draw):
                 onchip_capacity_elems=draw(st.integers(16, 512)),
                 num_kernels=draw(st.integers(1, 4)), lop=draw(st.integers(1, 16)),
                 frequency_hz=float(draw(st.integers(10 ** 6, 4 * 10 ** 8))))
+    return spec, hw
+
+
+@st.composite
+def small_specs_and_boards(draw):
+    """A small random model spec and board."""
+    return _draw_spec_and_board(draw)
+
+
+@st.composite
+def small_models_and_boards(draw):
+    """A small random DAG (optionally QKV-fused) and board."""
+    spec, hw = _draw_spec_and_board(draw)
     dag = build_dag(spec)
     if draw(st.booleans()):
         dag = fuse_qkv(dag, hw)

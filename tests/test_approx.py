@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fixmath_golden as golden
@@ -115,6 +115,21 @@ class TestIsqrt:
     def test_rejects_nonpositive(self):
         with pytest.raises(SchemaError):
             isqrt_approx(0, CFG)
+
+    @pytest.mark.parametrize("k", range(53, 63))
+    def test_leading_one_exact_beyond_float64_precision(self, k):
+        # float64 rounds 2^k - 1 up to 2^k from k = 54 on.
+        xs = [2 ** k - 1, 2 ** k, 2 ** k + 1]
+        got = _fixmath.leading_one(np.array(xs, dtype=np.int64)).tolist()
+        assert got == [x.bit_length() - 1 for x in xs]
+
+    def test_kernel_equals_golden_beyond_float64_precision(self):
+        # With 56 fractional bits these inputs are about 1/4 to 64 and their
+        # results fit int64, so a leading one placed one too high shows.
+        xs = [2 ** k + d for k in range(53, 63) for d in (-1, 0, 1)] + [2 ** 63 - 1]
+        args = (CFG.table_bits, CFG.inv_sqrt2_q15, 56, 2 ** 63 - 1)
+        got = _fixmath.isqrt_fixed(np.array(xs, dtype=np.int64), CFG.isqrt_table, *args)
+        assert got.tolist() == [golden.isqrt(x, CFG.isqrt_table.tolist(), *args) for x in xs]
 
     def test_table_strictly_decreasing(self):
         table = build_isqrt_table(64)
@@ -278,6 +293,60 @@ class TestGelu:
         err8 = np.abs(FMT.dequantize(gelu_pwl(xs, CFG)) - ref).max()
         err2 = np.abs(FMT.dequantize(gelu_pwl(xs, coarse)) - ref).max()
         assert err8 <= err2
+
+
+def gelu_searchsorted(x, px, pslope, pintercept, frac_bits, min_int, max_int):
+    """``gelu_fixed`` with the piece index taken by ``np.searchsorted``."""
+    idx = np.searchsorted(px, x, side="right") - 1
+    below = idx < 0
+    idx = np.maximum(idx, 0)
+    bound = (max_int - min_int + 1 + int(np.abs(pintercept).max())) << frac_bits
+    out = (np.clip(x, -bound, bound) * pslope[idx]) >> frac_bits
+    out += pintercept[idx]
+    out[below] = 0
+    return np.clip(out, min_int, max_int)
+
+
+@st.composite
+def gelu_cases(draw):
+    """A format, its pieces and int64 inputs reaching both int64 edges.
+
+    The pieces are fitted at random knots, or, to pass 255 pieces, drawn as
+    raw ascending starts with random slopes and intercepts.
+    """
+    total = draw(st.integers(4, 32), label="total_bits")
+    fmt = FixedFormat(total, draw(st.integers(0, min(20, total - 3)), label="frac_bits"))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if draw(st.booleans(), label="fitted"):
+        klo, khi = -(-fmt.min_int // fmt.one), fmt.max_int // fmt.one
+        knots = sorted(draw(st.sets(st.integers(klo, khi), min_size=2, max_size=12),
+                            label="knots"))
+        try:
+            px, ps, pb = build_gelu_pieces(fmt, knots)
+        except SchemaError:  # knots whose pieces cannot meet the identity exactly
+            assume(False)
+    else:
+        count = draw(st.integers(1, 300), label="pieces")
+        px = np.unique(rng.integers(fmt.min_int - 2, fmt.max_int + 2, count))
+        ps = rng.integers(-2 * fmt.one, 2 * fmt.one + 1, px.size)
+        pb = rng.integers(fmt.min_int, fmt.max_int + 1, px.size)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    edges = np.concatenate([[lo, lo + 1, -2 ** 62, fmt.min_int - 1, -1, 0, 1,
+                             fmt.max_int + 1, 2 ** 62, hi - 1, hi],
+                            np.clip(px - 1, lo, None), px, np.clip(px + 1, None, hi)])
+    span = 2 * (fmt.max_int + 1)
+    x = np.concatenate([rng.integers(fmt.min_int - span, fmt.max_int + span, 4000), edges])
+    return fmt, (px, ps, pb), x.astype(np.int64)
+
+
+@settings(max_examples=60)
+@given(gelu_cases())
+def test_gelu_piece_comparisons_equal_searchsorted(case):
+    fmt, (px, ps, pb), x = case
+    args = (px, ps, pb, fmt.frac_bits, fmt.min_int, fmt.max_int)
+    got = _fixmath.gelu_fixed(x, *args)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, gelu_searchsorted(x, *args))
 
 
 class TestLayernorm:

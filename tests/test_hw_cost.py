@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import build_tiny_dag, single_matmul_dag, toy_hw
+from conftest import build_tiny_dag, single_matmul_dag, small_models_and_boards, toy_hw
 from vitmap.errors import InfeasibleTilesError, SchemaError
 from vitmap.hw import (
+    GraphCost,
     HardwareSpec,
     TileParams,
     compute_pm,
@@ -17,7 +20,7 @@ from vitmap.hw import (
     parse_hardware,
     validate_tiles,
 )
-from vitmap.model_ir import Dag, OpKind, OpNode
+from vitmap.model_ir import Dag, OpKind, OpNode, batch_expand
 
 # Published board configurations: (pn, pm, tn, tm).
 BOARD_CONFIGS = {
@@ -174,6 +177,37 @@ class TestGraphLatency:
         matmul_cost((8, 8, 8), tiles, toy_hw())  # pure cost query still evaluates
         with pytest.raises(InfeasibleTilesError, match="capacity"):
             graph_latency(single_matmul_dag(), TileParams(1, 2, 99, 8), toy_hw())
+
+
+def node_by_node_cost(dag, tiles, hw) -> GraphCost:
+    """``matmul_cost`` and ``nonlinear_cycles`` on every node, summed in Fractions."""
+    freq = Fraction(hw.frequency_hz)
+    per_node, mm_cycles, nl_cycles = [], Fraction(0), 0
+    for node in dag.nodes:
+        if node.kind is OpKind.MATMUL:
+            cost = matmul_cost(node.dims, tiles, hw, node.head_scoped, node.heads)
+            mm_cycles += cost.adjusted_cycles
+            per_node.append((node.id, cost.latency_s))
+        else:
+            cycles = nonlinear_cycles(node.work_elems, hw)
+            nl_cycles += cycles
+            per_node.append((node.id, float(Fraction(cycles) / freq)))
+    return GraphCost(float((mm_cycles + nl_cycles) / freq), float(mm_cycles / freq),
+                     float(Fraction(nl_cycles) / freq), tuple(per_node))
+
+
+@settings(max_examples=80)
+@given(small_models_and_boards(), st.integers(1, 64), st.data())
+def test_graph_latency_equals_node_by_node_reference(case, batch, data):
+    """Costing each distinct shape once changes no total and no per-node latency."""
+    dag, hw = case
+    dag = batch_expand(dag, batch)
+    pm = hw.pack_factor
+    tm = pm * data.draw(st.integers(2, hw.onchip_capacity_elems // pm), label="tm/pm")
+    tiles = TileParams(data.draw(st.integers(1, tm // pm - 1), label="pn"), pm,
+                       data.draw(st.integers(1, hw.onchip_capacity_elems // tm), label="tn"),
+                       tm)
+    assert graph_latency(dag, tiles, hw) == node_by_node_cost(dag, tiles, hw)
 
 
 class TestInvariants:

@@ -1,10 +1,13 @@
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import build_tiny_dag, tiny_model, toy_hw
+from conftest import build_tiny_dag, small_specs_and_boards, tiny_model, toy_hw
 from vitmap.errors import SchemaError
 from vitmap.model_ir import (
     Dag,
@@ -40,6 +43,45 @@ def vit_param_count(spec: ModelSpec) -> int:
     final_ln = 2 * d
     head = d * spec.num_classes + spec.num_classes
     return patch + cls_and_pos + spec.num_layers * per_layer + final_ln + head
+
+
+def replace_fuse_qkv(dag: Dag, hw) -> Dag:
+    """``fuse_qkv`` restated with ``dataclasses.replace`` and a scan per node."""
+    triples = []
+    for q in dag.nodes:
+        if q.kind is not OpKind.MATMUL or not q.id.endswith(".q"):
+            continue
+        k, v = dag._by_id.get(q.id[:-2] + ".k"), dag._by_id.get(q.id[:-2] + ".v")
+        if (k is not None and v is not None and k.kind is v.kind is OpKind.MATMUL
+                and q.inputs == k.inputs == v.inputs and q.dims == k.dims == v.dims):
+            triples.append((q, k, v))
+    if not triples:
+        return dag
+    _, k0, m0 = triples[0][0].dims
+    if k0 * 3 * m0 > hw.onchip_capacity_elems:
+        return dag
+    replaced, nodes = {}, []
+    for node in dag.nodes:
+        triple = next((tr for tr in triples if node is tr[0]), None)
+        if triple is not None:
+            n, k, m = node.dims
+            prefix = node.id[:-2]
+            nodes += [OpNode(f"{prefix}.qkv", OpKind.MATMUL, node.inputs, (n, 3 * m),
+                             dims=(n, k, 3 * m)),
+                      OpNode(f"{prefix}.qkv_split", OpKind.SPLIT, (f"{prefix}.qkv",), (n, m),
+                             work_elems=n * 3 * m)]
+            replaced.update((old.id, f"{prefix}.qkv_split") for old in triple)
+        elif node.id not in replaced:
+            nodes.append(replace(node, inputs=tuple(replaced.get(i, i) for i in node.inputs)))
+    return Dag(tuple(nodes))
+
+
+def replace_batch_expand(dag: Dag, batch: int) -> Dag:
+    """``batch_expand`` restated with ``dataclasses.replace``."""
+    return Dag(tuple(replace(
+        node, out_shape=(node.out_shape[0] * batch, node.out_shape[1]),
+        dims=None if node.dims is None else (node.dims[0] * batch, *node.dims[1:]),
+        work_elems=node.work_elems * batch) for node in dag.nodes))
 
 
 class TestParseModel:
@@ -156,6 +198,21 @@ class TestFuseQkv:
         assert analyze(fuse_qkv(dag, vu9p)).total_macs == analyze(dag).total_macs
 
 
+@settings(max_examples=60)
+@given(small_specs_and_boards(), st.booleans(), st.integers(1, 64))
+def test_rewrites_equal_replace_based_versions(case, fuse, batch):
+    """Node for node, the rewrites build what ``dataclasses.replace`` would."""
+    spec, hw = case
+    dag = build_dag(spec)
+    fused = fuse_qkv(dag, hw) if fuse else dag
+    if fuse:
+        assert fused == replace_fuse_qkv(dag, hw)
+        assert (fused is dag) == (replace_fuse_qkv(dag, hw) is dag)
+    out = batch_expand(fused, batch)
+    assert isinstance(out, Dag)
+    assert out.nodes == replace_batch_expand(fused, batch).nodes
+
+
 class TestBatchExpand:
     def test_batch_one_is_identity(self):
         dag = build_tiny_dag()
@@ -237,6 +294,52 @@ class TestTopoSchedule:
         nodes = (self._elementwise("a", ("b",)), self._elementwise("b", ("a",)))
         with pytest.raises(SchemaError, match="cycle"):
             Dag(nodes)
+
+
+class TestValidation:
+    """Listed in order, a DAG validates in one pass; out of order, through topo_schedule."""
+
+    def _elementwise(self, nid, inputs):
+        return OpNode(nid, OpKind.GELU, inputs, (2, 2))
+
+    @pytest.mark.parametrize("model", [dict(), dict(embed_dim=6, num_heads=3, num_layers=3)])
+    def test_out_of_order_listing_validates_with_the_same_analysis(self, model):
+        dag = build_dag(tiny_model(**model))
+        for nodes in (dag.nodes[::-1], dag.nodes[1::2] + dag.nodes[::2]):
+            shuffled = Dag(nodes)  # a consumer listed before its producer
+            assert shuffled._order == topo_schedule(shuffled)
+            got, want = analyze(shuffled), analyze(dag)
+            assert got.critical_path_len == want.critical_path_len
+            assert (got.kind_counts, got.total_macs) == (want.kind_counts, want.total_macs)
+        assert dag._order == tuple(n.id for n in dag.nodes)
+
+    def test_in_order_listing_is_its_own_order(self):
+        dag = Dag((self._elementwise("c", ()), self._elementwise("b", ("c",)),
+                   self._elementwise("a", ("c",))))
+        assert dag._order == ("c", "b", "a")
+        assert topo_schedule(dag) == ("c", "a", "b")  # ready nodes by ascending id
+        assert analyze(dag).critical_path_len == 2
+
+    @pytest.mark.parametrize("nodes,message", [
+        ((("a", ()), ("a", ())), "duplicate node ids"),
+        ((("a", ()), ("b", ("a",)), ("a", ("b",))), "duplicate node ids"),
+        ((("a", ()), ("b", ("zz",))), "node b: unknown input 'zz'"),
+        ((("b", ("a",)), ("a", ()), ("c", ("zz",))), "node c: unknown input 'zz'"),
+        ((("a", ("b",)), ("b", ("zz",))), "node b: unknown input 'zz'"),
+        ((("a", ("a",)),), "cycle detected in DAG"),
+        ((("r", ()), ("a", ("r", "b")), ("b", ("a",))), "cycle detected in DAG"),
+    ])
+    def test_invalid_graphs_raise_the_same_messages(self, nodes, message):
+        with pytest.raises(SchemaError) as exc:
+            Dag(tuple(self._elementwise(nid, inputs) for nid, inputs in nodes))
+        assert str(exc.value) == message
+
+    def test_out_of_order_shapes_still_checked(self):
+        with pytest.raises(SchemaError, match=r"node g: input \(4, 8\) != output \(4, 9\)"):
+            Dag((
+                OpNode("g", OpKind.GELU, ("a",), (4, 9)),
+                OpNode("a", OpKind.MATMUL, (), (4, 8), dims=(4, 2, 8)),
+            ))
 
 
 class TestShapeConsistency:
