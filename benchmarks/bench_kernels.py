@@ -27,13 +27,17 @@ search itself, with its tracemalloc peak and the rows it logs.
 The front-end lines time, on deit-base at batch 1 and 64, the DAG build with
 its rewrites (``build_dag``, ``fuse_qkv``, ``batch_expand``), ``analyze``
 and ``graph_latency`` at the exact search's tiles, whose total must equal
-the search's best latency bit for bit.
+the search's best latency bit for bit. The write lines time, on the same
+two inputs, ``manifest_to_json`` and ``AnalysisReport.to_json``, the two JSON
+files of a compile, with the bytes each writes; each text must equal the
+file ``vitmap compile`` wrote.
 vitmap is imported from ``src/`` of this checkout.
 
     python3 benchmarks/bench_kernels.py [--points N] [--repeat K]
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -51,6 +55,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from vitmap import _latency  # noqa: E402
 from vitmap import approx  # noqa: E402
 from vitmap.approx import ApproxConfig, _fixmath  # noqa: E402
+from vitmap.cli import main as vitmap_main  # noqa: E402
 from vitmap.dse import (  # noqa: E402
     EvaluationLog,
     SearchConfig,
@@ -63,6 +68,7 @@ from vitmap.dse import (  # noqa: E402
     pareto_front,
 )
 from vitmap.hw import TileParams, graph_latency, parse_hardware  # noqa: E402
+from vitmap.manifest import manifest_to_json  # noqa: E402
 from vitmap.model_ir import analyze, batch_expand, build_dag, fuse_qkv, parse_model  # noqa: E402
 
 
@@ -124,6 +130,25 @@ def bench_front_end(repeat):
         print(f"{f'front end (deit-base b{batch})':<28}  build+fuse+expand: "
               f"{t_front * 1e3:7.3f} ms  analyze: {t_analyze * 1e3:7.3f} ms  "
               f"graph_latency: {t_cost * 1e3:7.3f} ms  ({len(dag.nodes)} nodes)")
+
+
+def bench_writes(repeat):
+    for batch in (1, 64):
+        dag, _ = preset_dag("deit-base", batch)
+        report = analyze(dag)
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            assert vitmap_main(["compile", "--model", "deit-base", "--hw", "vu9p",
+                                "--batch", str(batch), "--out-dir", tmp]) == 0
+            files = {name: (Path(tmp) / name).read_text(encoding="utf-8")
+                     for name in ("manifest.json", "analysis.json")}
+        manifest = json.loads(files["manifest.json"])
+        t_manifest, text = best_of(lambda: manifest_to_json(manifest), repeat)
+        assert text == files["manifest.json"], batch
+        t_analysis, analysis = best_of(report.to_json, repeat)
+        assert analysis == files["analysis.json"], batch
+        print(f"{f'writes (deit-base b{batch})':<28}  manifest_to_json: "
+              f"{t_manifest * 1e3:7.3f} ms ({len(text.encode())} B)  AnalysisReport.to_json: "
+              f"{t_analysis * 1e3:7.3f} ms ({len(analysis.encode())} B)")
 
 
 def csv_reference(result):
@@ -251,6 +276,7 @@ def main():
               f"{exact.best.tiles == heur.best.tiles}")
 
     bench_front_end(args.repeat)
+    bench_writes(args.repeat)
     bench_outputs(args.repeat, rng)
 
 

@@ -23,7 +23,7 @@ from .oracles import (
     exact_layernorm,
     exact_softmax,
 )
-from .report import DEFAULT_DOMAINS, ErrorReport, error_report, reports_to_csv
+from .report import DEFAULT_DOMAINS, ErrorReport, error_report
 
 __all__ = [
     "EXP_FRAC",
@@ -32,5 +32,5 @@ __all__ = [
     "isqrt_approx", "pade_exp", "softmax_approx", "gelu_pwl", "layernorm_approx",
     "softmax_out_to_float",
     "exact_isqrt", "exact_exp", "exact_softmax", "exact_gelu", "exact_layernorm",
-    "DEFAULT_DOMAINS", "ErrorReport", "error_report", "reports_to_csv",
+    "DEFAULT_DOMAINS", "ErrorReport", "error_report",
 ]

@@ -21,7 +21,8 @@ sums and products changes no bit.
 (rows are taken to hold values of the format); when that worst case could
 leave int64, it bounds them again on the actual rows and raises
 ``OverflowError`` if they still can. A format whose worst case fits, such
-as Q8.8 and Q4.4 at any ViT width, skips that pass.
+as Q8.8 and Q4.4 at any ViT width, skips that pass. ``gelu_clip`` bounds
+GELU's the same way.
 
 Conventions: activations are Q(total-frac).frac two's complement integers;
 exponential and softmax outputs use 15 fractional bits; lookup tables hold
@@ -127,26 +128,58 @@ def softmax_normalize(out, rtab, rt_bits, refine, renorm):
     return out
 
 
+def gelu_clip(px, pslope, pintercept, frac_bits, min_int, max_int):
+    """The bound ``gelu_fixed`` clips x at, or None when no bound fits int64; in Python ints.
+
+    Past it the last piece's output has saturated (or is constant), so the
+    clip changes no output; below the first piece the slope is 0. The bound
+    is returned when ``s·(x >> f)``, ``s·(x mod 2^f)`` and the output before
+    saturation fit int64 over every piece's x range up to it.
+    """
+    s, b = pslope[-1], pintercept[-1]
+    if s > 0:
+        sat = -(-((max_int - b) << frac_bits) // s)
+    elif s < 0:
+        sat = -(-(((min_int - b + 1) << frac_bits) - 1) // s)
+    else:
+        sat = px[-1]
+    bound = min(max(px[-1], sat), INT64_MAX)  # no int64 x lies past INT64_MAX
+    for lo, hi, s, b in zip(px, [x - 1 for x in px[1:]] + [bound], pslope, pintercept):
+        whole = abs(s) * max(abs(lo >> frac_bits), abs(hi >> frac_bits))
+        part = abs(s) * ((1 << frac_bits) - 1)
+        if max(part, whole + (part >> frac_bits) + 1 + abs(b)) > INT64_MAX:
+            return None
+    return bound
+
+
 def gelu_fixed(x, px, pslope, pintercept, frac_bits, min_int, max_int):
     """Piecewise-linear GELU: ``(slope·x >> f) + intercept`` of the piece holding x.
 
     Zero below the first piece. x lies in the piece numbered by how many of
     the ascending piece starts ``px`` it reaches, counted with one
     comparison per start (a GELU fit has about ten); a count of 0, below
-    every piece, reads slope and intercept 0. Slopes are integers, so beyond
-    ``±bound`` every piece's output already saturates; clipping x there
-    first keeps ``slope·x`` inside int64 without changing any output.
+    every piece, reads slope and intercept 0. With x clipped at ``gelu_clip``'s
+    bound and ``slope·x >> f`` formed as ``s·(x >> f) + (s·(x mod 2^f) >> f)``,
+    any int64 x is exact; pieces without a bound raise ``OverflowError``.
     """
+    bound = gelu_clip(px.tolist(), pslope.tolist(), pintercept.tolist(), frac_bits,
+                      min_int, max_int)
+    if bound is None:
+        raise OverflowError("slope·x of the gelu pieces leaves int64")
     count = np.zeros(x.shape, dtype=np.min_scalar_type(len(px)))
     reached = np.empty(x.shape, dtype=bool)
     for start in px.tolist():
         np.greater_equal(x, start, out=reached)
         count += reached
     idx = count.astype(np.intp)
-    bound = (max_int - min_int + 1 + int(np.abs(pintercept).max())) << frac_bits
-    out = np.clip(x, -bound, bound)
-    out *= np.concatenate(([0], pslope)).take(idx)
+    slope = np.concatenate(([0], pslope)).take(idx)
+    out = np.minimum(x, bound)
+    part = out & ((1 << frac_bits) - 1)
+    part *= slope
+    part >>= frac_bits
     out >>= frac_bits
+    out *= slope
+    out += part
     out += np.concatenate(([0], pintercept)).take(idx)
     return np.clip(out, min_int, max_int, out=out)
 

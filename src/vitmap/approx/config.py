@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import EXTENT_MAX, STRING, SchemaError, read
-from ._fixmath import EXP_FRAC
+from ._fixmath import EXP_FRAC, gelu_clip
 from .formats import FixedFormat
 from .oracles import exact_gelu
 
@@ -43,6 +43,11 @@ def build_recip_table(size: int) -> np.ndarray:
     return np.array(vals, dtype=np.int64)
 
 
+def _check_width(fmt: FixedFormat) -> None:
+    if fmt.total_bits > 63:  # one below the minimum, the first gelu piece's start, leaves int64
+        raise SchemaError(f"{fmt.name} is wider than 63 bits")
+
+
 def build_gelu_pieces(fmt: FixedFormat, knots=DEFAULT_GELU_KNOTS):
     """Piecewise-linear fit of GELU sampled at integer knot positions.
 
@@ -55,6 +60,7 @@ def build_gelu_pieces(fmt: FixedFormat, knots=DEFAULT_GELU_KNOTS):
         raise SchemaError("gelu knots must be at least two strictly increasing integers")
     one = fmt.one
     # The first piece starts one below the format's minimum, below the first knot.
+    _check_width(fmt)
     if knots[0] * one < fmt.min_int:
         lo, hi = fmt.min_int / one, fmt.max_int / one
         which = "the default gelu knots" if knots == DEFAULT_GELU_KNOTS else "gelu knots"
@@ -123,6 +129,7 @@ class ApproxConfig:
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_width(self.fmt)
         if self.fmt.frac_bits > EXP_FRAC:
             raise SchemaError(f"frac_bits > {EXP_FRAC} not supported by the exp datapath")
         if self.exp_lo_fixed >= 0:
@@ -142,6 +149,10 @@ class ApproxConfig:
         if not (len(px) == len(ps) == len(pb)) or np.any(np.diff(px) <= 0):
             raise SchemaError("gelu pieces must share length and have increasing bounds")
         _check_gelu_continuity(px, ps, pb, self.fmt.frac_bits)
+        fmt = self.fmt
+        if gelu_clip(px.tolist(), ps.tolist(), pb.tolist(), fmt.frac_bits, fmt.min_int,
+                     fmt.max_int) is None:
+            raise SchemaError(f"{fmt.name}: slope·x of the gelu pieces leaves int64")
 
     # Derived fixed-point constants -----------------------------------------
 

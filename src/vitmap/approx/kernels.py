@@ -17,9 +17,6 @@ exponential's clamp keeps every offset in its table, so it skips the range
 check), and softmax normalizes its exponentials where they are. A caller's
 arrays are never written: an input outside a table reaches the kernel
 unchanged (softmax shifts its buffer back first).
-
-``layernorm_approx`` turns the kernel's int64 headroom check (see
-``_fixmath``) into a ``SchemaError`` naming the format and the row length.
 """
 
 from __future__ import annotations
@@ -177,7 +174,7 @@ def layernorm_approx(row, gamma, beta, cfg: ApproxConfig):
     Mean and variance are integer arithmetic; the scale is
     isqrt_approx(variance + eps); output is gamma * (x - mean) * scale + beta.
     Rows whose int64 intermediates could overflow in the configured format
-    raise ``SchemaError`` (see ``_fixmath``).
+    raise ``SchemaError`` naming the format and the row length (see ``_fixmath``).
     """
     arr = np.ascontiguousarray(row, dtype=np.int64)
     n = arr.shape[-1]  # ascontiguousarray gives a scalar shape (1,)

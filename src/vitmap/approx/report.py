@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SEED, SchemaError, check
+from ..errors import SEED, SchemaError, check, json_text
 from . import kernels, oracles
 from ._fixmath import EXP_FRAC
 from .config import ApproxConfig
@@ -35,23 +32,7 @@ class ErrorReport:
     mean_abs: float
 
     def to_json(self) -> str:
-        payload = dict(vars(self))
-        payload["domain"] = list(self.domain)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def csv_row(self) -> list:
-        return [self.fn, self.domain[0], self.domain[1], self.samples,
-                repr(self.max_abs), repr(self.max_rel), repr(self.mean_abs)]
-
-
-def reports_to_csv(reports) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["fn", "domain_lo", "domain_hi", "samples",
-                     "max_abs", "max_rel", "mean_abs"])
-    for r in reports:
-        writer.writerow(r.csv_row())
-    return buf.getvalue()
+        return json_text(dict(vars(self), domain=list(self.domain)))
 
 
 def _sweep_inputs(domain, samples, rng):

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .approx import ApproxConfig, error_report, reports_to_csv
+from .approx import ApproxConfig, error_report
 from .dse import (
     SearchConfig,
     SpaceCaps,
@@ -226,7 +226,7 @@ def cmd_search(args) -> int:
     return 0
 
 
-_TRACE_NAMES = {
+_SCHEDULE_NAMES = {
     ScheduleKind.MATMUL_ROW_PARALLEL: "row_parallel",
     ScheduleKind.GELU: "gelu",
     ScheduleKind.SOFTMAX: "softmax",
@@ -239,8 +239,7 @@ def cmd_schedule(args) -> int:
     out_dir = Path(args.out_dir)
     for kind, desc in _stage("schedule", _build_schedules, spec, batch, hw).items():
         sched = _stage("schedule", desc.expand)
-        name = _TRACE_NAMES[kind]
-        _write(out_dir / f"schedule_{name}.trace", sched.to_trace())
+        name = _SCHEDULE_NAMES[kind]
         _write(out_dir / f"schedule_{name}.json", sched.to_json())
         print(f"{name}: {len(sched.steps)} steps, kernels={sched.kernels} banks={sched.banks}")
     return 0
@@ -255,15 +254,12 @@ def _approx_config(args) -> ApproxConfig:
 def cmd_approx_report(args) -> int:
     cfg = _approx_config(args)
     out_dir = Path(args.out_dir)
-    reports = []
     for fn in ("isqrt", "exp", "softmax", "gelu"):
         rep = _stage("approx", error_report, fn, cfg,
                      samples=args.samples, seed=args.seed, exact=args.exact)
-        reports.append(rep)
         _write(out_dir / f"approx_{fn}.json", rep.to_json())
         print(f"{fn}: max_abs={rep.max_abs:.3e} max_rel={rep.max_rel:.3e} "
               f"mean_abs={rep.mean_abs:.3e}")
-    _write(out_dir / "approx_errors.csv", reports_to_csv(reports))
     return 0
 
 
@@ -334,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "heuristic", "both"), default="both")
     p.set_defaults(func=cmd_search, batch=None, heuristic_flags=heuristic)
 
-    p = sub.add_parser("schedule", help="emit static schedules and traces")
+    p = sub.add_parser("schedule", help="emit the expanded static schedules")
     add_common(p)
     p.set_defaults(func=cmd_schedule, batch=None, fuse=True)
 

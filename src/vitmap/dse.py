@@ -41,25 +41,19 @@ Results carry every evaluation made (cache hits flagged) as an
 indexed or iterated, and the ``DagCostArrays`` they were scored with. The
 Pareto front, the search comparison and the CSV export work on those
 columns directly, so a multi-million-point exhaustive search never
-materialises one Python object per point. The CSV export writes each
-evaluation's latency as the integers ``N`` and ``D`` of the cost model
-instead of a float, so it formats one string per distinct (tn, tm) and
-per distinct pn, not one per row. It streams a fixed block of rows at a
-time to an open file, so its memory does not grow with the log. The
-Pareto front and the search comparison tell configurations apart by one
-int64 code per row (``_config_codes``), whose digits follow the exhaustive
-loop order. The front finds repeats with one stable sort of those codes,
-skipped when they already ascend, tabulates the parallelism levels, and
-copies the columns only when a configuration repeats.
+materialises one Python object per point (``evaluations_to_csv`` says
+how the CSV export keeps its memory bounded). The Pareto front and the
+search comparison tell configurations apart by one int64 code per row
+(``_config_codes``), whose digits follow the exhaustive loop order. The
+front finds repeats with one stable sort of those codes, skipped when they
+already ascend, tabulates the parallelism levels, and copies the columns
+only when a configuration repeats.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
 import functools
-import io
-import json
 import math
 import operator
 import random
@@ -83,6 +77,7 @@ from ._latency import (
     weighted_columns,
 )
 from .errors import EXTENT, EXTENT_MAX, SEED, EmptySearchSpaceError, SchemaError, check, read
+from .errors import csv_text, json_text
 from .hw import HardwareSpec, TileParams
 from .model_ir import Dag
 
@@ -724,7 +719,7 @@ class ComparisonReport:
     pareto_front_size: int
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
+        return json_text(vars(self))
 
 
 def compare_searches(exh: SearchResult, heur: SearchResult,
@@ -765,7 +760,7 @@ def search_summary_json(result: SearchResult) -> str:
     ``nonlinear_cycles`` and ``frequency_hz`` turn the CSV log's integer
     columns back into each latency (see ``evaluations_to_csv``).
     """
-    payload = {
+    return json_text({
         "best": {
             "pn": result.best.tiles.pn, "pm": result.best.tiles.pm,
             "tn": result.best.tiles.tn, "tm": result.best.tiles.tm,
@@ -777,8 +772,7 @@ def search_summary_json(result: SearchResult) -> str:
         "history": list(result.history),
         "nonlinear_cycles": result.arrays.nl_cycles,
         "frequency_hz": float(result.arrays.frequency),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 # Rows per block of the CSV export. Every temporary of the export is bounded
@@ -838,10 +832,5 @@ def evaluations_to_csv(result: SearchResult, out: TextIO) -> None:
 
 
 def pareto_to_csv(front: Sequence[ParetoPoint]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pn", "pm", "tn", "tm", "latency_s", "parallelism"])
-    for p in front:
-        writer.writerow([p.tiles.pn, p.tiles.pm, p.tiles.tn, p.tiles.tm,
-                         repr(p.latency_s), p.parallelism])
-    return buf.getvalue()
+    return csv_text(["pn", "pm", "tn", "tm", "latency_s", "parallelism"],
+                    ((*p.tiles.astuple(), repr(p.latency_s), p.parallelism) for p in front))

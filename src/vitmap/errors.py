@@ -1,12 +1,17 @@
-"""Exception types shared across the toolkit, and the one reader of input documents.
+"""Shared exception types, the one reader of input documents and the one writer of artifacts.
 
 Each document type (model, board, search and approximation configs, manifest
 blocks, schedule descriptors) has a table giving each field one rule: a kind
 of ``_KINDS`` and its arguments, where a kind ending in ``?`` also takes null.
 ``read`` checks a whole document; ``check`` applies tables to values already
 held, as the dataclasses' ``__post_init__`` does. Failures raise ``SchemaError``.
+Every JSON file the commands write is ``json_text``'s text, and every CSV but
+the streamed evaluation log ``csv_text``'s.
 """
 
+import csv
+import io
+import json
 from collections.abc import Mapping
 
 EXTENT_MAX = 2**31 - 1  # bounds every extent and count: products of two fit int64
@@ -107,3 +112,17 @@ def read(doc, what: str, required: Mapping, optional: Mapping = {},
         raise SchemaError(f"{what}: missing fields {missing}, unknown fields {unknown}")
     check(fields, required, optional)
     return fields
+
+
+def json_text(payload) -> str:
+    """A JSON artifact's text: two-space indent, sorted keys, one final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    """A CSV artifact's text: ``header``, then ``rows``, each line ending in ``\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

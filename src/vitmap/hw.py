@@ -17,12 +17,10 @@ configurations are valid. ``HARDWARE_FIELDS`` and ``TILE_FIELDS`` are the
 manifest's hardware block) and of the manifest's tiles block. A configuration
 is feasible when every parameter is a positive integer, ``pm`` is the bus's
 pack factor, ``tm`` is a multiple of ``pm``, ``pn·pm < tm`` and a ``tn × tm``
-tile fits on chip.
-``validate_tiles`` reports the violated constraints; ``graph_latency``
-raises ``InfeasibleTilesError`` with the same list, and ``matmul_cost`` with
-that list minus the pn bound. Other modules ask these functions rather than
-restate the rules: ``vitmap emit`` re-checks a manifest's board and tiles
-with them before it writes the template parameters.
+tile fits on chip. ``validate_tiles``, ``graph_latency`` and ``matmul_cost``
+say which constraints a configuration breaks. Other modules ask them rather
+than restate the rules: ``vitmap emit`` re-checks a manifest's board and
+tiles with them before it writes the template parameters.
 
 Scalar entry points evaluate in exact integer/rational arithmetic. The
 design-space search scores many tiles at once through the exact integer
@@ -98,8 +96,11 @@ class TileParams:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
+    """A check's outcome: ``violations`` make it fail; ``warnings`` do not."""
+
     ok: bool
     violations: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok

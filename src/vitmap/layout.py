@@ -12,22 +12,19 @@ every access a full burst. Three schedule families cover the operation kinds:
   step t reads bank ``(i + t) mod BN``, so every step touches all banks.
 
 Each schedule is closed-form in its shape ``(op kind, rows, banks, kernels,
-heads)``: ``ScheduleDescriptor`` holds that shape, checks it and counts its
-steps in O(1), and ``expand`` runs the generator below that lists every
-(step, kernel, bank, row, unit) assignment. ``validate_schedule`` checks an
-expanded schedule for bank-conflict freedom, kernel occupancy, and exact
-coverage of the required (row, segment/head) units.
+heads)``, which ``ScheduleDescriptor`` holds; its ``expand`` runs the
+generator below that lists every (step, kernel, bank, row, unit) assignment,
+and ``validate_schedule`` checks such a list.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import EXTENT, EXTENT_MAX, INT64_MAX, SchemaError, check, read
-from .hw import compute_pm
+from .errors import EXTENT, EXTENT_MAX, INT64_MAX, SchemaError, check, json_text, read
+from .hw import FeasibilityVerdict, compute_pm
 
 
 class ScheduleKind(str, Enum):
@@ -105,16 +102,8 @@ class Schedule:
         """Work units per row: heads for softmax, bank segments otherwise."""
         return self.heads if self.heads else self.banks
 
-    def to_trace(self) -> str:
-        """Line-oriented trace: step kernel bank row unit."""
-        lines = [f"# {self.op_kind.value} kernels={self.kernels} banks={self.banks} rows={self.rows}"]
-        for step in self.steps:
-            for a in step.assignments:
-                lines.append(f"{step.index} {a.kernel} {a.bank} {a.row} {a.unit}")
-        return "\n".join(lines) + "\n"
-
     def to_json(self) -> str:
-        payload = {
+        return json_text({
             "op_kind": self.op_kind.value,
             "kernels": self.kernels,
             "banks": self.banks,
@@ -125,8 +114,7 @@ class Schedule:
                  "assignments": [[a.kernel, a.bank, a.row, a.unit] for a in s.assignments]}
                 for s in self.steps
             ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        })
 
 
 def _shape_steps(kind: ScheduleKind, rows: int, banks: int, kernels: int,
@@ -238,7 +226,7 @@ class ScheduleDescriptor:
 
     The shape determines the expanded schedule completely, so a descriptor
     is checked and its steps counted in O(1), whatever the row count;
-    ``expand`` lists the steps only when a trace is wanted.
+    ``expand`` lists the steps only when they are wanted.
     """
 
     op_kind: ScheduleKind
@@ -279,17 +267,7 @@ class ScheduleDescriptor:
         return schedule_row_parallel(self.rows, self.banks, self.kernels, self.op_kind)
 
 
-@dataclass(frozen=True)
-class ScheduleVerdict:
-    ok: bool
-    violations: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_schedule(s: Schedule) -> ScheduleVerdict:
+def validate_schedule(s: Schedule) -> FeasibilityVerdict:
     """Check bank-conflict freedom, occupancy, and exact unit coverage.
 
     Partial steps (fewer assignments than kernels) are tail remainders and
@@ -327,4 +305,4 @@ def validate_schedule(s: Schedule) -> ScheduleVerdict:
         violations.append(f"{len(extra)} assignments outside required units, e.g. {sorted(extra)[0]}")
     if repeated:
         violations.append(f"{len(repeated)} (row, unit) pairs scheduled more than once")
-    return ScheduleVerdict(not violations, tuple(violations), tuple(warnings))
+    return FeasibilityVerdict(not violations, tuple(violations), tuple(warnings))

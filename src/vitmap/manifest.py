@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-from .errors import InfeasibleTilesError, json_object, read
+from .errors import InfeasibleTilesError, json_object, json_text, read
 from .hw import HARDWARE_FIELDS, TILE_FIELDS, HardwareSpec, TileParams, validate_tiles
 
 MANIFEST_VERSION = 2
@@ -73,7 +73,7 @@ def build_manifest(*, model_doc: dict, hw: HardwareSpec, tiles: TileParams,
 
 
 def manifest_to_json(manifest: dict) -> str:
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    return json_text(manifest)
 
 
 def template_params_from_manifest(manifest: dict) -> TemplateParams:

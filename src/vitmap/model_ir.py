@@ -11,16 +11,13 @@ count; downstream consumers expand heads when they need to.
 
 from __future__ import annotations
 
-import csv
 import heapq
-import io
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from .errors import EXTENT, EXTENT_MAX, STRING, SchemaError, check, read
+from .errors import EXTENT, EXTENT_MAX, STRING, SchemaError, check, csv_text, json_text, read
 
 log = logging.getLogger(__name__)
 
@@ -359,22 +356,18 @@ class AnalysisReport:
     softmax_groups: int
 
     def to_json(self) -> str:
-        payload = {
-            "kind_counts": dict(sorted(self.kind_counts.items())),
-            "matmuls": [vars(m) for m in self.matmuls],
+        """The scalars; the per-matmul table is ``to_csv``'s alone."""
+        return json_text({
+            "kind_counts": self.kind_counts,
             "total_macs": self.total_macs,
             "critical_path_len": self.critical_path_len,
             "softmax_groups": self.softmax_groups,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        })
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "n", "k", "m", "heads", "head_scoped", "macs"])
-        for m in self.matmuls:
-            writer.writerow([m.id, m.n, m.k, m.m, m.heads, m.head_scoped, m.macs])
-        return buf.getvalue()
+        return csv_text(["id", "n", "k", "m", "heads", "head_scoped", "macs"],
+                        ((m.id, m.n, m.k, m.m, m.heads, m.head_scoped, m.macs)
+                         for m in self.matmuls))
 
 
 def analyze(dag: Dag) -> AnalysisReport:

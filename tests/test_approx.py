@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fixmath_golden as golden
@@ -296,15 +296,14 @@ class TestGelu:
 
 
 def gelu_searchsorted(x, px, pslope, pintercept, frac_bits, min_int, max_int):
-    """``gelu_fixed`` with the piece index taken by ``np.searchsorted``."""
+    """``gelu_fixed`` with the piece index taken by ``np.searchsorted``, in Python ints."""
     idx = np.searchsorted(px, x, side="right") - 1
     below = idx < 0
     idx = np.maximum(idx, 0)
-    bound = (max_int - min_int + 1 + int(np.abs(pintercept).max())) << frac_bits
-    out = (np.clip(x, -bound, bound) * pslope[idx]) >> frac_bits
-    out += pintercept[idx]
+    out = (x.astype(object) * pslope[idx].astype(object)) >> frac_bits
+    out += pintercept[idx].astype(object)
     out[below] = 0
-    return np.clip(out, min_int, max_int)
+    return np.clip(out, min_int, max_int).astype(np.int64)
 
 
 @st.composite
@@ -347,6 +346,52 @@ def test_gelu_piece_comparisons_equal_searchsorted(case):
     got = _fixmath.gelu_fixed(x, *args)
     assert got.dtype == np.int64
     assert np.array_equal(got, gelu_searchsorted(x, *args))
+
+
+# The narrowest formats in which the identity piece's slope·x left int64 at
+# ±max, and two in which it wrapped on wider inputs only.
+@example(35, 15).via("wrapped at max")
+@example(41, 12).via("wrapped at max")
+@example(49, 8).via("wrapped at max")
+@example(57, 4).via("wrapped at max")
+@example(20, 15).via("wrapped at 2^50")
+@example(34, 15).via("wrapped at max + 1")
+@settings(max_examples=80)
+@given(st.integers(4, 64), st.integers(0, 15))
+def test_gelu_equals_golden_at_the_int64_edges(int_bits, frac_bits):
+    # Accepted formats compute GELU exactly on any int64 input; a format wider
+    # than 63 bits cannot hold the first piece's start and is rejected by name.
+    fmt = FixedFormat(int_bits + frac_bits, frac_bits)
+    if fmt.total_bits > 63:
+        with pytest.raises(SchemaError, match=rf"^{fmt.name} is wider than 63 bits"):
+            ApproxConfig(fmt=fmt)
+        return
+    cfg = ApproxConfig(fmt=fmt)
+    top = fmt.max_int
+    x = [top, -top, top + 1, -top - 1, 2 ** 62, -2 ** 62]
+    px, ps, pb = (a.tolist() for a in cfg.gelu_pieces)
+    want = [golden.gelu(v, px, ps, pb, frac_bits, fmt.min_int, top) for v in x]
+    assert want[0] == want[2] == top and want[1] == want[3] == want[5] == 0
+    assert gelu_pwl(np.array(x, dtype=np.int64), cfg).tolist() == want
+    assert gelu_kernel(np.array(x, dtype=np.int64), cfg).tolist() == want
+
+
+def test_gelu_pieces_without_an_int64_bound_rejected():
+    # Past x = 1 the last piece saturates, but its slope times a fractional
+    # part of x leaves int64.
+    pieces = (np.array([-1024, 0]), np.array([0, 2 ** 62]), np.array([0, 0]))
+    assert _fixmath.gelu_clip(*(a.tolist() for a in pieces), 8, FMT.min_int, FMT.max_int) is None
+    with pytest.raises(SchemaError, match=r"^Q8\.8: slope·x of the gelu pieces leaves int64"):
+        ApproxConfig(gelu_pieces=pieces)
+    with pytest.raises(OverflowError):
+        _fixmath.gelu_fixed(np.zeros(3, dtype=np.int64), *pieces, 8, FMT.min_int, FMT.max_int)
+
+
+def test_format_wider_than_63_bits_rejected_with_given_pieces():
+    # The format check does not depend on building the default pieces.
+    with pytest.raises(SchemaError, match=r"^Q60\.8 is wider than 63 bits"):
+        ApproxConfig.from_doc({"schema_version": 1, "format": "Q60.8",
+                               "gelu_pieces": [[0, 1, 0]]})
 
 
 class TestLayernorm:

@@ -222,14 +222,6 @@ class TestValidateSchedule:
 
 
 class TestExports:
-    def test_trace_lines(self):
-        s = schedule_layernorm(4, 4, 4)
-        lines = s.to_trace().strip().splitlines()
-        assert lines[0].startswith("# LayerNorm")
-        assert len(lines) == 1 + sum(len(st.assignments) for st in s.steps)
-        step, kernel, bank, row, unit = lines[1].split()
-        assert (step, kernel, bank, row, unit) == ("0", "0", "0", "0", "0")
-
     def test_json_round_trips_counts(self):
         import json
 

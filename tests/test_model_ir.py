@@ -254,7 +254,9 @@ class TestAnalyze:
     def test_reports_export(self):
         report = analyze(build_tiny_dag())
         parsed = json.loads(report.to_json())
-        assert parsed["total_macs"] == report.total_macs
+        assert parsed == {"kind_counts": report.kind_counts, "total_macs": report.total_macs,
+                          "critical_path_len": report.critical_path_len,
+                          "softmax_groups": report.softmax_groups}
         lines = report.to_csv().strip().splitlines()
         assert lines[0].startswith("id,n,k,m")
         assert len(lines) == 1 + len(report.matmuls)

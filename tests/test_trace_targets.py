@@ -52,3 +52,22 @@ def test_traced_compile_settles_every_note(spans, tmp_path):
     for name in ("model_ir.build_dag", "model_ir.fuse_qkv", "model_ir.batch_expand",
                  "model_ir.analyze", "hw.graph_latency"):
         assert metrics[f"{name}_ms"] > 0, name
+
+
+def test_traced_search_settles_every_note(spans, tmp_path):
+    tracer = spans.Tracer()
+    with tracer.installed_wrappers(), contextlib.redirect_stdout(io.StringIO()):
+        assert vitmap.cli.main(["search", "--model", "deit-tiny", "--hw", "vu9p",
+                                "--mode", "both", "--tn-cap", "8", "--tm-cap", "128",
+                                "--out-dir", str(tmp_path / "out")]) == 0
+    tracer.settle()
+    noted = {name for _, _, name, note in spans.TARGETS if note is not None}
+    settled = [attrs for name, *_, attrs in tracer.spans if name in noted]
+    assert settled and all(settled)
+    metrics = spans.derive(tracer, 1)
+    # The capped space's 224 points, all scored by the exhaustive search, and 223
+    # distinct points of the heuristic's (see test_cli's pinned search outputs).
+    assert metrics["dse.space_points"] == 224
+    assert metrics["dse.evaluations"] == 224 + 223
+    for name in ("dse.search", "dse.pareto", "dse.csv", "dse.compare"):
+        assert metrics[f"{name}_ms"] > 0, name
