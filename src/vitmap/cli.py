@@ -266,9 +266,8 @@ def cmd_approx_report(args) -> int:
 def cmd_emit(args) -> int:
     manifest = _load_doc(args.manifest, "emit")
     params = _stage("emit", template_params_from_manifest, manifest)
-    text = emit_template_params(params)
-    out = Path(args.out) if args.out else Path(args.out_dir) / "template_params.env"
-    _write(out, text)
+    out = Path(args.out_dir) / "template_params.env"
+    _write(out, emit_template_params(params))
     print(f"emitted {out}")
     return 0
 
@@ -344,9 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="swap the oracle in for the approximation (zero-error check)")
     p.set_defaults(func=cmd_approx_report)
 
-    p = sub.add_parser("emit", help="write template parameters from a manifest")
+    # No abbreviations, so --out is rejected rather than read as --out-dir.
+    p = sub.add_parser("emit", help="write template parameters from a manifest",
+                       allow_abbrev=False)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_emit)
 

@@ -101,7 +101,9 @@ class SpaceCaps:
     tm_step: int = 1  # in multiples of pm
 
     def __post_init__(self):
-        check(vars(self), {"tn_step": EXTENT, "tm_step": EXTENT})
+        cap = ("int?", 1, EXTENT_MAX)
+        check(vars(self), {"tn_max": cap, "tm_max": cap, "pn_max": cap,
+                           "tn_step": EXTENT, "tm_step": EXTENT})
 
 
 @dataclass(frozen=True)

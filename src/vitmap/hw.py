@@ -213,7 +213,6 @@ class GraphCost:
     total_latency_s: float
     matmul_latency_s: float
     nonlinear_latency_s: float
-    per_node: tuple[tuple[str, float], ...]
 
 
 def graph_latency(dag: Dag, tiles: TileParams, hw: HardwareSpec) -> GraphCost:
@@ -222,41 +221,32 @@ def graph_latency(dag: Dag, tiles: TileParams, hw: HardwareSpec) -> GraphCost:
     This is the node-by-node reference in exact ``Fraction``s that the
     search's scorer is tested against. Within one call it costs each
     distinct matmul shape ``(dims, head_scoped, heads)`` once through
-    ``matmul_cost``, and each distinct non-linear ``work_elems`` once, then
-    adds every node's exact cycles in node order; nothing is kept between
-    calls. Raises ``InfeasibleTilesError`` listing every violated
-    constraint, the pn bound included, when the configuration is infeasible.
+    ``matmul_cost`` and adds every node's exact cycles in node order;
+    nothing is kept between calls. Raises ``InfeasibleTilesError`` listing
+    every violated constraint, the pn bound included, when the configuration
+    is infeasible.
     """
     violations = _violations(tiles, hw)
     if violations:
         raise InfeasibleTilesError(violations)
     freq = Fraction(hw.frequency_hz)
-    matmuls: dict[tuple, CostBreakdown] = {}
-    nonlinear: dict[int, tuple[int, float]] = {}
-    per_node = []
+    matmuls: dict[tuple, Fraction] = {}
     mm_cycles = Fraction(0)
     nl_cycles = 0
     for node in dag.nodes:
         if node.kind is OpKind.MATMUL:
             shape = (node.dims, node.head_scoped, node.heads)
-            cost = matmuls.get(shape)
-            if cost is None:
-                cost = matmuls[shape] = matmul_cost(node.dims, tiles, hw, node.head_scoped,
-                                                     node.heads)
-            mm_cycles += cost.adjusted_cycles
-            per_node.append((node.id, cost.latency_s))
+            cycles = matmuls.get(shape)
+            if cycles is None:
+                cycles = matmuls[shape] = matmul_cost(node.dims, tiles, hw, node.head_scoped,
+                                                      node.heads).adjusted_cycles
+            mm_cycles += cycles
         else:
-            pair = nonlinear.get(node.work_elems)
-            if pair is None:
-                cycles = nonlinear_cycles(node.work_elems, hw)
-                pair = nonlinear[node.work_elems] = (cycles, float(Fraction(cycles) / freq))
-            nl_cycles += pair[0]
-            per_node.append((node.id, pair[1]))
+            nl_cycles += nonlinear_cycles(node.work_elems, hw)
     return GraphCost(
         total_latency_s=float((mm_cycles + nl_cycles) / freq),
         matmul_latency_s=float(mm_cycles / freq),
         nonlinear_latency_s=float(Fraction(nl_cycles) / freq),
-        per_node=tuple(per_node),
     )
 
 

@@ -12,20 +12,12 @@ reports as exit code 6 without writing the file.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 
 from .errors import InfeasibleTilesError, json_object, json_text, read
 from .hw import HARDWARE_FIELDS, TILE_FIELDS, HardwareSpec, TileParams, validate_tiles
 
-MANIFEST_VERSION = 2
-
-
-def fingerprint(doc: dict) -> str:
-    """Stable content hash of an input document."""
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+MANIFEST_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -55,7 +47,6 @@ def build_manifest(*, model_doc: dict, hw: HardwareSpec, tiles: TileParams,
         "manifest_version": MANIFEST_VERSION,
         "tool_version": tool_version,
         "seed": seed,
-        "model_fingerprint": fingerprint(model_doc),
         "model": model_doc,
         "hardware": {f: getattr(hw, f) for f in HARDWARE_FIELDS},
         "tiles": asdict(tiles),
@@ -63,7 +54,6 @@ def build_manifest(*, model_doc: dict, hw: HardwareSpec, tiles: TileParams,
             "total_s": graph_cost.total_latency_s,
             "matmul_s": graph_cost.matmul_latency_s,
             "nonlinear_s": graph_cost.nonlinear_latency_s,
-            "per_node": [[node_id, lat] for node_id, lat in graph_cost.per_node],
         },
         "schedules": schedules,
         "approx": approx_summary,

@@ -353,7 +353,6 @@ class AnalysisReport:
     matmuls: tuple[MatmulInfo, ...]
     total_macs: int
     critical_path_len: int
-    softmax_groups: int
 
     def to_json(self) -> str:
         """The scalars; the per-matmul table is ``to_csv``'s alone."""
@@ -361,7 +360,6 @@ class AnalysisReport:
             "kind_counts": self.kind_counts,
             "total_macs": self.total_macs,
             "critical_path_len": self.critical_path_len,
-            "softmax_groups": self.softmax_groups,
         })
 
     def to_csv(self) -> str:
@@ -393,7 +391,6 @@ def analyze(dag: Dag) -> AnalysisReport:
         matmuls=matmuls,
         total_macs=sum(m.macs for m in matmuls),
         critical_path_len=max(depth.values(), default=0),
-        softmax_groups=kind_counts.get(OpKind.SOFTMAX.value, 0),
     )
 
 

@@ -129,6 +129,18 @@ class TestCompile:
         assert {p.name for p in out.iterdir()} == {
             "manifest.json", "analysis.json", "analysis.csv"}
 
+    def test_output_key_sets_are_closed(self, docs, tmp_path):
+        model, hw = docs
+        out = tmp_path / "out"
+        assert run("compile", "--model", model, "--hw", hw, "--out-dir", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"manifest_version", "tool_version", "seed", "model",
+                                 "hardware", "tiles", "latency", "schedules", "approx",
+                                 "search", "compile"}
+        assert set(manifest["latency"]) == {"total_s", "matmul_s", "nonlinear_s"}
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert set(analysis) == {"kind_counts", "total_macs", "critical_path_len"}
+
     def test_analysis_json_holds_the_scalars_and_csv_the_matmuls(self, tmp_path):
         out = tmp_path / "out"
         assert run("compile", "--model", "deit-tiny", "--hw", "vu9p", "--out-dir", out) == 0
@@ -138,7 +150,7 @@ class TestCompile:
         assert analysis == {
             "kind_counts": {"Add": 24, "Concat": 12, "Gelu": 12, "LayerNorm": 24,
                             "MatMul": 74, "Softmax": 12, "Split": 12},
-            "total_macs": 1253830656, "critical_path_len": 170, "softmax_groups": 12,
+            "total_macs": 1253830656, "critical_path_len": 170,
         }
         rows = (out / "analysis.csv").read_text().splitlines()
         assert rows[0] == "id,n,k,m,heads,head_scoped,macs"
@@ -151,7 +163,7 @@ class TestCompile:
         assert run("compile", "--model", model, "--hw", hw, "--batch", 64,
                    "--out-dir", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["manifest_version"] == 2
+        assert manifest["manifest_version"] == 3
         assert manifest["compile"] == {"batch": 64, "qkv_fusion": "applied"}
         rows = TOY_MODEL["num_tokens"] * 64
         for kind, doc in manifest["schedules"].items():
@@ -550,6 +562,8 @@ class TestEmit:
         out = tmp_path / "c"
         assert run("compile", "--model", model, "--hw", hw, "--out-dir", out) == 0
         assert run("emit", "--manifest", out / "manifest.json", "--out-dir", out) == 0
+        assert {p.name for p in out.iterdir()} == {
+            "manifest.json", "analysis.json", "analysis.csv", "template_params.env"}
         tiles = json.loads((out / "manifest.json").read_text())["tiles"]
         assert (out / "template_params.env").read_text() == (
             f"pn={tiles['pn']}\npm=2\ntn={tiles['tn']}\ntm={tiles['tm']}\n"
@@ -564,6 +578,17 @@ class TestEmit:
         assert run("emit", "--manifest", out / "manifest.json", "--out-dir", out) == 0
         digest = hashlib.sha256((out / "template_params.env").read_bytes()).hexdigest()
         assert digest == self.PINNED_TEMPLATE_DIGESTS[model]
+
+    def test_emit_has_no_out_flag(self, docs, tmp_path, capsys):
+        model, hw = docs
+        out = tmp_path / "c"
+        assert run("compile", "--model", model, "--hw", hw, "--out-dir", out) == 0
+        with pytest.raises(SystemExit) as exc:
+            run("emit", "--manifest", out / "manifest.json", "--out", tmp_path / "F",
+                "--out-dir", tmp_path / "d")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "F").exists() and not (tmp_path / "d").exists()
 
     def test_compiled_manifest_with_oversized_tile_exits_6(self, tmp_path, capsys):
         out = tmp_path / "c"
@@ -580,23 +605,25 @@ class TestEmit:
 class TestPinnedOutputs:
     """sha256 of every output file of compile, schedule and approx-report,
     taken before they shared one text writer: a change to the writer must
-    not move a byte."""
+    not move a byte. The manifest digests are of version 3: each version-2
+    manifest with ``latency.per_node`` and ``model_fingerprint`` removed and
+    ``manifest_version`` set to 3, re-encoded with ``json_text``."""
 
     COMPILE_DIGESTS = {
         ("deit-tiny", 1): {
-            "manifest.json": "50dda22bf7be8a8a416da3dff4e26bae1298da59939c200e7c34a3b7f88edd75",
+            "manifest.json": "144987623db249bb7dd303d016dbb67f996411dc8b051be7ee31f2491ac758d6",
             "analysis.csv": "7fca7d211b41acec023a7e7225131e48b34facdc07e082695830e16414167399",
         },
         ("deit-tiny", 64): {
-            "manifest.json": "472260fdf6230f28c0bc353f5d5ee5d502b7155705c844513250c9bf61de0199",
+            "manifest.json": "982395a6b64a823d98575fd5fe94c589e59b4ca8eb36da840928ae03d8b0c400",
             "analysis.csv": "c342f1acbc8fc10b35e049ea93c9bba87f72ea6e01b7ccc0c3e7e24c843248c8",
         },
         ("deit-base", 1): {
-            "manifest.json": "43551899bc4b2868f74e7a1184c70f28ebb90cdb900ab8d01c7eb5cfb64a2470",
+            "manifest.json": "a91915636368f4723d62c18834c6f8f000848457dbe1233566a3ae253394503c",
             "analysis.csv": "11d9075b34b0460886aadc52e5555e946ec5cd72030ffbcccef35f9fba071327",
         },
         ("deit-base", 64): {
-            "manifest.json": "46020d1402caf7012efe5bc36803ef89a05a0885ada17c225d53e3a393595f13",
+            "manifest.json": "cab9cc00e4484ba364df1cdda54fc708981baf332c1f4cebe71ffac806476042",
             "analysis.csv": "0c499c71cb6dce927c05c5c5ad543890d88568d6d0eee1ba5d6c7a9d85efb539",
         },
     }

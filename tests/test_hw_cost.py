@@ -153,7 +153,6 @@ class TestGraphLatency:
                 cycles += math.ceil(node.work_elems / (hw.lop * hw.num_kernels))
         assert got.total_latency_s == pytest.approx(float(cycles / Fraction(hw.frequency_hz)),
                                                     rel=1e-12)
-        assert len(got.per_node) == len(dag.nodes)
 
     def test_doubling_kernels_halves_matmul_latency(self):
         # No head-grouped nodes: kernel factor is 1/kernels everywhere.
@@ -182,24 +181,21 @@ class TestGraphLatency:
 def node_by_node_cost(dag, tiles, hw) -> GraphCost:
     """``matmul_cost`` and ``nonlinear_cycles`` on every node, summed in Fractions."""
     freq = Fraction(hw.frequency_hz)
-    per_node, mm_cycles, nl_cycles = [], Fraction(0), 0
+    mm_cycles, nl_cycles = Fraction(0), 0
     for node in dag.nodes:
         if node.kind is OpKind.MATMUL:
-            cost = matmul_cost(node.dims, tiles, hw, node.head_scoped, node.heads)
-            mm_cycles += cost.adjusted_cycles
-            per_node.append((node.id, cost.latency_s))
+            mm_cycles += matmul_cost(node.dims, tiles, hw, node.head_scoped,
+                                     node.heads).adjusted_cycles
         else:
-            cycles = nonlinear_cycles(node.work_elems, hw)
-            nl_cycles += cycles
-            per_node.append((node.id, float(Fraction(cycles) / freq)))
+            nl_cycles += nonlinear_cycles(node.work_elems, hw)
     return GraphCost(float((mm_cycles + nl_cycles) / freq), float(mm_cycles / freq),
-                     float(Fraction(nl_cycles) / freq), tuple(per_node))
+                     float(Fraction(nl_cycles) / freq))
 
 
 @settings(max_examples=80)
 @given(small_models_and_boards(), st.integers(1, 64), st.data())
 def test_graph_latency_equals_node_by_node_reference(case, batch, data):
-    """Costing each distinct shape once changes no total and no per-node latency."""
+    """Costing each distinct shape once changes no total."""
     dag, hw = case
     dag = batch_expand(dag, batch)
     pm = hw.pack_factor
@@ -207,6 +203,23 @@ def test_graph_latency_equals_node_by_node_reference(case, batch, data):
     tiles = TileParams(data.draw(st.integers(1, tm // pm - 1), label="pn"), pm,
                        data.draw(st.integers(1, hw.onchip_capacity_elems // tm), label="tn"),
                        tm)
+    assert graph_latency(dag, tiles, hw) == node_by_node_cost(dag, tiles, hw)
+
+
+def test_shape_memo_keys_on_head_scope_and_heads():
+    """Matmuls of equal dims that differ in ``head_scoped`` or ``heads`` are costed apart."""
+    dims = (8, 4, 16)
+    dag = Dag((  # independent sources, so no edge constrains the shapes
+        OpNode("a", OpKind.MATMUL, dims=dims),
+        OpNode("b", OpKind.MATMUL, dims=dims, head_scoped=True, heads=2),
+        OpNode("c", OpKind.MATMUL, dims=dims, head_scoped=True, heads=12),
+        OpNode("d", OpKind.MATMUL, dims=dims, heads=12),
+        OpNode("e", OpKind.MATMUL, dims=dims, head_scoped=True, heads=2),
+    ))
+    hw, tiles = toy_hw(), TileParams(1, 2, 4, 8)
+    # Three distinct kernel factors: 1/4 unscoped, 1 for 2 heads, 3 for 12 heads.
+    assert len({matmul_cost(n.dims, tiles, hw, n.head_scoped, n.heads).adjusted_cycles
+                for n in dag.nodes}) == 3
     assert graph_latency(dag, tiles, hw) == node_by_node_cost(dag, tiles, hw)
 
 

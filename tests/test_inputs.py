@@ -130,6 +130,11 @@ REGRESSIONS = {
     "compile-tm-step-0": (COMPILE + ["--tm-step", "0"], None, 4),
     "search-tn-step-0": (SEARCH + ["--tn-step", "0"], None, 4),
     "search-tm-step-0": (SEARCH + ["--tm-step", "0"], None, 4),
+    "compile-tn-cap-0": (COMPILE + ["--tn-cap", "0"], None, 4),
+    "compile-tn-cap-negative": (COMPILE + ["--tn-cap", "-3"], None, 4),
+    "compile-tm-cap-0": (COMPILE + ["--tm-cap", "0"], None, 4),
+    "compile-pn-cap-0": (COMPILE + ["--pn-cap", "0"], None, 4),
+    "search-pn-cap-negative": (SEARCH + ["--pn-cap", "-1"], None, 4),
     "search-seed-negative": (SEARCH + ["--seed", "-1"], None, 4),
     "approx-samples-0": (["approx-report", "--samples", "0"], None, 7),
     "approx-samples-negative": (["approx-report", "--samples", "-1"], None, 7),
@@ -150,6 +155,9 @@ def test_messages_name_the_field_and_value(tmp_path):
     argv, doc, _ = REGRESSIONS["model-unknown-key"]
     assert run(argv, {"doc": doc}, tmp_path)[1] == (
         "error: [model] model document: missing fields [], unknown fields ['depth']\n")
+    # A space cap below 1 is named, not reported as an empty space.
+    assert run(REGRESSIONS["compile-tn-cap-0"][0], {}, tmp_path)[1] == (
+        "error: [search] tn_max must be an integer in [1, 2147483647] or null, got 0\n")
     # A format too narrow for the default GELU knots names them, not the pieces.
     argv, doc, _ = REGRESSIONS["approx-format-q1.15"]
     assert run(argv, {"doc": doc}, tmp_path)[1] == (

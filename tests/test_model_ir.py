@@ -249,14 +249,13 @@ class TestAnalyze:
         assert analyze(dag).total_macs == expected
 
     def test_deit_b_softmax_groups(self):
-        assert analyze(build_dag(parse_model(DEIT_B))).softmax_groups == 12
+        assert analyze(build_dag(parse_model(DEIT_B))).kind_counts["Softmax"] == 12
 
     def test_reports_export(self):
         report = analyze(build_tiny_dag())
         parsed = json.loads(report.to_json())
         assert parsed == {"kind_counts": report.kind_counts, "total_macs": report.total_macs,
-                          "critical_path_len": report.critical_path_len,
-                          "softmax_groups": report.softmax_groups}
+                          "critical_path_len": report.critical_path_len}
         lines = report.to_csv().strip().splitlines()
         assert lines[0].startswith("id,n,k,m")
         assert len(lines) == 1 + len(report.matmuls)
