@@ -35,7 +35,6 @@ from .model_ir import (
     build_dag,
     fuse_qkv,
     parse_model,
-    topo_schedule,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "EmptySearchSpaceError", "StageError",
     "ModelSpec", "OpNode", "OpKind", "Dag",
     "parse_model", "build_dag", "fuse_qkv", "batch_expand", "analyze",
-    "topo_schedule",
     "HardwareSpec", "TileParams", "CostBreakdown",
     "compute_pm", "kernel_factor", "matmul_cost", "graph_latency",
     "validate_tiles",

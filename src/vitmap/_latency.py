@@ -25,9 +25,7 @@ them, which the heuristic reads one per tm, ``latency_batch`` reads as the
 grid of its distinct tn × distinct tm, and ``pair_numerators`` reads, each
 column only up to its largest tn, for the distinct ``(tn, tm)`` of a search
 log's block, so the log stores ``N`` and ``D`` as integers instead of the
-float. ``row_codes`` packs a log's tile columns into one int64 per row, by
-which the Pareto front and the search comparison tell configurations apart.
-``benchmarks/bench_kernels.py`` times the scorer on deit-base.
+float. ``benchmarks/bench_kernels.py`` times the scorer on deit-base.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SchemaError
 from .hw import HardwareSpec, nonlinear_cycles
 from .model_ir import Dag, OpKind
 
@@ -203,46 +200,6 @@ def _distinct(values: np.ndarray):
     present = np.zeros(top + 1, dtype=bool)
     present[values] = True
     return np.flatnonzero(present), (np.cumsum(present) - 1).take
-
-
-def row_codes(columns) -> tuple[np.ndarray, int]:
-    """One int64 code per row of equal-length int64 columns, and a bound on them.
-
-    Returns ``(code, size)`` with ``0 <= code < size``. Two rows get equal
-    codes exactly when they are equal in every column, and codes order the
-    rows like their tuples, the first column most significant. Each column
-    is one mixed-radix digit: ``value - min`` when the column spans at most
-    the row count, else the value's rank among the column's distinct values
-    (a column of one value adds nothing). Before a digit could take the
-    code past int64, the code is renumbered to its rank among its distinct
-    values, so ``size`` stays below (rows + 1)². A column whose values
-    span 2^63 or more raises ``SchemaError``.
-    """
-    code, size = None, 1
-    for col in columns:
-        lo = col.min()
-        span = int(col.max()) - int(lo)
-        if span > _INT64_MAX:
-            raise SchemaError(f"row_codes: a column spans {span}, more than int64 holds")
-        if span == 0:
-            continue
-        digits = col - lo  # exact, as the span fits
-        if span > digits.size:
-            distinct, position = _distinct(digits)
-            digits, span = position(digits), distinct.size - 1
-        if code is None:
-            code, size = digits, span + 1
-            continue
-        if size * (span + 1) > _INT64_MAX + 1:
-            distinct, position = _distinct(code)
-            code, size = position(code), distinct.size
-        code *= span + 1
-        code += digits
-        size *= span + 1
-        del digits  # freed before the next column's digits are made
-    if code is None:
-        code = np.zeros(columns[0].shape[0], dtype=np.int64)
-    return code, size
 
 
 def pair_numerators(arrays: DagCostArrays, tn: np.ndarray, tm: np.ndarray):

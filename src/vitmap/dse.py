@@ -42,12 +42,9 @@ indexed or iterated, and the ``DagCostArrays`` they were scored with. The
 Pareto front, the search comparison and the CSV export work on those
 columns directly, so a multi-million-point exhaustive search never
 materialises one Python object per point (``evaluations_to_csv`` says
-how the CSV export keeps its memory bounded). The Pareto front and the
-search comparison tell configurations apart by one int64 code per row
-(``_config_codes``), whose digits follow the exhaustive loop order. The
-front finds repeats with one stable sort of those codes, skipped when they
-already ascend, tabulates the parallelism levels, and copies the columns
-only when a configuration repeats.
+how the CSV export keeps its memory bounded). The cache flags are the only
+record of repeated configurations: the front and the comparison skip
+flagged rows, and the front copies the columns only when a row is flagged.
 """
 
 from __future__ import annotations
@@ -67,13 +64,13 @@ import numpy as np
 
 from ._latency import (
     DagCostArrays,
+    _distinct,
     column_numerators,
     divide,
     extract_cost_arrays,
     latency_batch,
     numerator_blocks,
     pair_numerators,
-    row_codes,
     weighted_columns,
 )
 from .errors import EXTENT, EXTENT_MAX, SEED, EmptySearchSpaceError, SchemaError, check, read
@@ -202,6 +199,10 @@ class EvaluationLog(Sequence[Evaluation]):
     ``from_cache`` (bool). A scalar column value is broadcast without
     copying. Indexing and iteration build ``Evaluation`` rows on demand; a
     slice is another log over views of the same columns.
+
+    Invariant: a configuration's first row is unflagged and each later row
+    of it is flagged ``from_cache``. Every search's log holds it, and
+    ``pareto_front`` and ``compare_searches`` rely on it.
     """
 
     __slots__ = ("pn", "pm", "tn", "tm", "latency", "from_cache")
@@ -638,36 +639,39 @@ def pareto_front(log: EvaluationLog) -> tuple[ParetoPoint, ...]:
 
     A point dominates another iff its latency is <= and its parallelism >=
     with at least one strict. Ties on both objectives are mutually
-    non-dominating and all kept. Repeated tile configurations count once,
-    with their first evaluation. Output is sorted by (latency, -parallelism,
-    tiles). An empty log has no front, and a log whose pn·pm can leave
-    int64, or whose tile or pn·pm values spread wider than int64 holds (no
-    feasible search reaches either), is rejected; both raise ``SchemaError``.
+    non-dominating and all kept. Rows flagged ``from_cache`` are skipped, so
+    each configuration counts once, with its first evaluation (the log's
+    invariant). Output is sorted by (latency, -parallelism, tiles). An empty
+    log has no front, and a log whose first row is flagged, whose pn or pm
+    falls below 1 or whose pn·pm can leave int64 (no feasible search makes
+    either) is rejected; all raise ``SchemaError``.
 
-    The work is linear in the log apart from one stable sort of one int64
-    code per row (``_first_evaluations``), which a log in loop order, such
-    as the exhaustive one, skips. The parallelism levels are tabulated, and
-    one pass of per-level minimum latencies decides the front.
+    The work is linear in the log: the parallelism levels are tabulated,
+    and one pass of per-level minimum latencies decides the front.
     """
-    if len(log) == 0:
-        raise SchemaError("pareto_front requires at least one evaluation")
-    pn, pm, tn, tm, lat = log.columns()[:5]
-    # Every row's pn·pm lies between the products of the columns' extremes.
-    ends = [(int(c.min()), int(c.max())) for c in (pn, pm)]
-    corners = [a * b for a in ends[0] for b in ends[1]]
-    if min(corners) <= -2**63 or max(corners) >= 2**63:  # -par must fit too
-        raise SchemaError(f"pareto_front: pn*pm leaves int64 (pn in {ends[0]}, pm in {ends[1]})")
-    keep = _first_evaluations(pn, pm, tn, tm)
-    if keep is not None:
-        pn, pm, tn, tm, lat = (c[keep] for c in (pn, pm, tn, tm, lat))
+    if len(log) == 0 or log.from_cache[0]:
+        raise SchemaError("pareto_front requires at least one evaluation, the first not "
+                          "from cache")
+    pn, pm, tn, tm, lat, cached = log.columns()
+    if min(int(pn.min()), int(pm.min())) < 1:
+        raise SchemaError("pareto_front: pn and pm must be >= 1")
+    if int(pn.max()) * int(pm.max()) >= 2**63:
+        raise SchemaError(f"pareto_front: pn*pm leaves int64 (pn up to {int(pn.max())}, "
+                          f"pm up to {int(pm.max())})")
+    if cached.any():
+        fresh = ~cached
+        pn, pm, tn, tm, lat = (c[fresh] for c in (pn, pm, tn, tm, lat))
     # Levels of equal parallelism, in ascending order. A point is dominated
     # iff some point of its level is faster, or some higher level holds a
     # point at least as fast, so a level's fastest points are on the front
     # iff every higher level is slower.
-    level, levels = row_codes((pn * pm,))
-    fastest = np.full(levels, np.inf)
+    par = pn * pm
+    levels, position = _distinct(par)
+    level = position(par)
+    del par, position  # pn·pm is recomputed on the front's rows only
+    fastest = np.full(levels.size, np.inf)
     np.minimum.at(fastest, level, lat)
-    slower_above = np.empty(levels, dtype=bool)
+    slower_above = np.empty(levels.size, dtype=bool)
     slower_above[-1] = True
     np.less(fastest[:-1], np.minimum.accumulate(fastest[:0:-1])[::-1], out=slower_above[:-1])
     rows = np.flatnonzero(lat == np.where(slower_above, fastest, np.nan)[level])
@@ -679,34 +683,6 @@ def pareto_front(log: EvaluationLog) -> tuple[ParetoPoint, ...]:
         for *t, latency, parallelism in zip(*(c[order].tolist()
                                               for c in (pn, pm, tn, tm, lat, par)))
     )
-
-
-def _config_codes(pn, pm, tn, tm) -> np.ndarray:
-    """``row_codes`` of tile columns, most significant digit first in the
-    exhaustive loop order (tm, pn, tn, then pm), so a log in that order has
-    ascending codes."""
-    return row_codes((tm, pn, tn, pm))[0]
-
-
-def _first_evaluations(pn, pm, tn, tm) -> Optional[np.ndarray]:
-    """Mask, in log order, of each configuration's first row; None without repeats.
-
-    One stable sort of the configuration codes puts each configuration's
-    repeats right behind its first row. A log whose codes strictly ascend,
-    such as the exhaustive one in loop order, has no repeats and is not
-    sorted.
-    """
-    code = _config_codes(pn, pm, tn, tm)
-    if np.all(code[1:] > code[:-1]):
-        return None
-    order = np.argsort(code, kind="stable")
-    code = code[order]
-    repeat_rows = order[1:][code[1:] == code[:-1]]
-    if repeat_rows.shape[0] == 0:
-        return None
-    keep = np.ones(order.shape[0], dtype=bool)
-    keep[repeat_rows] = False
-    return keep
 
 
 @dataclass(frozen=True)
@@ -734,12 +710,10 @@ def compare_searches(exh: SearchResult, heur: SearchResult,
     """
     if exh.space != heur.space:
         raise SchemaError("search results cover different spaces")
-    # Codes compare only within one call, so the front's rows and the
-    # heuristic log's rows are coded together.
-    code = _config_codes(*(np.concatenate((f, h)) for f, h in zip(
-        np.array([p.tiles.astuple() for p in front], dtype=np.int64).T,
-        heur.all_evaluated.columns()[:4])))
-    matched = np.isin(code[:len(front)], code[len(front):]).tolist()
+    log = heur.all_evaluated
+    fresh = ~log.from_cache
+    seen = set(zip(*(c[fresh].tolist() for c in log.columns()[:4])))
+    matched = [p.tiles.astuple() in seen for p in front]
     pairs: dict[tuple[float, int], bool] = {}
     for p, hit in zip(front, matched):
         key = (p.latency_s, p.parallelism)

@@ -1,8 +1,9 @@
 """Multi-bank memory layouts and static per-operation schedules.
 
-Matrices are column-partitioned across the DDR banks and packed so each bus
-word carries the bus's pack factor of elements (``hw.compute_pm``), keeping
-every access a full burst. Three schedule families cover the operation kinds:
+Matrices are column-partitioned across the DDR banks, one contiguous
+segment per bank, and packed so each bus word carries the bus's pack factor
+of elements (``hw.compute_pm``), keeping every access a full burst. Three
+schedule families cover the operation kinds:
 
 * row-parallel (matmuls outside the heads, GELU, other elementwise ops):
   each kernel consumes one bank's segment of the current row;
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import EXTENT, EXTENT_MAX, INT64_MAX, SchemaError, check, json_text, read
-from .hw import FeasibilityVerdict, compute_pm
+from .hw import FeasibilityVerdict
 
 
 class ScheduleKind(str, Enum):
@@ -32,44 +33,6 @@ class ScheduleKind(str, Enum):
     GELU = "Gelu"
     SOFTMAX = "Softmax"
     LAYERNORM = "LayerNorm"
-
-
-def pack_row(cols: int, axi_width_bits: int, data_width_bits: int) -> int:
-    """Bus words per row of ``cols`` elements at full burst packing."""
-    if cols < 1:
-        raise SchemaError(f"cols must be >= 1, got {cols}")
-    return -(-cols // compute_pm(axi_width_bits, data_width_bits))
-
-
-@dataclass(frozen=True)
-class BankLayout:
-    """Column-contiguous split of a matrix across the DDR banks."""
-
-    matrix_dims: tuple[int, int]
-    bank_count: int
-    segments: tuple[tuple[int, int], ...]  # per-bank [start, end) column interval
-    words_per_row_segment: tuple[int, ...]
-
-
-def partition_banks(rows: int, cols: int, bn: int, pack_factor: int = 16) -> BankLayout:
-    """Split ``cols`` columns contiguously over ``bn`` banks, widths within 1.
-
-    Earlier banks take the remainder columns. Each bank's per-row word count
-    is the packed width of its segment.
-    """
-    if rows < 1 or bn < 1:
-        raise SchemaError("rows and bn must be >= 1")
-    if cols < bn:
-        raise SchemaError(f"cols {cols} < bank count {bn}")
-    base, extra = divmod(cols, bn)
-    segments = []
-    start = 0
-    for b in range(bn):
-        width = base + (1 if b < extra else 0)
-        segments.append((start, start + width))
-        start += width
-    words = tuple(-(-(e - s) // pack_factor) for s, e in segments)
-    return BankLayout((rows, cols), bn, tuple(segments), words)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ count; downstream consumers expand heads when they need to.
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -126,40 +125,27 @@ class OpNode:
 
 @dataclass(frozen=True)
 class Dag:
-    """Immutable operation DAG; node order is construction order.
+    """Immutable operation DAG, listed in topological order.
 
-    Validation takes one pass over the nodes when every node's inputs come
-    before it: that node order is then a topological order, so the graph is
-    acyclic with every input known, and it is kept as the order ``analyze``
-    walks. Only a DAG listed out of order pays the unknown-input check over
-    all nodes and ``topo_schedule``, which raises on a cycle. Duplicate ids,
-    unknown inputs, cycles and mismatched shapes raise ``SchemaError``.
+    Every node's inputs must be listed before it, so the listing is the
+    order ``analyze`` walks, and validation is one pass that also rules out
+    cycles. An input not listed earlier (unknown, later, or the node
+    itself), duplicate ids and mismatched shapes raise ``SchemaError``.
     """
 
     nodes: tuple[OpNode, ...]
 
     def __post_init__(self):
         by_id: dict[str, OpNode] = {}
-        in_order = True
         for node in self.nodes:
-            if in_order:
-                for src in node.inputs:
-                    if src not in by_id:
-                        in_order = False
-                        break
+            for src in node.inputs:
+                if src not in by_id:
+                    raise SchemaError(f"node {node.id}: input {src!r} is unknown or listed "
+                                      "after it")
             by_id[node.id] = node
         if len(by_id) != len(self.nodes):
             raise SchemaError("duplicate node ids")
         object.__setattr__(self, "_by_id", by_id)
-        if in_order:
-            order = tuple(by_id)
-        else:
-            for node in self.nodes:
-                for src in node.inputs:
-                    if src not in by_id:
-                        raise SchemaError(f"node {node.id}: unknown input {src!r}")
-            order = topo_schedule(self)  # raises on cycles
-        object.__setattr__(self, "_order", order)
         _check_shapes(self)
 
     def node(self, node_id: str) -> OpNode:
@@ -378,39 +364,16 @@ def analyze(dag: Dag) -> AnalysisReport:
         MatmulInfo(n.id, n.dims[0], n.dims[1], n.dims[2], n.heads, n.head_scoped, n.macs)
         for n in dag.matmuls()
     )
-    by_id = dag._by_id
     depth: dict[str, int] = {}
-    for node_id in dag._order:
+    for node in dag.nodes:
         deepest = 0
-        for src in by_id[node_id].inputs:
+        for src in node.inputs:
             if depth[src] > deepest:
                 deepest = depth[src]
-        depth[node_id] = deepest + 1
+        depth[node.id] = deepest + 1
     return AnalysisReport(
         kind_counts=kind_counts,
         matmuls=matmuls,
         total_macs=sum(m.macs for m in matmuls),
         critical_path_len=max(depth.values(), default=0),
     )
-
-
-def topo_schedule(dag: Dag) -> tuple[str, ...]:
-    """Deterministic topological order; ready nodes are emitted by ascending id."""
-    indegree = {n.id: len(n.inputs) for n in dag.nodes}
-    consumers: dict[str, list[str]] = {n.id: [] for n in dag.nodes}
-    for n in dag.nodes:
-        for src in n.inputs:
-            consumers[src].append(n.id)
-    ready = [nid for nid, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        nid = heapq.heappop(ready)
-        order.append(nid)
-        for c in consumers[nid]:
-            indegree[c] -= 1
-            if indegree[c] == 0:
-                heapq.heappush(ready, c)
-    if len(order) != len(dag.nodes):
-        raise SchemaError("cycle detected in DAG")
-    return tuple(order)

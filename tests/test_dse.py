@@ -86,17 +86,32 @@ def oracle_pareto_front(evals):
     return tuple(front)
 
 
+def _repeat_flags(tile_rows):
+    """Each row's ``from_cache`` under ``EvaluationLog``'s invariant: whether
+    its tiles appeared in an earlier row."""
+    seen, flags = set(), []
+    for tiles in tile_rows:
+        flags.append(tiles in seen)
+        seen.add(tiles)
+    return flags
+
+
+def _flag_repeats(evals):
+    """The evaluations, each flagged as a cache hit iff its tiles repeat."""
+    flags = _repeat_flags(e.tiles.astuple() for e in evals)
+    return [dataclasses.replace(e, from_cache=hit) for e, hit in zip(evals, flags)]
+
+
 # Small ranges so that lists of a few dozen evaluations repeat tiles (with
 # differing latencies), tie on latency and tie on parallelism.
 _small_evaluations = st.lists(
     st.builds(
-        lambda tiles, lat, hit: Evaluation(TileParams(*tiles), lat, hit),
+        lambda tiles, lat: Evaluation(TileParams(*tiles), lat),
         st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)),
         st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, math.inf]),
-        st.booleans(),
     ),
     min_size=1, max_size=40,
-)
+).map(_flag_repeats)
 
 
 def _log(*rows):
@@ -124,12 +139,14 @@ def _mixed_logs(draw, sizes):
 
     Small tile values make repeated configurations likely; large ones stay
     below 2^31, so pn·pm fits the int64 columns. Latencies include ``inf``.
+    Repeats are flagged as the log's invariant says.
     """
     n = draw(sizes)
     tiles = st.integers(1, 3) | st.integers(1, 2 ** 31)
     latency = st.sampled_from([1e-05, math.inf, 1 / 3, 0.5]) | st.floats(0, 1e3)
-    return EvaluationLog(*(_column(draw, n, tiles) for _ in range(4)),
-                         _column(draw, n, latency), _column(draw, n, st.booleans()))
+    columns = [_column(draw, n, tiles) for _ in range(4)]
+    flags = _repeat_flags(zip(*(np.broadcast_to(c, (n,)).tolist() for c in columns)))
+    return EvaluationLog(*columns, _column(draw, n, latency), flags)
 
 
 def _csv_text(result):
@@ -764,12 +781,19 @@ class TestParetoFront:
             pareto_front(EvaluationLog([], [], [], [], [], []))
         with pytest.raises(SchemaError):
             pareto_front(exhaustive_search(dag, hw, space).all_evaluated[:0])
+        with pytest.raises(SchemaError):  # no first evaluation: its only row is a repeat
+            pareto_front(EvaluationLog([1], 2, [1], [4], [1.0], [True]))
 
     def test_parallelism_past_int64_rejected(self):
         # 9223373 * 999999895576 passes 2^63: an int64 product would wrap
         # negative and keep a dominated point.
         with pytest.raises(SchemaError, match="leaves int64"):
             pareto_front(EvaluationLog([9223373, 1], 999999895576, 1, 1, [1.0, 2.0], False))
+
+    @pytest.mark.parametrize("pn,pm", [([1, 0], 2), (1, [2, -3])])
+    def test_parallelism_below_one_rejected(self, pn, pm):
+        with pytest.raises(SchemaError, match=">= 1"):
+            pareto_front(EvaluationLog(pn, pm, [1, 2], 1, [1.0, 2.0], False))
 
     @settings(max_examples=400, deadline=None)
     @given(_small_evaluations)
@@ -835,15 +859,23 @@ class TestEvaluationLog:
         assert a != list(a)
 
     def test_search_logs_flag_repeats_as_cache_hits(self, toy_space):
-        dag, hw, space = toy_space
-        result = heuristic_search(dag, hw, space,
-                                  SearchConfig(seed=5, set_size=30, iterations=10,
-                                               preservation_size=5))
-        seen = set()
-        for e in result.all_evaluated:
-            assert e.from_cache == (e.tiles.astuple() in seen)
-            seen.add(e.tiles.astuple())
-        assert not any(e.from_cache for e in exhaustive_search(dag, hw, space).all_evaluated)
+        """Every search's log holds the invariant ``pareto_front`` relies on."""
+        cfg = SearchConfig(seed=5, set_size=30, iterations=10, preservation_size=5)
+        full = heuristic_search(*toy_space, cfg)
+        # The population may use 60 of 100 evaluations, so the line sweeps
+        # stop at the budget.
+        cut = heuristic_search(*toy_space, dataclasses.replace(cfg, max_evaluations=100))
+        assert cut.evaluations_used == 100 < full.evaluations_used
+        logs = [full.all_evaluated, cut.all_evaluated,
+                exhaustive_search(*toy_space).all_evaluated, exact_search(*toy_space).all_evaluated]
+        for seed in (17, 1017, 2017):
+            space = random_space(seed)
+            logs += [heuristic_search(*space, SearchConfig(seed=seed, set_size=12, iterations=4,
+                                                           preservation_size=3)).all_evaluated,
+                     exhaustive_search(*space).all_evaluated, exact_search(*space).all_evaluated]
+        for log in logs:
+            assert log.from_cache.tolist() == _repeat_flags(
+                zip(*(c.tolist() for c in log.columns()[:4])))
 
 
 class TestCompareSearches:
@@ -1068,6 +1100,11 @@ def doubled_log(tiny_exhaustive):
                          np.repeat([False, True], len(log)))
 
 
+def _unflagged(log):
+    """``log`` with every cache flag cleared."""
+    return EvaluationLog(*log.columns()[:5], False)
+
+
 class TestParetoAtScale:
     def test_repeats_keep_first_evaluation(self, tiny_exhaustive, doubled_log):
         log = tiny_exhaustive.all_evaluated
@@ -1075,40 +1112,21 @@ class TestParetoAtScale:
         assert pareto_front(doubled_log) == front
         assert oracle_pareto_front(doubled_log) == front
         # Had the lowered copies counted, the front would differ.
-        assert pareto_front(doubled_log[len(log):]) != front
+        assert pareto_front(_unflagged(doubled_log[len(log):])) != front
 
-    def test_codes_renumbered_before_int64_overflow(self):
-        # Four columns of 65,536 distinct values each: the four rank digits
-        # need 2^64 codes, so the code is renumbered before the last one.
+    def test_wide_values_match_oracle(self):
+        # 65,536 rows of distinct values up to 2^40; rows 2i and 2i+1 tie on pn·pm.
         n = 1 << 16
         rng = np.random.default_rng(11)
         pn = rng.choice(1 << 31, n, replace=False) + 1
-        pm = pn[np.arange(n) ^ 1]  # rows 2i and 2i+1 tie on pn·pm
+        pm = pn[np.arange(n) ^ 1]
         tn, tm = (rng.choice(1 << 40, n, replace=False) + 1 for _ in range(2))
-        code, size = _latency.row_codes((tm, pn, tn, pm))
-        assert size <= n * n
-        assert np.array_equal(np.argsort(code, kind="stable"), np.lexsort((pm, tn, pn, tm)))
-        assert np.unique(code).size == n
         log = EvaluationLog(pn, pm, tn, tm, rng.integers(0, 64, n) / 8, False)
         assert pareto_front(log) == oracle_pareto_front(list(log))
 
-    def test_codes_of_columns_spanning_int64(self):
-        # Spans of 2^63 - 1 need rank digits; a span of 2^63 cannot be coded.
-        top = 2 ** 63 - 1
-        columns = (np.array([top, 0, 1, top, 1]), np.array([0, -top, 0, 0, 0]),
-                   np.array([1, top, 0, 1, top]))
-        code, size = _latency.row_codes(columns)
-        assert size <= 5 * 5
-        assert np.array_equal(np.argsort(code, kind="stable"), np.lexsort(columns[::-1]))
-        assert code[0] == code[3] and np.unique(code).size == 4
-        with pytest.raises(SchemaError, match="spans"):
-            _latency.row_codes((np.array([-2 ** 63, 0], dtype=np.int64),))
-        with pytest.raises(SchemaError, match="spans"):
-            pareto_front(EvaluationLog(1, 1, [-2 ** 62, 2 ** 62], 1, [1.0, 2.0], False))
-
     def test_compare_searches_on_doubled_log(self, tiny_exhaustive, doubled_log):
         n = len(tiny_exhaustive.all_evaluated)
-        front = pareto_front(doubled_log[n:])  # the lowered copies make two points
+        front = pareto_front(_unflagged(doubled_log[n:]))  # the lowered copies make two points
         assert len(front) == 2
 
         def heuristic(log):
@@ -1154,9 +1172,9 @@ class TestOutputMemory:
             assert sum(1 for _ in fh) == 1 + 372_527
 
     def test_pareto_front_peak(self, tiny_exhaustive):
-        # About 16 bytes per evaluation: the configuration codes and one
-        # column of digits at a time. The exhaustive log's codes ascend, so
-        # it is not sorted.
+        # About 16 bytes per evaluation: two full-length columns at a time
+        # (pn·pm or each row's level, and its level's fastest latency). The
+        # exhaustive log flags no row, so its columns are not copied.
         assert self._peak_mb(lambda: pareto_front(tiny_exhaustive.all_evaluated)) < 14
 
 

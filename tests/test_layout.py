@@ -10,64 +10,11 @@ from vitmap.layout import (
     ScheduleDescriptor,
     ScheduleKind,
     ScheduleStep,
-    pack_row,
-    partition_banks,
     schedule_layernorm,
     schedule_row_parallel,
     schedule_softmax,
     validate_schedule,
 )
-
-
-class TestPackRow:
-    def test_full_width_row(self):
-        assert pack_row(384, 512, 16) == 24
-
-    def test_single_element(self):
-        assert pack_row(1, 512, 16) == 1
-
-    def test_ceiling(self):
-        assert pack_row(17, 512, 16) == 2
-
-    def test_word_bound_property(self):
-        pack = 512 // (2 * 16)
-        for cols in range(1, 200):
-            words = pack_row(cols, 512, 16)
-            assert words * pack >= cols > (words - 1) * pack
-
-
-class TestPartitionBanks:
-    def test_even_split(self):
-        layout = partition_banks(197, 768, 4)
-        assert all(e - s == 192 for s, e in layout.segments)
-
-    def test_balanced_remainder(self):
-        layout = partition_banks(4, 10, 4)
-        widths = [e - s for s, e in layout.segments]
-        assert widths == [3, 3, 2, 2]
-
-    def test_single_bank(self):
-        layout = partition_banks(8, 5, 1)
-        assert layout.segments == ((0, 5),)
-
-    def test_too_few_columns_rejected(self):
-        with pytest.raises(SchemaError):
-            partition_banks(4, 3, 4)
-
-    def test_round_trip_reconstruction(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            bn = int(rng.integers(1, 9))
-            cols = int(rng.integers(bn, 300))
-            layout = partition_banks(int(rng.integers(1, 50)), cols, bn)
-            covered = [c for s, e in layout.segments for c in range(s, e)]
-            assert covered == list(range(cols))
-            widths = [e - s for s, e in layout.segments]
-            assert max(widths) - min(widths) <= 1
-
-    def test_words_per_segment(self):
-        layout = partition_banks(4, 100, 4, pack_factor=16)
-        assert layout.words_per_row_segment == (2, 2, 2, 2)
 
 
 class TestRowParallel:

@@ -19,7 +19,6 @@ from vitmap.model_ir import (
     build_dag,
     fuse_qkv,
     parse_model,
-    topo_schedule,
 )
 
 DEIT_B = {
@@ -151,7 +150,7 @@ class TestBuildDag:
         with pytest.raises(SchemaError):
             tiny_model(num_layers=0)
 
-    def test_dag_acyclic_and_shapes_for_random_specs(self):
+    def test_dag_acyclic_and_shapes_for_random_specs(self, vu9p):
         rng = np.random.default_rng(3)
         for _ in range(25):
             heads = int(rng.integers(1, 5))
@@ -162,8 +161,10 @@ class TestBuildDag:
                 num_tokens=int(rng.integers(2, 32)),
             )
             dag = build_dag(spec)  # construction re-validates shapes + acyclicity
-            order = topo_schedule(dag)
-            assert sorted(order) == sorted(n.id for n in dag.nodes)
+            for listed in (dag, fuse_qkv(dag, vu9p), batch_expand(dag, 3)):
+                position = {n.id: i for i, n in enumerate(listed.nodes)}
+                assert all(position[src] < position[n.id]
+                           for n in listed.nodes for src in n.inputs)
 
 
 class TestFuseQkv:
@@ -262,81 +263,62 @@ class TestAnalyze:
 
 
 class TestTopoSchedule:
+    """A DAG's listing is its topological order."""
+
     def _elementwise(self, nid, inputs):
         return OpNode(nid, OpKind.GELU, inputs, (2, 2))
-
-    def test_chain(self):
-        dag = Dag((self._elementwise("a", ()), self._elementwise("b", ("a",)),
-                   self._elementwise("c", ("b",))))
-        assert topo_schedule(dag) == ("a", "b", "c")
-
-    def test_diamond_tie_break_by_id(self):
-        dag = Dag((
-            self._elementwise("a", ()),
-            self._elementwise("c", ("a",)),
-            self._elementwise("b", ("a",)),
-            OpNode("d", OpKind.ADD, ("b", "c"), (2, 2)),
-        ))
-        assert topo_schedule(dag) == ("a", "b", "c", "d")
 
     def test_deit_t_softmax_follows_scores(self):
         spec = parse_model({**DEIT_B, "embed_dim": 192, "num_heads": 3})
         dag = build_dag(spec)
-        order = {nid: i for i, nid in enumerate(topo_schedule(dag))}
+        order = {node.id: i for i, node in enumerate(dag.nodes)}
         for node in dag.nodes:
             for src in node.inputs:
                 assert order[src] < order[node.id]
 
-    def test_deterministic(self):
-        dag = build_dag(parse_model(DEIT_B))
-        assert topo_schedule(dag) == topo_schedule(dag)
-
     def test_cycle_detected(self):
         nodes = (self._elementwise("a", ("b",)), self._elementwise("b", ("a",)))
-        with pytest.raises(SchemaError, match="cycle"):
+        with pytest.raises(SchemaError, match="listed after it"):
             Dag(nodes)
 
 
 class TestValidation:
-    """Listed in order, a DAG validates in one pass; out of order, through topo_schedule."""
+    """Validation is one pass over the listing; an input listed late is rejected."""
 
     def _elementwise(self, nid, inputs):
         return OpNode(nid, OpKind.GELU, inputs, (2, 2))
 
-    @pytest.mark.parametrize("model", [dict(), dict(embed_dim=6, num_heads=3, num_layers=3)])
-    def test_out_of_order_listing_validates_with_the_same_analysis(self, model):
-        dag = build_dag(tiny_model(**model))
-        for nodes in (dag.nodes[::-1], dag.nodes[1::2] + dag.nodes[::2]):
-            shuffled = Dag(nodes)  # a consumer listed before its producer
-            assert shuffled._order == topo_schedule(shuffled)
-            got, want = analyze(shuffled), analyze(dag)
-            assert got.critical_path_len == want.critical_path_len
-            assert (got.kind_counts, got.total_macs) == (want.kind_counts, want.total_macs)
-        assert dag._order == tuple(n.id for n in dag.nodes)
-
     def test_in_order_listing_is_its_own_order(self):
         dag = Dag((self._elementwise("c", ()), self._elementwise("b", ("c",)),
                    self._elementwise("a", ("c",))))
-        assert dag._order == ("c", "b", "a")
-        assert topo_schedule(dag) == ("c", "a", "b")  # ready nodes by ascending id
         assert analyze(dag).critical_path_len == 2
 
     @pytest.mark.parametrize("nodes,message", [
         ((("a", ()), ("a", ())), "duplicate node ids"),
         ((("a", ()), ("b", ("a",)), ("a", ("b",))), "duplicate node ids"),
-        ((("a", ()), ("b", ("zz",))), "node b: unknown input 'zz'"),
-        ((("b", ("a",)), ("a", ()), ("c", ("zz",))), "node c: unknown input 'zz'"),
-        ((("a", ("b",)), ("b", ("zz",))), "node b: unknown input 'zz'"),
-        ((("a", ("a",)),), "cycle detected in DAG"),
-        ((("r", ()), ("a", ("r", "b")), ("b", ("a",))), "cycle detected in DAG"),
+        ((("a", ()), ("b", ("zz",))), "node b: input 'zz' is unknown or listed after it"),
+        ((("b", ("a",)), ("a", ()), ("c", ("zz",))),
+         "node b: input 'a' is unknown or listed after it"),
+        ((("a", ("b",)), ("b", ("zz",))), "node a: input 'b' is unknown or listed after it"),
+        ((("a", ("a",)),), "node a: input 'a' is unknown or listed after it"),
+        ((("r", ()), ("a", ("r", "b")), ("b", ("a",))),
+         "node a: input 'b' is unknown or listed after it"),
     ])
     def test_invalid_graphs_raise_the_same_messages(self, nodes, message):
         with pytest.raises(SchemaError) as exc:
             Dag(tuple(self._elementwise(nid, inputs) for nid, inputs in nodes))
         assert str(exc.value) == message
 
-    def test_out_of_order_shapes_still_checked(self):
-        with pytest.raises(SchemaError, match=r"node g: input \(4, 8\) != output \(4, 9\)"):
+    @pytest.mark.parametrize("model", [dict(), dict(embed_dim=6, num_heads=3, num_layers=3)])
+    def test_shuffled_listing_rejected(self, model):
+        dag = build_dag(tiny_model(**model))
+        for nodes in (dag.nodes[::-1], dag.nodes[1::2] + dag.nodes[::2]):
+            with pytest.raises(SchemaError, match="is unknown or listed after it"):
+                Dag(nodes)  # a consumer listed before its producer
+
+    def test_out_of_order_listing_rejected(self):
+        # Rejected for its order before its mismatched shapes are compared.
+        with pytest.raises(SchemaError, match="node g: input 'a' is unknown or listed after it"):
             Dag((
                 OpNode("g", OpKind.GELU, ("a",), (4, 9)),
                 OpNode("a", OpKind.MATMUL, (), (4, 8), dims=(4, 2, 8)),
