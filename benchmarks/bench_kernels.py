@@ -24,10 +24,14 @@ stay the log's), and ``compare_searches`` on deit-tiny's exhaustive and
 default heuristic search, the two logs of ``vitmap search --mode both``.
 The ``heuristic_search (deit-tiny)`` line times that default heuristic
 search itself, with its tracemalloc peak and the rows it logs.
-The front-end lines time, on deit-base at batch 1 and 64, the DAG build with
-its rewrites (``build_dag``, ``fuse_qkv``, ``batch_expand``), ``analyze``
-and ``graph_latency`` at the exact search's tiles, whose total must equal
-the search's best latency bit for bit. The write lines time, on the same
+The front-end lines time, on deit-tiny (where QKV fusion fires) and
+deit-base (where it is skipped) at batch 1 and 64, ``build_dag``,
+``fuse_qkv``, ``batch_expand``, ``analyze`` and ``graph_latency`` at the
+exact search's tiles, whose total must equal the search's best latency bit
+for bit. The compile lines give the median of 30 in-process ``vitmap
+compile`` calls per DeiT preset at batch 1 and 64, each into a fresh
+temporary directory, and check that every call writes the same manifest
+bytes. The write lines time, on the same
 two inputs, ``manifest_to_json`` and ``AnalysisReport.to_json``, the two JSON
 files of a compile, with the bytes each writes; each text must equal the
 file ``vitmap compile`` wrote.
@@ -41,6 +45,7 @@ import contextlib
 import csv
 import io
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -119,17 +124,40 @@ def bench_scorer(count, repeat, rng):
 
 def bench_front_end(repeat):
     hw = parse_hardware(preset("vu9p.json"))
-    spec = parse_model(preset("deit_base.json"))
-    for batch in (1, 64):
-        t_front, dag = best_of(lambda: batch_expand(fuse_qkv(build_dag(spec), hw), batch),
-                               repeat)
-        t_analyze, _ = best_of(lambda: analyze(dag), repeat)
-        best = exact_search(dag, hw, enumerate_space(dag, hw)).best
-        t_cost, cost = best_of(lambda: graph_latency(dag, best.tiles, hw), repeat)
-        assert cost.total_latency_s == best.latency_s, (batch, best.tiles)
-        print(f"{f'front end (deit-base b{batch})':<28}  build+fuse+expand: "
-              f"{t_front * 1e3:7.3f} ms  analyze: {t_analyze * 1e3:7.3f} ms  "
-              f"graph_latency: {t_cost * 1e3:7.3f} ms  ({len(dag.nodes)} nodes)")
+    for model in ("deit-tiny", "deit-base"):
+        spec = parse_model(preset(model.replace("-", "_") + ".json"))
+        t_build, built = best_of(lambda: build_dag(spec), repeat)
+        t_fuse, fused = best_of(lambda: fuse_qkv(built, hw), repeat)
+        for batch in (1, 64):
+            t_expand, dag = best_of(lambda: batch_expand(fused, batch), repeat)
+            t_analyze, _ = best_of(lambda: analyze(dag), repeat)
+            best = exact_search(dag, hw, enumerate_space(dag, hw)).best
+            t_cost, cost = best_of(lambda: graph_latency(dag, best.tiles, hw), repeat)
+            assert cost.total_latency_s == best.latency_s, (model, batch, best.tiles)
+            print(f"{f'front end ({model} b{batch})':<28}  build: {t_build * 1e3:6.3f} ms  "
+                  f"fuse ({'fires' if fused is not built else 'skipped'}): "
+                  f"{t_fuse * 1e3:6.3f} ms  expand: {t_expand * 1e3:6.3f} ms  "
+                  f"analyze: {t_analyze * 1e3:6.3f} ms  graph_latency: {t_cost * 1e3:6.3f} ms  "
+                  f"({len(dag.nodes)} nodes)")
+
+
+def bench_compile(calls=30):
+    """Median of ``calls`` in-process compiles per preset and batch, each into a
+    fresh temporary directory; every call must write the same manifest."""
+    for model in ("deit-tiny", "deit-small", "deit-base"):
+        for batch in (1, 64):
+            argv = ["compile", "--model", model, "--hw", "vu9p", "--batch", str(batch)]
+            times, manifests = [], set()
+            for _ in range(calls):
+                with tempfile.TemporaryDirectory() as tmp, \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    start = time.perf_counter()
+                    assert vitmap_main([*argv, "--out-dir", tmp]) == 0
+                    times.append(time.perf_counter() - start)
+                    manifests.add((Path(tmp) / "manifest.json").read_bytes())
+            assert len(manifests) == 1, (model, batch)
+            print(f"{f'compile ({model} b{batch})':<28}  {statistics.median(times) * 1e3:7.3f} ms "
+                  f"(median of {calls} calls)")
 
 
 def bench_writes(repeat):
@@ -276,6 +304,7 @@ def main():
               f"{exact.best.tiles == heur.best.tiles}")
 
     bench_front_end(args.repeat)
+    bench_compile()
     bench_writes(args.repeat)
     bench_outputs(args.repeat, rng)
 

@@ -83,23 +83,28 @@ class DagCostArrays:
 
 
 def extract_cost_arrays(dag: Dag, hw: HardwareSpec) -> DagCostArrays:
+    """Matmul classes, first seen first, and non-linear cycles from one counting pass."""
     kernels = hw.num_kernels
+    shapes: dict[tuple, int] = {}
+    elems: dict[int, int] = {}
+    for node in dag.nodes:
+        if node.kind is OpKind.MATMUL:
+            shape = (node.dims, node.head_scoped, node.heads)
+            shapes[shape] = shapes.get(shape, 0) + 1
+        else:
+            elems[node.work_elems] = elems.get(node.work_elems, 0) + 1
     counts: dict[tuple[int, int, int, int], int] = {}
-    for node in dag.matmuls():
+    for (dims, head_scoped, heads), count in shapes.items():
         # kernel_factor·kernels: ceil(heads/kernels)·kernels for head-grouped
         # matmuls, 1 for the rest.
-        kf_kernels = -(-node.heads // kernels) * kernels if node.head_scoped else 1
-        key = (*node.dims, kf_kernels)
-        counts[key] = counts.get(key, 0) + 1
-    nl_cycles = sum(
-        nonlinear_cycles(n.work_elems, hw) for n in dag.nodes if n.kind is not OpKind.MATMUL
-    )
+        key = (*dims, -(-heads // kernels) * kernels if head_scoped else 1)
+        counts[key] = counts.get(key, 0) + count
     return DagCostArrays(
         cls_n=np.array([n for n, _, _, _ in counts], dtype=np.int64),
         cls_m=np.array([m for _, _, m, _ in counts], dtype=np.int64),
         cls_weight=tuple(count * k * kf for (_, k, _, kf), count in counts.items()),
-        nl_cycles=nl_cycles, pm=hw.pack_factor, kernels=kernels,
-        frequency=Fraction(hw.frequency_hz),
+        nl_cycles=sum(count * nonlinear_cycles(work, hw) for work, count in elems.items()),
+        pm=hw.pack_factor, kernels=kernels, frequency=Fraction(hw.frequency_hz),
     )
 
 

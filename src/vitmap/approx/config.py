@@ -67,7 +67,7 @@ def build_gelu_pieces(fmt: FixedFormat, knots=DEFAULT_GELU_KNOTS):
         outside = ", ".join(str(k) for k in knots if not lo <= k <= hi)
         raise SchemaError(f"{fmt.name} holds [{lo:g}, {hi:g}]: {which} {outside} fall "
                           f"outside it (the first knot must be at least {lo:g})")
-    ys = [int(fmt.quantize(float(exact_gelu(k)))) for k in knots]
+    ys = fmt.quantize(exact_gelu(np.array(knots, dtype=np.float64))).tolist()
     # Propagate rounded slopes so each piece lands exactly on the next knot.
     px = [fmt.min_int - 1, knots[0] * one]
     pslope = [0, 0]
@@ -148,10 +148,10 @@ class ApproxConfig:
         px, ps, pb = self.gelu_pieces
         if not (len(px) == len(ps) == len(pb)) or np.any(np.diff(px) <= 0):
             raise SchemaError("gelu pieces must share length and have increasing bounds")
+        px, ps, pb = px.tolist(), ps.tolist(), pb.tolist()
         _check_gelu_continuity(px, ps, pb, self.fmt.frac_bits)
         fmt = self.fmt
-        if gelu_clip(px.tolist(), ps.tolist(), pb.tolist(), fmt.frac_bits, fmt.min_int,
-                     fmt.max_int) is None:
+        if gelu_clip(px, ps, pb, fmt.frac_bits, fmt.min_int, fmt.max_int) is None:
             raise SchemaError(f"{fmt.name}: slope·x of the gelu pieces leaves int64")
 
     # Derived fixed-point constants -----------------------------------------

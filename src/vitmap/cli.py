@@ -61,12 +61,17 @@ STAGE_EXIT_CODES = {
 _PRESETS = ("deit-tiny", "deit-small", "deit-base", "vu9p")  # presets/deit_tiny.json, ...
 
 
+@functools.cache  # the package's location, found on the first preset read
+def _preset_dir():
+    return resources.files("vitmap.presets")
+
+
 def _load_doc(spec: str, stage: str) -> dict:
     """Read a JSON document from a path or a built-in preset name."""
     try:
         path = Path(spec)
         if spec in _PRESETS:
-            path = resources.files("vitmap.presets") / f"{spec.replace('-', '_')}.json"
+            path = _preset_dir() / f"{spec.replace('-', '_')}.json"
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise StageError(stage, f"cannot read {spec}: {exc}") from exc
@@ -80,8 +85,9 @@ def _stage(stage: str, fn, *args, **kwargs):
 
 
 def _open_out(path: Path):
-    """``path`` opened for writing text, its directory created first."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """``path`` opened for writing text, its directory created first if missing."""
+    if not path.parent.is_dir():
+        path.parent.mkdir(parents=True, exist_ok=True)
     return path.open("w", encoding="utf-8")
 
 

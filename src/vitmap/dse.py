@@ -49,7 +49,6 @@ flagged rows, and the front copies the columns only when a row is flagged.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -107,39 +106,45 @@ class SpaceCaps:
 class SearchSpace:
     """Candidate ranges; triples are additionally filtered by feasibility.
 
-    The ranges ascend, so the tm at position ``j`` of ``tm_range`` admits the
-    first ``pn_counts[j]`` pn (those with pn·pm < tm) and the first
-    ``tn_counts[j]`` tn (those with tn·tm <= capacity) of their ranges:
-    ``feasible_counts`` is that table, built once per space.
+    The ranges ascend (``range``s, or tuples), so the tm at position ``j`` of
+    ``tm_range`` admits the first ``pn_counts[j]`` pn (those with pn·pm < tm)
+    and the first ``tn_counts[j]`` tn (those with tn·tm <= capacity) of their
+    ranges: ``feasible_counts`` is that table, built once per space.
     """
 
-    tn_range: tuple[int, ...]
-    tm_range: tuple[int, ...]
-    pn_range: tuple[int, ...]
+    tn_range: Sequence[int]
+    tm_range: Sequence[int]
+    pn_range: Sequence[int]
     pm: int
     capacity: int
 
     @functools.cached_property
     def feasible_counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(pn_counts, tn_counts)``, one entry per tm, by bisection."""
-        return (tuple(bisect.bisect_right(self.pn_range, tm // self.pm - 1)
-                      for tm in self.tm_range),
-                tuple(bisect.bisect_right(self.tn_range, self.capacity // tm)
-                      for tm in self.tm_range))
+        """``(pn_counts, tn_counts)``, one entry per tm, by one binary search per tm."""
+        tm = _array(self.tm_range)
+        return (tuple(_array(self.pn_range).searchsorted(tm // self.pm - 1, "right").tolist()),
+                tuple(_array(self.tn_range).searchsorted(self.capacity // tm, "right").tolist()))
 
     def feasible_size(self) -> int:
         return sum(map(operator.mul, *self.feasible_counts))
 
     def point_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All feasible points in loop order as (pn, tn, tm) arrays."""
-        tn_arr = np.asarray(self.tn_range, dtype=np.int64)
-        pn_arr = np.asarray(self.pn_range, dtype=np.int64)
+        tn_arr = _array(self.tn_range)
+        pn_arr = _array(self.pn_range)
         pns, tns, tms = [pn_arr[:0]], [tn_arr[:0]], [np.empty(0, np.int64)]  # empty when no point
         for tm, npn, ntn in zip(self.tm_range, *self.feasible_counts):
             pns.append(np.repeat(pn_arr[:npn], ntn))
             tns.append(np.tile(tn_arr[:ntn], npn))
             tms.append(np.full(npn * ntn, tm, dtype=np.int64))
         return np.concatenate(pns), np.concatenate(tns), np.concatenate(tms)
+
+
+def _array(values: Sequence[int]) -> np.ndarray:
+    """An int64 array of ``values``; a ``range`` is converted without iterating it."""
+    if isinstance(values, range):
+        return np.arange(values.start, values.stop, values.step, dtype=np.int64)
+    return np.asarray(values, dtype=np.int64)
 
 
 def enumerate_space(dag: Dag, hw: HardwareSpec, caps: Optional[SpaceCaps] = None) -> SearchSpace:
@@ -161,18 +166,17 @@ def enumerate_space(dag: Dag, hw: HardwareSpec, caps: Optional[SpaceCaps] = None
     tn_hi = min(max_n, s // pm)
     if caps.tn_max is not None:
         tn_hi = min(tn_hi, caps.tn_max)
-    tn_range = tuple(range(1, tn_hi + 1, caps.tn_step))
+    tn_range = range(1, tn_hi + 1, caps.tn_step)
 
     tm_hi = min(max_m, s)
     if caps.tm_max is not None:
         tm_hi = min(tm_hi, caps.tm_max)
-    tm_step = pm * caps.tm_step
-    tm_range = tuple(range(pm, tm_hi + 1, tm_step))
+    tm_range = range(pm, tm_hi + 1, pm * caps.tm_step)
 
-    pn_hi = max((tm // pm - 1 for tm in tm_range), default=0)
+    pn_hi = tm_range[-1] // pm - 1 if tm_range else 0  # the largest tm's bound
     if caps.pn_max is not None:
         pn_hi = min(pn_hi, caps.pn_max)
-    pn_range = tuple(range(1, pn_hi + 1))
+    pn_range = range(1, pn_hi + 1)
 
     space = SearchSpace(tn_range, tm_range, pn_range, pm, s)
     if not tn_range or not tm_range or not pn_range or space.feasible_size() == 0:
@@ -413,20 +417,22 @@ def exact_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult
     """
     start = time.perf_counter()
     arrays = extract_cost_arrays(dag, hw)
-    feasible = [(tm, space.pn_range[npn - 1], ntn)
-                for tm, npn, ntn in zip(space.tm_range, *space.feasible_counts) if npn and ntn]
-    if not feasible:
+    pn_counts, tn_counts = (np.array(c, dtype=np.int64) for c in space.feasible_counts)
+    feasible = np.flatnonzero((pn_counts > 0) & (tn_counts > 0))
+    if not feasible.size:
         raise EmptySearchSpaceError("search space has no feasible points")
-    tms, pns, counts = zip(*feasible)
-    counts = np.array(counts, dtype=np.int64)
-    weighted = weighted_columns(arrays, tms, space.tn_range[counts.max() - 1])
+    tms = _array(space.tm_range)[feasible]
+    pns = _array(space.pn_range)[pn_counts[feasible] - 1]
+    counts = tn_counts[feasible]
+    tn_range = _array(space.tn_range)
+    weighted = weighted_columns(arrays, tms, int(tn_range[counts.max() - 1]))
     bound = weighted @ arrays.cls_n.astype(weighted.dtype)
 
     # Blocks run in tn order and a block only replaces a column's minimum when
     # strictly lower, so each column keeps its first minimum.
     scored = 0
-    for lo, open_, block, valid in numerator_blocks(arrays, weighted, space.tn_range,
-                                                    counts, _BLOCK_ELEMS, 1):
+    for lo, open_, block, valid in numerator_blocks(arrays, weighted, tn_range, counts,
+                                                    _BLOCK_ELEMS, 1):
         scored += int(valid.sum())
         block = np.where(valid, block, block[:, :1])  # a row's first entry is valid
         i = block.argmin(axis=1)
@@ -439,18 +445,20 @@ def exact_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult
             tn_idx[open_[lower]] = lo + i[lower]
         counts[open_[numerators[open_] == bound[open_]]] = 0  # met the bound: closed
 
-    latencies = divide(arrays, numerators, np.array(pns, dtype=np.int64)).tolist()
-    numerators = numerators.tolist()
-    best = 0
-    for j in range(1, len(tms)):
-        # N/pn < N'/pn' by cross-multiplication (pm·kernels is common); ties keep the first.
-        if numerators[j] * pns[best] < numerators[best] * pns[j]:
+    latencies = divide(arrays, numerators, pns)
+    # Latency orders columns as N/pn does and its floats are correctly rounded, so the
+    # first exact minimum has the lowest float. Ties in N/pn keep the first column.
+    first, *others = np.flatnonzero(latencies == latencies.min()).tolist()
+    best = first
+    for j in others:
+        if int(numerators[j]) * int(pns[best]) < int(numerators[best]) * int(pns[j]):
             best = j
-    tns = [space.tn_range[i] for i in tn_idx.tolist()]
+    tns = tn_range[tn_idx]
     return SearchResult(
-        best=Evaluation(TileParams(pns[best], space.pm, tns[best], tms[best]), latencies[best]),
+        best=Evaluation(TileParams(int(pns[best]), space.pm, int(tns[best]), int(tms[best])),
+                        float(latencies[best])),
         evaluations_used=scored,
-        history=(latencies[best],),
+        history=(float(latencies[best]),),
         all_evaluated=EvaluationLog(pns, space.pm, tns, tms, latencies, False),
         wall_time_s=time.perf_counter() - start,
         space=space,
@@ -473,9 +481,9 @@ class _Sampler:
 
     def __init__(self, space: SearchSpace):
         self.space = space
-        self.pn_values = np.asarray(space.pn_range, dtype=np.int64)
-        self.tn_values = np.asarray(space.tn_range, dtype=np.int64)
-        self.tm_values = np.asarray(space.tm_range, dtype=np.int64)
+        self.pn_values = _array(space.pn_range)
+        self.tn_values = _array(space.tn_range)
+        self.tm_values = _array(space.tm_range)
         self.pn_counts, self.tn_counts = space.feasible_counts
         self.feasible = [j for j, (npn, ntn) in enumerate(zip(*space.feasible_counts))
                          if npn and ntn]

@@ -60,7 +60,7 @@ def _ints(values, lo, hi) -> bool:
 
 # kind -> (what a value must be, its test); open number bounds keep out NaN and inf.
 _KINDS = {
-    "int": ("an integer in [{0}, {1}]", lambda v, lo, hi: _ints((v,), lo, hi)),
+    "int": ("an integer in [{0}, {1}]", lambda v, lo, hi: is_int(v) and lo <= v <= hi),
     "number": ("a number in ({0}, {1})",
                lambda v, lo, hi: (is_int(v) or isinstance(v, float)) and lo < v < hi),
     "str": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),

@@ -190,8 +190,10 @@ def matmul_cost(dims: tuple[int, int, int], tiles: TileParams, hw: HardwareSpec,
     ops_per_tile = tiles.tn * tiles.tm * k
     total_ops = ops_per_tile * num_tiles_row * num_tiles_col
     kf = kernel_factor(num_heads, hw.num_kernels, head_flag)
-    adjusted_cycles = Fraction(total_ops, tiles.pn * tiles.pm) * kf
-    latency_s = float(adjusted_cycles / Fraction(hw.frequency_hz))
+    adjusted_cycles = Fraction(total_ops * kf.numerator, tiles.pn * tiles.pm * kf.denominator)
+    # cycles / frequency as one correctly rounded quotient of integers.
+    p, q = hw.frequency_hz.as_integer_ratio()
+    latency_s = adjusted_cycles.numerator * q / (adjusted_cycles.denominator * p)
     return CostBreakdown(
         total_ops=total_ops,
         ops_per_tile=ops_per_tile,
@@ -219,30 +221,28 @@ def graph_latency(dag: Dag, tiles: TileParams, hw: HardwareSpec) -> GraphCost:
     """Total modeled latency of a DAG under one tile configuration.
 
     This is the node-by-node reference in exact ``Fraction``s that the
-    search's scorer is tested against. Within one call it costs each
-    distinct matmul shape ``(dims, head_scoped, heads)`` once through
-    ``matmul_cost`` and adds every node's exact cycles in node order;
-    nothing is kept between calls. Raises ``InfeasibleTilesError`` listing
-    every violated constraint, the pn bound included, when the configuration
-    is infeasible.
+    search's scorer is tested against; it shares no code with that scorer.
+    Its walk visits every node, counting matmuls per distinct shape
+    ``(dims, head_scoped, heads)`` and other nodes per ``work_elems``; each
+    shape's exact cycles, from one ``matmul_cost`` call, are multiplied by
+    its count. Nothing is kept between calls. Raises ``InfeasibleTilesError``
+    listing every violated constraint, the pn bound included, if infeasible.
     """
     violations = _violations(tiles, hw)
     if violations:
         raise InfeasibleTilesError(violations)
-    freq = Fraction(hw.frequency_hz)
-    matmuls: dict[tuple, Fraction] = {}
-    mm_cycles = Fraction(0)
-    nl_cycles = 0
+    shapes: dict[tuple, int] = {}
+    elems: dict[int, int] = {}
     for node in dag.nodes:
         if node.kind is OpKind.MATMUL:
             shape = (node.dims, node.head_scoped, node.heads)
-            cycles = matmuls.get(shape)
-            if cycles is None:
-                cycles = matmuls[shape] = matmul_cost(node.dims, tiles, hw, node.head_scoped,
-                                                      node.heads).adjusted_cycles
-            mm_cycles += cycles
+            shapes[shape] = shapes.get(shape, 0) + 1
         else:
-            nl_cycles += nonlinear_cycles(node.work_elems, hw)
+            elems[node.work_elems] = elems.get(node.work_elems, 0) + 1
+    mm_cycles = sum((count * matmul_cost(dims, tiles, hw, scoped, heads).adjusted_cycles
+                     for (dims, scoped, heads), count in shapes.items()), Fraction(0))
+    nl_cycles = sum(count * nonlinear_cycles(work, hw) for work, count in elems.items())
+    freq = Fraction(hw.frequency_hz)
     return GraphCost(
         total_latency_s=float((mm_cycles + nl_cycles) / freq),
         matmul_latency_s=float(mm_cycles / freq),

@@ -12,6 +12,7 @@ count; downstream consumers expand heads when they need to.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
@@ -80,6 +81,14 @@ class ModelSpec:
         return int(round(self.embed_dim * self.mlp_ratio))
 
 
+_MATMUL, _SOFTMAX, _ADD, _SPLIT = OpKind.MATMUL, OpKind.SOFTMAX, OpKind.ADD, OpKind.SPLIT
+# Sets a frozen field; one __dict__ update is faster but gives each node a tracked dict.
+_set = object.__setattr__
+# An encoder layer's node ids, after the layer's prefix, in listing order.
+_LAYER_IDS = (".ln1", ".q", ".k", ".v", ".scores", ".softmax", ".attnv", ".concat", ".proj",
+              ".add1", ".ln2", ".fc1", ".gelu", ".fc2", ".add2")
+
+
 @dataclass(frozen=True)
 class OpNode:
     """One operation in the DAG.
@@ -88,7 +97,8 @@ class OpNode:
     head-grouped matmuls the dims are per head and ``heads`` counts the
     repeats. ``out_shape`` is the (rows, cols) of the node output with heads
     concatenated column-wise. ``work_elems`` is the element count charged to
-    the non-linear/elementwise cost model.
+    the non-linear/elementwise cost model; 0 means ``rows * cols``. The
+    written-out ``__init__`` checks its arguments, then sets each field once.
     """
 
     id: str
@@ -101,18 +111,28 @@ class OpNode:
     work_elems: int = 0
     slice_rows: bool = False
 
-    def __post_init__(self):
-        if self.kind is OpKind.MATMUL:
-            if self.dims is None or min(self.dims) < 1:
-                raise SchemaError(f"node {self.id}: MatMul dims must be >= 1, got {self.dims}")
-        elif self.dims is not None:
-            raise SchemaError(f"node {self.id}: dims only valid on MatMul nodes")
-        if self.head_scoped and self.kind not in (OpKind.MATMUL, OpKind.SOFTMAX):
-            raise SchemaError(f"node {self.id}: head_scoped requires MatMul or Softmax")
-        if self.heads < 1:
-            raise SchemaError(f"node {self.id}: heads must be >= 1")
-        if self.work_elems == 0:
-            object.__setattr__(self, "work_elems", self.out_shape[0] * self.out_shape[1])
+    def __init__(self, id, kind, inputs=(), out_shape=(1, 1), dims=None, head_scoped=False,
+                 heads=1, work_elems=0, slice_rows=False):
+        if kind is _MATMUL:
+            if dims is None or min(dims) < 1:
+                raise SchemaError(f"node {id}: MatMul dims must be >= 1, got {dims}")
+        elif dims is not None:
+            raise SchemaError(f"node {id}: dims only valid on MatMul nodes")
+        if head_scoped and kind is not _MATMUL and kind is not _SOFTMAX:
+            raise SchemaError(f"node {id}: head_scoped requires MatMul or Softmax")
+        if heads < 1:
+            raise SchemaError(f"node {id}: heads must be >= 1")
+        if work_elems == 0:
+            work_elems = out_shape[0] * out_shape[1]
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+        _set(self, "inputs", inputs)
+        _set(self, "out_shape", out_shape)
+        _set(self, "dims", dims)
+        _set(self, "head_scoped", head_scoped)
+        _set(self, "heads", heads)
+        _set(self, "work_elems", work_elems)
+        _set(self, "slice_rows", slice_rows)
 
     @property
     def macs(self) -> int:
@@ -128,9 +148,10 @@ class Dag:
     """Immutable operation DAG, listed in topological order.
 
     Every node's inputs must be listed before it, so the listing is the
-    order ``analyze`` walks, and validation is one pass that also rules out
-    cycles. An input not listed earlier (unknown, later, or the node
-    itself), duplicate ids and mismatched shapes raise ``SchemaError``.
+    order ``analyze`` walks. Validation is one pass: each node's inputs must
+    be listed before it (which rules out cycles), and each edge must connect
+    a producer's output to a matching consumer slot; the first node that
+    breaks either raises ``SchemaError``, and duplicate ids raise after the pass.
     """
 
     nodes: tuple[OpNode, ...]
@@ -138,51 +159,49 @@ class Dag:
     def __post_init__(self):
         by_id: dict[str, OpNode] = {}
         for node in self.nodes:
+            ins = []
             for src in node.inputs:
-                if src not in by_id:
+                producer = by_id.get(src)
+                if producer is None:
                     raise SchemaError(f"node {node.id}: input {src!r} is unknown or listed "
                                       "after it")
+                ins.append(producer.out_shape)
+            kind = node.kind
+            if kind is _MATMUL:
+                n, k, m = node.dims
+                if node.head_scoped:
+                    want_a = (n, node.heads * k)
+                    want_b = {want_a, (n, node.heads * m)}
+                    if ins and ins[0] != want_a:
+                        raise SchemaError(f"node {node.id}: A input {ins[0]} != {want_a}")
+                    if len(ins) > 1 and ins[1] not in want_b:
+                        raise SchemaError(f"node {node.id}: B input {ins[1]} not in {want_b}")
+                elif ins:
+                    rows, cols = ins[0]
+                    if cols != k or (rows != n and not node.slice_rows) or rows < n:
+                        raise SchemaError(f"node {node.id}: input {ins[0]} incompatible with "
+                                          f"dims {node.dims}")
+            elif kind is _ADD:
+                if len(ins) != 2 or ins[0] != ins[1] or ins[0] != node.out_shape:
+                    raise SchemaError(f"node {node.id}: Add inputs {ins} must both equal "
+                                      f"{node.out_shape}")
+            elif kind is _SPLIT:
+                rows, cols = node.out_shape
+                if ins and ins[0] != (rows, 3 * cols):
+                    raise SchemaError(f"node {node.id}: Split input {ins[0]} != "
+                                      f"{(rows, 3 * cols)}")
+            elif ins and ins[0] != node.out_shape:  # elementwise: LayerNorm, Softmax, Gelu, Concat
+                raise SchemaError(f"node {node.id}: input {ins[0]} != output {node.out_shape}")
             by_id[node.id] = node
         if len(by_id) != len(self.nodes):
             raise SchemaError("duplicate node ids")
         object.__setattr__(self, "_by_id", by_id)
-        _check_shapes(self)
 
     def node(self, node_id: str) -> OpNode:
         return self._by_id[node_id]
 
     def matmuls(self) -> tuple[OpNode, ...]:
-        return tuple(n for n in self.nodes if n.kind is OpKind.MATMUL)
-
-
-def _check_shapes(dag: Dag) -> None:
-    """Every edge must connect a producer output to a matching consumer slot."""
-    by_id = dag._by_id
-    for node in dag.nodes:
-        ins = [by_id[i].out_shape for i in node.inputs]
-        if node.kind is OpKind.MATMUL:
-            n, k, m = node.dims
-            if node.head_scoped:
-                want_a = (n, node.heads * k)
-                want_b = {(n, node.heads * k), (n, node.heads * m)}
-                if ins and ins[0] != want_a:
-                    raise SchemaError(f"node {node.id}: A input {ins[0]} != {want_a}")
-                if len(ins) > 1 and ins[1] not in want_b:
-                    raise SchemaError(f"node {node.id}: B input {ins[1]} not in {want_b}")
-            elif ins:
-                rows, cols = ins[0]
-                if cols != k or (rows != n and not node.slice_rows) or rows < n:
-                    raise SchemaError(f"node {node.id}: input {ins[0]} incompatible with dims {node.dims}")
-        elif node.kind is OpKind.ADD:
-            if len(ins) != 2 or ins[0] != ins[1] or ins[0] != node.out_shape:
-                raise SchemaError(f"node {node.id}: Add inputs {ins} must both equal {node.out_shape}")
-        elif node.kind is OpKind.SPLIT:
-            rows, cols = node.out_shape
-            if ins and ins[0] != (rows, 3 * cols):
-                raise SchemaError(f"node {node.id}: Split input {ins[0]} != {(rows, 3 * cols)}")
-        else:  # elementwise: LayerNorm, Softmax, Gelu, Concat
-            if ins and ins[0] != node.out_shape:
-                raise SchemaError(f"node {node.id}: input {ins[0]} != output {node.out_shape}")
+        return tuple(n for n in self.nodes if n.kind is _MATMUL)
 
 
 def parse_model(doc: Mapping) -> ModelSpec:
@@ -203,63 +222,56 @@ def build_dag(spec: ModelSpec) -> Dag:
     t, d = spec.num_tokens, spec.embed_dim
     dh, nh, h = spec.head_dim, spec.num_heads, spec.ffn_dim
     width = max(2, len(str(spec.num_layers - 1)))
+    # Every layer shares these tuples.
+    td, tnt, th = (t, d), (t, nh * t), (t, h)
+    proj, scores, attnv = (t, d, d), (t, dh, t), (t, t, dh)
+    fc1, fc2 = (t, d, h), (t, h, d)
+    mm, ln, gelu, concat = _MATMUL, OpKind.LAYERNORM, OpKind.GELU, OpKind.CONCAT
 
-    nodes: list[OpNode] = [
-        OpNode("embed", OpKind.MATMUL, (), (t, d), dims=(t, spec.patch_pixels, d)),
-    ]
+    nodes: list[OpNode] = [OpNode("embed", mm, (), td, (t, spec.patch_pixels, d))]
     prev = "embed"
     for li in range(spec.num_layers):
-        p = f"l{li:0{width}d}"
-        nodes += [
-            OpNode(f"{p}.ln1", OpKind.LAYERNORM, (prev,), (t, d)),
-            OpNode(f"{p}.q", OpKind.MATMUL, (f"{p}.ln1",), (t, d), dims=(t, d, d)),
-            OpNode(f"{p}.k", OpKind.MATMUL, (f"{p}.ln1",), (t, d), dims=(t, d, d)),
-            OpNode(f"{p}.v", OpKind.MATMUL, (f"{p}.ln1",), (t, d), dims=(t, d, d)),
-            OpNode(f"{p}.scores", OpKind.MATMUL, (f"{p}.q", f"{p}.k"), (t, nh * t),
-                   dims=(t, dh, t), head_scoped=True, heads=nh),
-            OpNode(f"{p}.softmax", OpKind.SOFTMAX, (f"{p}.scores",), (t, nh * t),
-                   head_scoped=True, heads=nh),
-            OpNode(f"{p}.attnv", OpKind.MATMUL, (f"{p}.softmax", f"{p}.v"), (t, d),
-                   dims=(t, t, dh), head_scoped=True, heads=nh),
-            OpNode(f"{p}.concat", OpKind.CONCAT, (f"{p}.attnv",), (t, d)),
-            OpNode(f"{p}.proj", OpKind.MATMUL, (f"{p}.concat",), (t, d), dims=(t, d, d)),
-            OpNode(f"{p}.add1", OpKind.ADD, (prev, f"{p}.proj"), (t, d)),
-            OpNode(f"{p}.ln2", OpKind.LAYERNORM, (f"{p}.add1",), (t, d)),
-            OpNode(f"{p}.fc1", OpKind.MATMUL, (f"{p}.ln2",), (t, h), dims=(t, d, h)),
-            OpNode(f"{p}.gelu", OpKind.GELU, (f"{p}.fc1",), (t, h)),
-            OpNode(f"{p}.fc2", OpKind.MATMUL, (f"{p}.gelu",), (t, d), dims=(t, h, d)),
-            OpNode(f"{p}.add2", OpKind.ADD, (f"{p}.add1", f"{p}.fc2"), (t, d)),
-        ]
-        prev = f"{p}.add2"
-    nodes.append(
-        OpNode("classifier", OpKind.MATMUL, (prev,), (1, spec.num_classes),
-               dims=(1, d, spec.num_classes), slice_rows=True)
-    )
+        prefix = "l" + str(li).zfill(width)
+        ln1, q, k, v, sc, sm, av, cat, pr, add1, ln2, f1, ge, f2, add2 = map(prefix.__add__,
+                                                                            _LAYER_IDS)
+        nodes += (
+            OpNode(ln1, ln, (prev,), td),
+            OpNode(q, mm, (ln1,), td, proj),
+            OpNode(k, mm, (ln1,), td, proj),
+            OpNode(v, mm, (ln1,), td, proj),
+            OpNode(sc, mm, (q, k), tnt, scores, True, nh),
+            OpNode(sm, _SOFTMAX, (sc,), tnt, None, True, nh),
+            OpNode(av, mm, (sm, v), td, attnv, True, nh),
+            OpNode(cat, concat, (av,), td),
+            OpNode(pr, mm, (cat,), td, proj),
+            OpNode(add1, _ADD, (prev, pr), td),
+            OpNode(ln2, ln, (add1,), td),
+            OpNode(f1, mm, (ln2,), th, fc1),
+            OpNode(ge, gelu, (f1,), th),
+            OpNode(f2, mm, (ge,), td, fc2),
+            OpNode(add2, _ADD, (add1, f2), td),
+        )
+        prev = add2
+    nodes.append(OpNode("classifier", mm, (prev,), (1, spec.num_classes),
+                        (1, d, spec.num_classes), slice_rows=True))
     return Dag(tuple(nodes))
 
 
 def _qkv_triples(dag: Dag) -> dict[str, tuple[OpNode, OpNode, OpNode]]:
     """Q/K/V matmul triples by Q id: same input, same dims, feeding one attention block."""
+    by_id = dag._by_id
     triples = {}
     for node in dag.nodes:
-        if node.kind is OpKind.MATMUL and node.id.endswith(".q"):
+        if node.kind is _MATMUL and node.id.endswith(".q"):
             prefix = node.id[:-2]
-            try:
-                k_node = dag.node(f"{prefix}.k")
-                v_node = dag.node(f"{prefix}.v")
-            except KeyError:
-                continue
-            if (k_node.kind is OpKind.MATMUL and v_node.kind is OpKind.MATMUL
+            k_node = by_id.get(prefix + ".k")
+            v_node = by_id.get(prefix + ".v")
+            if (k_node is not None and v_node is not None
+                    and k_node.kind is _MATMUL and v_node.kind is _MATMUL
                     and node.inputs == k_node.inputs == v_node.inputs
                     and node.dims == k_node.dims == v_node.dims):
                 triples[node.id] = (node, k_node, v_node)
     return triples
-
-
-def _rebuilt(node: OpNode, inputs, out_shape, dims, work_elems) -> OpNode:
-    """``node`` with new inputs and sizes, constructed directly."""
-    return OpNode(node.id, node.kind, inputs, out_shape, dims, node.head_scoped, node.heads,
-                  work_elems, node.slice_rows)
 
 
 def fuse_qkv(dag: Dag, hw) -> Dag:
@@ -268,7 +280,8 @@ def fuse_qkv(dag: Dag, hw) -> Dag:
     The rewrite only fires when the fused weight matrix, k rows by
     3*embed_dim columns, fits the on-chip tile capacity (k * 3m <= S);
     otherwise the DAG is returned unchanged and a diagnostic is logged.
-    Already-fused graphs have no triples and pass through untouched.
+    Already-fused graphs have no triples and pass through untouched. Only
+    the nodes that read a replaced id are rebuilt; the rest are reused.
     """
     triples = _qkv_triples(dag)
     if not triples:
@@ -288,20 +301,20 @@ def fuse_qkv(dag: Dag, hw) -> Dag:
         if triple is not None:
             n, k, m = node.dims
             prefix = node.id[:-2]
-            fused = OpNode(f"{prefix}.qkv", OpKind.MATMUL, node.inputs, (n, 3 * m),
-                           dims=(n, k, 3 * m))
-            split = OpNode(f"{prefix}.qkv_split", OpKind.SPLIT, (fused.id,), (n, m),
-                           work_elems=n * 3 * m)
-            new_nodes += [fused, split]
+            fused, split = prefix + ".qkv", prefix + ".qkv_split"
+            new_nodes += (OpNode(fused, _MATMUL, node.inputs, (n, 3 * m), (n, k, 3 * m)),
+                          OpNode(split, _SPLIT, (fused,), (n, m), work_elems=n * 3 * m))
             for old in triple:
-                replaced[old.id] = split.id
+                replaced[old.id] = split
         elif node.id in replaced:
             continue  # .k / .v of a fused triple
-        else:
-            new_inputs = tuple(replaced.get(i, i) for i in node.inputs)
-            if new_inputs != node.inputs:
-                node = _rebuilt(node, new_inputs, node.out_shape, node.dims, node.work_elems)
+        elif replaced.keys().isdisjoint(node.inputs):
             new_nodes.append(node)
+        else:
+            new_nodes.append(OpNode(node.id, node.kind,
+                                    tuple([replaced.get(i, i) for i in node.inputs]),
+                                    node.out_shape, node.dims, node.head_scoped, node.heads,
+                                    node.work_elems, node.slice_rows))
     return Dag(tuple(new_nodes))
 
 
@@ -310,16 +323,12 @@ def batch_expand(dag: Dag, batch: int) -> Dag:
     check({"batch": batch}, MODEL_OPTIONAL)
     if batch == 1:
         return dag
-    new_nodes = []
-    for node in dag.nodes:
-        rows, cols = node.out_shape
-        dims = node.dims
-        if dims is not None:
-            n, k, m = dims
-            dims = (n * batch, k, m)
-        new_nodes.append(_rebuilt(node, node.inputs, (rows * batch, cols), dims,
-                                  node.work_elems * batch))
-    return Dag(tuple(new_nodes))
+    return Dag(tuple([
+        OpNode(node.id, node.kind, node.inputs, (node.out_shape[0] * batch, node.out_shape[1]),
+               None if node.dims is None else (node.dims[0] * batch, node.dims[1], node.dims[2]),
+               node.head_scoped, node.heads, node.work_elems * batch, node.slice_rows)
+        for node in dag.nodes
+    ]))
 
 
 @dataclass(frozen=True)
@@ -349,31 +358,33 @@ class AnalysisReport:
         })
 
     def to_csv(self) -> str:
-        return csv_text(["id", "n", "k", "m", "heads", "head_scoped", "macs"],
-                        ((m.id, m.n, m.k, m.m, m.heads, m.head_scoped, m.macs)
-                         for m in self.matmuls))
+        header = ("id", "n", "k", "m", "heads", "head_scoped", "macs")  # MatmulInfo's fields
+        return csv_text(header, map(operator.attrgetter(*header), self.matmuls))
 
 
 def analyze(dag: Dag) -> AnalysisReport:
-    """Classify the DAG: per-kind counts, matmul shapes, MACs, critical path."""
-    kind_counts: dict[str, int] = {}
-    for node in dag.nodes:
-        kind = node.kind.value
-        kind_counts[kind] = kind_counts.get(kind, 0) + 1
-    matmuls = tuple(
-        MatmulInfo(n.id, n.dims[0], n.dims[1], n.dims[2], n.heads, n.head_scoped, n.macs)
-        for n in dag.matmuls()
-    )
+    """Classify the DAG in one pass: per-kind counts, matmul shapes, MACs, critical path."""
+    kind_counts: dict[OpKind, int] = {}
+    matmuls = []
+    total_macs = 0
     depth: dict[str, int] = {}
     for node in dag.nodes:
+        kind = node.kind
+        kind_counts[kind] = kind_counts.get(kind, 0) + 1
+        if kind is _MATMUL:
+            n, k, m = node.dims
+            macs = node.heads * n * k * m
+            total_macs += macs
+            matmuls.append(MatmulInfo(node.id, n, k, m, node.heads, node.head_scoped, macs))
         deepest = 0
         for src in node.inputs:
-            if depth[src] > deepest:
-                deepest = depth[src]
+            below = depth[src]
+            if below > deepest:
+                deepest = below
         depth[node.id] = deepest + 1
     return AnalysisReport(
-        kind_counts=kind_counts,
-        matmuls=matmuls,
-        total_macs=sum(m.macs for m in matmuls),
+        kind_counts={kind._value_: count for kind, count in kind_counts.items()},
+        matmuls=tuple(matmuls),
+        total_macs=total_macs,
         critical_path_len=max(depth.values(), default=0),
     )

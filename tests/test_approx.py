@@ -25,6 +25,7 @@ from vitmap.approx import (
     softmax_approx,
     softmax_out_to_float,
 )
+from vitmap.approx.config import DEFAULT_GELU_KNOTS
 from vitmap.errors import SchemaError
 
 CFG = ApproxConfig()
@@ -374,6 +375,62 @@ def test_gelu_equals_golden_at_the_int64_edges(int_bits, frac_bits):
     assert want[0] == want[2] == top and want[1] == want[3] == want[5] == 0
     assert gelu_pwl(np.array(x, dtype=np.int64), cfg).tolist() == want
     assert gelu_kernel(np.array(x, dtype=np.int64), cfg).tolist() == want
+
+
+def scalar_gelu_pieces(fmt, knots):
+    """``build_gelu_pieces`` with each knot's GELU quantised on its own, as a
+    numpy scalar, the way it was before one vectorised call replaced it."""
+    knots = tuple(int(k) for k in knots)
+    if len(knots) < 2 or any(b - a < 1 for a, b in zip(knots, knots[1:])):
+        raise SchemaError("gelu knots must be at least two strictly increasing integers")
+    one = fmt.one
+    if fmt.total_bits > 63:
+        raise SchemaError(f"{fmt.name} is wider than 63 bits")
+    if knots[0] * one < fmt.min_int:
+        raise SchemaError(f"{fmt.name}: the first knot is outside the format")
+    ys = [int(fmt.quantize(float(exact_gelu(k)))) for k in knots]
+    px, pslope, pintercept = [fmt.min_int - 1, knots[0] * one], [0, 0], [0, 0]
+    y = 0
+    for i in range(len(knots) - 1):
+        dc = knots[i + 1] - knots[i]
+        target = ys[i + 1] if i + 1 < len(knots) - 1 else knots[-1] * one
+        slope = round((target - y) / dc)
+        px.append(knots[i] * one)
+        pslope.append(slope)
+        pintercept.append(y - slope * knots[i])
+        y = y + slope * dc
+    if y != knots[-1] * one:
+        raise SchemaError(f"gelu knots {knots} cannot meet the identity piece exactly")
+    del px[1], pslope[1], pintercept[1]
+    return px + [knots[-1] * one], pslope + [one], pintercept + [0]
+
+
+def _pieces_or_error(build, fmt, knots):
+    """The pieces as lists, or None where ``build`` rejects the knots."""
+    try:
+        return [np.asarray(a).tolist() for a in build(fmt, knots)]
+    except SchemaError:
+        return None
+
+
+def test_gelu_pieces_equal_scalar_quantisation_in_every_format():
+    """The default knots in every format of 2 to 63 bits (and a 64-bit one)."""
+    for total in range(2, 65):
+        for frac in range(total):
+            fmt = FixedFormat(total, frac)
+            assert (_pieces_or_error(build_gelu_pieces, fmt, DEFAULT_GELU_KNOTS)
+                    == _pieces_or_error(scalar_gelu_pieces, fmt, DEFAULT_GELU_KNOTS)), fmt
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 63).flatmap(lambda total: st.tuples(st.just(total),
+                                                          st.integers(0, total - 1))),
+       st.lists(st.integers(-2 ** 20, 2 ** 20), min_size=2, max_size=12, unique=True))
+def test_gelu_pieces_equal_scalar_quantisation_at_random_knots(bits, knots):
+    fmt = FixedFormat(*bits)
+    knots = sorted(knots)
+    assert (_pieces_or_error(build_gelu_pieces, fmt, knots)
+            == _pieces_or_error(scalar_gelu_pieces, fmt, knots))
 
 
 def test_gelu_pieces_without_an_int64_bound_rejected():

@@ -1,3 +1,4 @@
+import bisect
 import csv
 import dataclasses
 import io
@@ -321,6 +322,38 @@ class TestEnumerateSpace:
         hw = toy_hw(axi_width_bits=32, data_width_bits=16, onchip_capacity_elems=1)
         with pytest.raises(EmptySearchSpaceError):
             enumerate_space(dag, hw)
+
+    @settings(max_examples=200)
+    @given(small_models_and_boards(), st.integers(1, 64), st.data())
+    def test_feasible_counts_equal_bisection(self, case, batch, data):
+        """The ranges' counts equal ``bisect`` over the same values as tuples,
+        and a space of those tuples has the same table, size and points."""
+        dag, hw = case
+        dag = batch_expand(dag, batch)
+        cap = st.one_of(st.none(), st.integers(1, 600))
+        caps = SpaceCaps(tn_max=data.draw(cap, label="tn_max"),
+                         tm_max=data.draw(cap, label="tm_max"),
+                         pn_max=data.draw(cap, label="pn_max"),
+                         tn_step=data.draw(st.integers(1, 9), label="tn_step"),
+                         tm_step=data.draw(st.integers(1, 5), label="tm_step"))
+        try:
+            space = enumerate_space(dag, hw, caps)
+        except EmptySearchSpaceError:
+            assume(False)
+        assert all(isinstance(r, range)
+                   for r in (space.tn_range, space.tm_range, space.pn_range))
+        tns, tms, pns = map(tuple, (space.tn_range, space.tm_range, space.pn_range))
+        assert space.feasible_counts == (
+            tuple(bisect.bisect_right(pns, tm // space.pm - 1) for tm in tms),
+            tuple(bisect.bisect_right(tns, space.capacity // tm) for tm in tms))
+        listed = dse.SearchSpace(tns, tms, pns, space.pm, space.capacity)
+        assert listed.feasible_counts == space.feasible_counts
+        assert listed.feasible_size() == space.feasible_size()
+        for ours, theirs in zip(listed.point_arrays(), space.point_arrays()):
+            assert np.array_equal(ours, theirs)
+        ours, theirs = exact_search(dag, hw, listed), exact_search(dag, hw, space)
+        assert dataclasses.replace(ours, wall_time_s=0, space=space) == \
+            dataclasses.replace(theirs, wall_time_s=0)
 
     def test_all_points_feasible(self, toy_space):
         dag, hw, space = toy_space

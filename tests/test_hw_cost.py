@@ -179,15 +179,28 @@ class TestGraphLatency:
 
 
 def node_by_node_cost(dag, tiles, hw) -> GraphCost:
-    """``matmul_cost`` and ``nonlinear_cycles`` on every node, summed in Fractions."""
+    """Every node costed on its own and summed in Fractions.
+
+    A matmul's cycles are the tiling formula restated here, which its
+    ``matmul_cost`` must equal, cycles and seconds; other nodes take
+    ``ceil(work_elems / (lop·kernels))`` cycles, as ``nonlinear_cycles`` must.
+    """
     freq = Fraction(hw.frequency_hz)
     mm_cycles, nl_cycles = Fraction(0), 0
     for node in dag.nodes:
         if node.kind is OpKind.MATMUL:
-            mm_cycles += matmul_cost(node.dims, tiles, hw, node.head_scoped,
-                                     node.heads).adjusted_cycles
+            n, k, m = node.dims
+            kf = (Fraction(-(-node.heads // hw.num_kernels)) if node.head_scoped
+                  else Fraction(1, hw.num_kernels))
+            ops = tiles.tn * tiles.tm * k * -(-n // tiles.tn) * -(-m // tiles.tm)
+            cycles = Fraction(ops, tiles.pn * tiles.pm) * kf
+            cost = matmul_cost(node.dims, tiles, hw, node.head_scoped, node.heads)
+            assert (cost.adjusted_cycles, cost.latency_s) == (cycles, float(cycles / freq))
+            mm_cycles += cycles
         else:
-            nl_cycles += nonlinear_cycles(node.work_elems, hw)
+            cycles = -(-node.work_elems // (hw.lop * hw.num_kernels))
+            assert nonlinear_cycles(node.work_elems, hw) == cycles
+            nl_cycles += cycles
     return GraphCost(float((mm_cycles + nl_cycles) / freq), float(mm_cycles / freq),
                      float(Fraction(nl_cycles) / freq))
 
@@ -195,7 +208,8 @@ def node_by_node_cost(dag, tiles, hw) -> GraphCost:
 @settings(max_examples=80)
 @given(small_models_and_boards(), st.integers(1, 64), st.data())
 def test_graph_latency_equals_node_by_node_reference(case, batch, data):
-    """Costing each distinct shape once changes no total."""
+    """Counting the nodes of each distinct shape and costing the shape once
+    changes no total, on fused and unfused DAGs at any batch."""
     dag, hw = case
     dag = batch_expand(dag, batch)
     pm = hw.pack_factor

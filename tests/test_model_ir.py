@@ -1,6 +1,7 @@
+import dataclasses
 import json
 import logging
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import build_tiny_dag, small_specs_and_boards, tiny_model, toy_hw
 from vitmap.errors import SchemaError
 from vitmap.model_ir import (
     Dag,
+    MatmulInfo,
     ModelSpec,
     OpKind,
     OpNode,
@@ -339,3 +341,201 @@ class TestShapeConsistency:
                 OpNode("a", OpKind.MATMUL, (), (4, 8), dims=(4, 2, 8)),
                 OpNode("b", OpKind.MATMUL, ("a",), (4, 3), dims=(4, 9, 3)),
             ))
+
+
+# ---------------------------------------------------------------------------
+# Validation oracle: the node checks and the two-pass DAG validation as they
+# stood before ``OpNode`` got a written-out ``__init__`` and ``Dag`` one pass.
+
+NODE_FIELDS = ("id", "kind", "inputs", "out_shape", "dims", "head_scoped", "heads",
+               "work_elems", "slice_rows")
+
+
+def reference_node_error(fields: dict):
+    """The message of the first node check ``fields`` fail, or None."""
+    nid, kind, dims = fields["id"], fields["kind"], fields["dims"]
+    if kind is OpKind.MATMUL:
+        if dims is None or min(dims) < 1:
+            return f"node {nid}: MatMul dims must be >= 1, got {dims}"
+    elif dims is not None:
+        return f"node {nid}: dims only valid on MatMul nodes"
+    if fields["head_scoped"] and kind not in (OpKind.MATMUL, OpKind.SOFTMAX):
+        return f"node {nid}: head_scoped requires MatMul or Softmax"
+    if fields["heads"] < 1:
+        return f"node {nid}: heads must be >= 1"
+    return None
+
+
+def reference_shape_fault(node, ins):
+    """The shape check of one node whose input shapes are ``ins``."""
+    if node.kind is OpKind.MATMUL:
+        n, k, m = node.dims
+        if node.head_scoped:
+            want_a = (n, node.heads * k)
+            want_b = {(n, node.heads * k), (n, node.heads * m)}
+            if ins and ins[0] != want_a:
+                return f"node {node.id}: A input {ins[0]} != {want_a}"
+            if len(ins) > 1 and ins[1] not in want_b:
+                return f"node {node.id}: B input {ins[1]} not in {want_b}"
+        elif ins:
+            rows, cols = ins[0]
+            if cols != k or (rows != n and not node.slice_rows) or rows < n:
+                return f"node {node.id}: input {ins[0]} incompatible with dims {node.dims}"
+    elif node.kind is OpKind.ADD:
+        if len(ins) != 2 or ins[0] != ins[1] or ins[0] != node.out_shape:
+            return f"node {node.id}: Add inputs {ins} must both equal {node.out_shape}"
+    elif node.kind is OpKind.SPLIT:
+        rows, cols = node.out_shape
+        if ins and ins[0] != (rows, 3 * cols):
+            return f"node {node.id}: Split input {ins[0]} != {(rows, 3 * cols)}"
+    elif ins and ins[0] != node.out_shape:
+        return f"node {node.id}: input {ins[0]} != output {node.out_shape}"
+    return None
+
+
+def reference_dag_faults(nodes) -> list[str]:
+    """Every fault the two-pass validation finds, in the order it checked them.
+
+    It raised the first: an input not listed before its node, in node order;
+    then duplicate ids; then the first shape fault, each node's inputs read
+    from the last node of their id.
+    """
+    faults, by_id = [], {}
+    for node in nodes:
+        faults += [f"node {node.id}: input {src!r} is unknown or listed after it"
+                   for src in node.inputs if src not in by_id]
+        by_id[node.id] = node
+    if len(by_id) != len(nodes):
+        faults.append("duplicate node ids")
+    for node in nodes:
+        if all(src in by_id for src in node.inputs):
+            fault = reference_shape_fault(node, [by_id[i].out_shape for i in node.inputs])
+            if fault is not None:
+                faults.append(fault)
+    return faults
+
+
+def _raised(fn, *args, **kwargs):
+    """``(result, None)``, or ``(None, message)`` when ``fn`` raises ``SchemaError``."""
+    try:
+        return fn(*args, **kwargs), None
+    except SchemaError as exc:
+        return None, str(exc)
+
+
+def _near(values):
+    """Each value moved by -1, 0 or +1, at most one of them moved."""
+    return st.tuples(st.integers(0, len(values) - 1), st.integers(-1, 1)).map(
+        lambda move: tuple(v + move[1] * (i == move[0]) for i, v in enumerate(values)))
+
+
+@st.composite
+def perturbed_listings(draw):
+    """A built, maybe fused, batch-expanded DAG's nodes and one node's fields
+    with one field changed."""
+    spec, hw = draw(small_specs_and_boards())
+    dag = build_dag(spec)
+    if draw(st.booleans(), label="fuse"):
+        dag = fuse_qkv(dag, hw)
+    dag = batch_expand(dag, draw(st.integers(1, 3), label="batch"))
+    nodes = list(dag.nodes)
+    at = draw(st.integers(0, len(nodes) - 1), label="node")
+    node = nodes[at]
+    ids = [n.id for n in nodes] + ["zz"]
+    name = draw(st.sampled_from(NODE_FIELDS), label="field")
+    choices = {
+        "id": st.sampled_from(ids),
+        "kind": st.sampled_from(list(OpKind)),
+        "inputs": st.one_of(st.lists(st.sampled_from(ids), max_size=3).map(tuple),
+                            st.just(node.inputs[::-1])),
+        "out_shape": _near(node.out_shape),
+        "dims": st.one_of(st.none(), _near(node.dims or (1, 1, 1))),
+        "head_scoped": st.booleans(),
+        "heads": st.integers(0, node.heads + 1),
+        "work_elems": st.integers(0, 99),
+        "slice_rows": st.booleans(),
+    }
+    fields = dict(vars(node), **{name: draw(choices[name], label=name)})
+    return nodes, at, fields
+
+
+@settings(max_examples=1500)
+@given(perturbed_listings())
+def test_validation_raises_exactly_when_the_reference_does(case):
+    """Node checks match the reference message for message; a DAG is rejected
+    exactly when the reference finds a fault, with its message when it finds one."""
+    nodes, at, fields = case
+    node, error = _raised(OpNode, **fields)
+    assert error == reference_node_error(fields)
+    if error is not None:
+        return
+    nodes[at] = node
+    faults = reference_dag_faults(nodes)
+    _, error = _raised(Dag, tuple(nodes))
+    assert (error is None) == (not faults)
+    if len(faults) == 1:
+        assert error == faults[0]
+    elif faults and "duplicate node ids" not in faults:
+        # The one pass reports the first node with a fault; the reference
+        # reported input faults before shape faults.
+        assert error in faults
+
+
+def test_merged_pass_reports_the_first_faulty_node():
+    """An earlier shape fault now comes before a later input fault."""
+    nodes = (OpNode("a", OpKind.MATMUL, (), (4, 8), dims=(4, 2, 8)),
+             OpNode("g", OpKind.GELU, ("a",), (4, 9)),
+             OpNode("h", OpKind.GELU, ("zz",), (4, 9)))
+    assert reference_dag_faults(nodes) == [
+        "node h: input 'zz' is unknown or listed after it",
+        "node g: input (4, 8) != output (4, 9)"]
+    with pytest.raises(SchemaError, match=r"^node g: input \(4, 8\) != output \(4, 9\)$"):
+        Dag(nodes)
+
+
+def test_head_scoped_b_input_message_names_both_shapes():
+    nodes = (OpNode("q", OpKind.MATMUL, (), (4, 6), dims=(4, 2, 6)),
+             OpNode("v", OpKind.MATMUL, (), (4, 5), dims=(4, 2, 5)),
+             OpNode("s", OpKind.MATMUL, ("q", "v"), (4, 12), dims=(4, 2, 4), head_scoped=True,
+                    heads=3))
+    (fault,) = reference_dag_faults(nodes)
+    with pytest.raises(SchemaError) as exc:
+        Dag(nodes)
+    assert str(exc.value) == fault == "node s: B input (4, 5) not in {(4, 6), (4, 12)}"
+
+
+@pytest.mark.parametrize("cls,args,changed", [
+    (OpNode, ("a", OpKind.MATMUL, ("x",), (4, 8), (4, 2, 8), False, 1, 0, True), {"id": "b"}),
+    (OpNode, ("s", OpKind.SOFTMAX, ("x",), (4, 12), None, True, 3), {"work_elems": 7}),
+    (MatmulInfo, ("a", 4, 2, 8, 3, True, 192), {"m": 9}),
+])
+def test_frozen_dataclass_behaviour_is_kept(cls, args, changed):
+    obj, same = cls(*args), cls(*args)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert vars(obj) == dict(zip(names, (getattr(obj, n) for n in names)))
+    assert obj == same and hash(obj) == hash(same) and obj is not same
+    assert repr(obj) == f"{cls.__name__}(" + ", ".join(
+        f"{n}={getattr(obj, n)!r}" for n in names) + ")"
+    moved = replace(obj, **changed)
+    assert moved != obj and all(getattr(moved, n) == getattr(obj, n)
+                                for n in names if n not in changed)
+    assert dataclasses.astuple(replace(moved, **{n: getattr(obj, n) for n in changed})) == \
+        dataclasses.astuple(obj)
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    with pytest.raises(FrozenInstanceError):
+        obj.extra = 1
+
+
+def test_node_defaults_and_checks_through_replace():
+    node = OpNode("g", OpKind.GELU, ("a",), (3, 5))
+    assert (node.inputs, node.dims, node.head_scoped, node.heads, node.work_elems,
+            node.slice_rows) == (("a",), None, False, 1, 15, False)
+    assert OpNode("m", OpKind.MATMUL, dims=(1, 2, 3)).out_shape == (1, 1)
+    with pytest.raises(SchemaError, match=r"^node g: dims only valid on MatMul nodes$"):
+        replace(node, dims=(3, 5, 5))
+    with pytest.raises(SchemaError, match=r"^node g: heads must be >= 1$"):
+        replace(node, heads=0)
+    with pytest.raises(TypeError):
+        OpNode("g", OpKind.GELU, bogus=1)
