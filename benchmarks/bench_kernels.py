@@ -22,8 +22,9 @@ peak, time ``pareto_front`` on that log followed by a shuffled copy of it
 flagged as cache hits (every third copy at half its latency; the front must
 stay the log's), and ``compare_searches`` on deit-tiny's exhaustive and
 default heuristic search, the two logs of ``vitmap search --mode both``.
-The ``heuristic_search (deit-tiny)`` line times that default heuristic
-search itself, with its tracemalloc peak and the rows it logs.
+The ``exhaustive_search (deit-tiny)`` and ``heuristic_search (deit-tiny)``
+lines time those two searches themselves, each with its tracemalloc peak
+and the rows it logs.
 The front-end lines time, on deit-tiny (where QKV fusion fires) and
 deit-base (where it is skipped) at batch 1 and 64, ``build_dag``,
 ``fuse_qkv``, ``batch_expand``, ``analyze`` and ``graph_latency`` at the
@@ -228,6 +229,7 @@ def bench_outputs(repeat, rng):
                 evaluations_to_csv(result, fh)
 
         for name, fn, rows in (
+                ("exhaustive_search", lambda: exhaustive_search(dag, hw, space), len(log)),
                 ("heuristic_search", lambda: heuristic_search(dag, hw, space, SearchConfig()),
                  len(heur.all_evaluated)),
                 ("pareto_front", lambda: pareto_front(log), len(log)),

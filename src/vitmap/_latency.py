@@ -21,11 +21,15 @@ correctly rounded division gives its float bit for bit.
 ``numerator_blocks`` is the one producer of ``N``: one product per block of
 tn rows for all open tm columns. ``exact_search`` takes masked column
 minima from its blocks; ``column_numerators`` fills columns of ``N`` from
-them, which the heuristic reads one per tm, ``latency_batch`` reads as the
-grid of its distinct tn × distinct tm, and ``pair_numerators`` reads, each
-column only up to its largest tn, for the distinct ``(tn, tm)`` of a search
-log's block, so the log stores ``N`` and ``D`` as integers instead of the
-float. ``benchmarks/bench_kernels.py`` times the scorer on deit-base.
+them. The exhaustive search reads one column per tm and scores that tm's
+pn × tn block with one broadcast ``divide``; the heuristic reads one
+column per tm as its points reach it; ``pair_numerators`` builds, once per
+search log, the columns of the log's distinct ``(tn, tm)``, each only up
+to its tm's largest tn, so the CSV stores ``N`` and ``D`` as integers
+instead of the float. ``latency_batch`` scores any feasible points from
+the grid of their distinct tn × distinct tm: the tests hold it against
+``graph_latency`` and the exhaustive log, and ``benchmarks/bench_kernels.py``
+times it on deit-base.
 """
 
 from __future__ import annotations
@@ -176,7 +180,8 @@ def divide(arrays: DagCostArrays, numerators: np.ndarray, pn: np.ndarray) -> np.
 
     ``(N + nl·D)·q / (D·p)`` is one float64 division when both operands are
     below 2^53, and a division of Python ints otherwise (always for object
-    numerators); both are correctly rounded.
+    numerators); both are correctly rounded. The two arrays broadcast, so a
+    column of pn against a row of numerators scores a pn × tn block.
     """
     p, q = arrays.frequency.numerator, arrays.frequency.denominator
     nl = arrays.nl_cycles
@@ -186,9 +191,12 @@ def divide(arrays: DagCostArrays, numerators: np.ndarray, pn: np.ndarray) -> np.
             or (int(numerators.max()) + nl * d_max) * q >= _FLOAT_EXACT
             or d_max * p >= _FLOAT_EXACT):
         d = d.astype(object)
-    # In place from here, so a block holds few temporaries.
+    # In place from here where the shapes allow, so a block holds few temporaries.
     top = d * nl
-    top += numerators
+    if top.shape == numerators.shape:
+        top += numerators
+    else:
+        top = top + numerators
     top *= q
     d *= p
     return top / d
@@ -208,22 +216,27 @@ def _distinct(values: np.ndarray):
 
 
 def pair_numerators(arrays: DagCostArrays, tn: np.ndarray, tm: np.ndarray):
-    """The distinct ``(tn, tm)`` pairs of two positive int64 arrays and their ``N``.
+    """``N`` of the distinct ``(tn, tm)`` pairs of two positive int64 arrays, by tm column.
 
-    Returns ``(tn_u, tm_u, numerators, pair)``: element ``i`` of the inputs
-    is the pair ``(tn_u[pair[i]], tm_u[pair[i]])``, and ``numerators[j]`` is
-    ``N(tn_u[j], tm_u[j])``, in the dtype of ``weighted_columns``. Each
-    distinct tm's column runs up to its largest distinct tn, so a feasible
-    log's columns hold at most ``(S/pm)(1 + ln |tm|)`` entries.
+    Returns ``(tn_u, tm_u, numerators, pair)``: entry ``j`` is the pair
+    ``(tn_u[j], tm_u[j])`` and ``numerators[j]`` its ``N(tn_u[j], tm_u[j])``,
+    in the dtype of ``weighted_columns``; ``pair(tn[a:b], tm[a:b])`` gives
+    the entries of those elements. Each distinct tm's entries are
+    consecutive, in ascending tn, and run up to its largest tn, so a
+    feasible log's columns hold at most ``(S/pm)(1 + ln |tm|)`` entries,
+    and a tn sweep of one tm has consecutive entries. Each tm's largest tn
+    is taken over the runs of equal tm, ``_BLOCK`` elements at a time.
     """
     (tns, tn_pos), (tms, tm_pos) = _distinct(tn), _distinct(tm)
-    code = tm_pos(tm) * tns.size + tn_pos(tn)
-    codes, code_pos = _distinct(code)
-    tm_idx, tn_idx = np.divmod(codes, tns.size)
-    # Codes ascend, so each tm's last pair holds its largest tn position.
-    last = np.append(tm_idx[1:] != tm_idx[:-1], True)
-    flat, starts = column_numerators(arrays, tms, tns, tn_idx[last] + 1)
-    return tns[tn_idx], tms[tm_idx], flat[starts[tm_idx] + tn_idx], code_pos(code)
+    counts = np.zeros(tms.size, dtype=np.int64)  # per tm: its largest tn position + 1
+    for lo in range(0, tn.shape[0], _BLOCK):
+        tn_b, tm_b = tn[lo:lo + _BLOCK], tm[lo:lo + _BLOCK]
+        runs = np.append(0, np.flatnonzero(tm_b[1:] != tm_b[:-1]) + 1)
+        np.maximum.at(counts, tm_pos(tm_b[runs]), tn_pos(np.maximum.reduceat(tn_b, runs)) + 1)
+    flat, starts = column_numerators(arrays, tms, tns, counts)
+    column = np.repeat(np.arange(tms.size), counts)
+    return (tns[np.arange(flat.size) - starts[column]], tms[column], flat,
+            lambda tn, tm: starts[tm_pos(tm)] + tn_pos(tn))
 
 
 def latency_batch(arrays: DagCostArrays, tn, tm, pn) -> np.ndarray:

@@ -44,7 +44,7 @@ columns directly, so a multi-million-point exhaustive search never
 materialises one Python object per point (``evaluations_to_csv`` says
 how the CSV export keeps its memory bounded). The cache flags are the only
 record of repeated configurations: the front and the comparison skip
-flagged rows, and the front copies the columns only when a row is flagged.
+flagged rows, the front without copying any column.
 """
 
 from __future__ import annotations
@@ -67,11 +67,15 @@ from ._latency import (
     column_numerators,
     divide,
     extract_cost_arrays,
-    latency_batch,
     numerator_blocks,
     pair_numerators,
     weighted_columns,
 )
+# Not called here: the exhaustive search scores its blocks through divide.
+# The name stays importable from this module because perfbench's tracer
+# resolves it here, so its dse.latency_batch span reads 0 calls for a search
+# instead of vanishing.
+from ._latency import latency_batch  # noqa: F401
 from .errors import EXTENT, EXTENT_MAX, SEED, EmptySearchSpaceError, SchemaError, check, read
 from .errors import csv_text, json_text
 from .hw import HardwareSpec, TileParams
@@ -376,13 +380,37 @@ class _Evaluator:
 
 
 def exhaustive_search(dag: Dag, hw: HardwareSpec, space: SearchSpace) -> SearchResult:
-    """Evaluate every feasible triple; global minimum, first-in-order ties."""
+    """Evaluate every feasible triple; global minimum, first-in-order ties.
+
+    The log lists the points in loop order, as ``SearchSpace.point_arrays``
+    does, so each tm is one pn × tn block: its rows share one column of
+    numerators ``N(tn, tm)`` (``column_numerators``, one call for all tms)
+    and differ in ``D = pn·pm·kernels``. Each block is scored by one
+    ``divide`` of that column against the block's pn, and the log's columns
+    are filled in place, block by block.
+    """
     start = time.perf_counter()
     arrays = extract_cost_arrays(dag, hw)
-    pn, tn, tm = space.point_arrays()
-    if pn.shape[0] == 0:
+    pn_counts, tn_counts = (np.array(c, dtype=np.int64) for c in space.feasible_counts)
+    feasible = np.flatnonzero(pn_counts * tn_counts)
+    if not feasible.size:
         raise EmptySearchSpaceError("search space has no feasible points")
-    lats = latency_batch(arrays, tn, tm, pn)
+    tms = _array(space.tm_range)[feasible]
+    pn_counts, tn_counts = pn_counts[feasible], tn_counts[feasible]
+    pn_range, tn_range = _array(space.pn_range), _array(space.tn_range)
+    numerators, column_at = column_numerators(arrays, tms, tn_range, tn_counts)
+    sizes = pn_counts * tn_counts
+    block_at = np.cumsum(sizes) - sizes
+    pn, tn, tm = (np.empty(int(sizes.sum()), dtype=np.int64) for _ in range(3))
+    lats = np.empty(tn.shape[0])
+    for tm_j, npn, ntn, col, lo in zip(tms.tolist(), pn_counts.tolist(), tn_counts.tolist(),
+                                       column_at.tolist(), block_at.tolist()):
+        block = slice(lo, lo + npn * ntn)
+        pns = pn_range[:npn, None]
+        pn[block].reshape(npn, ntn)[:] = pns
+        tn[block].reshape(npn, ntn)[:] = tn_range[:ntn]
+        tm[block] = tm_j
+        lats[block].reshape(npn, ntn)[:] = divide(arrays, numerators[None, col:col + ntn], pns)
     best_idx = int(np.argmin(lats))  # first occurrence: loop-order tie-break
     log = EvaluationLog(pn, space.pm, tn, tm, lats, False)
     return SearchResult(
@@ -654,8 +682,10 @@ def pareto_front(log: EvaluationLog) -> tuple[ParetoPoint, ...]:
     falls below 1 or whose pn·pm can leave int64 (no feasible search makes
     either) is rejected; all raise ``SchemaError``.
 
-    The work is linear in the log: the parallelism levels are tabulated,
-    and one pass of per-level minimum latencies decides the front.
+    The work is one pass of comparisons over the log: each run of rows with
+    equal (pn, pm, from_cache), a whole tn sweep in the exhaustive log, is
+    reduced to its minimum latency, the flagged runs are dropped, and the
+    parallelism levels and their minima are taken over the run minima.
     """
     if len(log) == 0 or log.from_cache[0]:
         raise SchemaError("pareto_front requires at least one evaluation, the first not "
@@ -666,23 +696,35 @@ def pareto_front(log: EvaluationLog) -> tuple[ParetoPoint, ...]:
     if int(pn.max()) * int(pm.max()) >= 2**63:
         raise SchemaError(f"pareto_front: pn*pm leaves int64 (pn up to {int(pn.max())}, "
                           f"pm up to {int(pm.max())})")
-    if cached.any():
-        fresh = ~cached
-        pn, pm, tn, tm, lat = (c[fresh] for c in (pn, pm, tn, tm, lat))
+    # Runs of rows with equal (pn, pm, from_cache); the flagged rows between
+    # two unflagged ones make one run, which is dropped.
+    change = pn[1:] != pn[:-1]
+    change |= pm[1:] != pm[:-1]
+    change[cached[1:]] = False
+    change |= cached[1:] != cached[:-1]
+    starts = np.append(0, np.flatnonzero(change) + 1)
+    stops = np.append(starts[1:], len(log))
+    fresh = ~cached[starts]
+    fastest_in_run = np.minimum.reduceat(lat, starts)[fresh]
+    starts, stops = starts[fresh], stops[fresh]
     # Levels of equal parallelism, in ascending order. A point is dominated
     # iff some point of its level is faster, or some higher level holds a
     # point at least as fast, so a level's fastest points are on the front
     # iff every higher level is slower.
-    par = pn * pm
+    par = pn[starts] * pm[starts]
     levels, position = _distinct(par)
     level = position(par)
-    del par, position  # pn·pm is recomputed on the front's rows only
     fastest = np.full(levels.size, np.inf)
-    np.minimum.at(fastest, level, lat)
+    np.minimum.at(fastest, level, fastest_in_run)
     slower_above = np.empty(levels.size, dtype=bool)
     slower_above[-1] = True
     np.less(fastest[:-1], np.minimum.accumulate(fastest[:0:-1])[::-1], out=slower_above[:-1])
-    rows = np.flatnonzero(lat == np.where(slower_above, fastest, np.nan)[level])
+    on_front = fastest_in_run == np.where(slower_above, fastest, np.nan)[level]
+    # The rows of the runs on the front, and of those the ones at the run's minimum.
+    starts, stops, fastest_in_run = starts[on_front], stops[on_front], fastest_in_run[on_front]
+    sizes = stops - starts
+    rows = np.arange(int(sizes.sum())) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    rows = rows[lat[rows] == np.repeat(fastest_in_run, sizes)]
     pn, pm, tn, tm, lat = (c[rows] for c in (pn, pm, tn, tm, lat))
     par = pn * pm
     order = np.lexsort((tm, tn, pm, pn, -par, lat))
@@ -776,42 +818,61 @@ def evaluations_to_csv(result: SearchResult, out: TextIO) -> None:
     log's latencies, and a mismatch raises ``SchemaError``: the file never
     describes a different number than the log.
 
-    Rows go out ``_CSV_BLOCK_ROWS`` at a time, so the export's memory does
-    not grow with the log. Per block, each distinct (tn, tm) becomes text
-    once, and each run of rows with equal (pn, pm, from_cache), a whole tn
-    sweep in the exhaustive log, is one ``str.join``.
+    The log's numerators are computed once, by ``pair_numerators``, and
+    each (tn, tm) among them becomes text the first time a row uses it.
+    Rows go out ``_CSV_BLOCK_ROWS`` at a time: beyond a block, the export
+    holds the numerators and texts of the log's tm columns and what
+    ``pair_numerators`` needs to find the distinct tn and tm. A block is
+    cut into segments of rows with equal (pn, pm, from_cache) whose (tn, tm)
+    entries are consecutive, a whole tn sweep in the exhaustive log, and
+    each segment is one ``str.join`` of a slice of the pair texts.
     """
     log, arrays = result.all_evaluated, result.arrays
     out.write("pn,pm,tn,tm,matmul_cycles_num,cycles_den,from_cache\n")
-    # (pn, pm, from_cache) -> the text before a run's first row, between its
-    # rows and after its last row.
-    affixes: dict[tuple[int, int, bool], tuple[str, str, str]] = {}
-    for lo in range(0, len(log), _CSV_BLOCK_ROWS):
-        block = log[lo:lo + _CSV_BLOCK_ROWS]
-        if (min(int(c.min()) for c in (block.pn, block.tn, block.tm)) < 1
-                or np.any(block.pm != arrays.pm)):
+    columns = log.columns()
+    blocks = [(lo, [c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])
+              for lo in range(0, len(log), _CSV_BLOCK_ROWS)]
+    for lo, (pn, pm, tn, tm, _, _) in blocks:
+        if min(int(c.min()) for c in (pn, tn, tm)) < 1 or np.any(pm != arrays.pm):
             raise SchemaError(f"evaluations_to_csv: rows {lo}.. hold tiles the cost model "
                               f"cannot score (pm {arrays.pm})")
-        tn, tm, numerators, pair = pair_numerators(arrays, block.tn, block.tm)
-        if not np.array_equal(divide(arrays, numerators[pair], block.pn), block.latency):
+    if not blocks:
+        return
+    pair_tn, pair_tm, numerators, pair = pair_numerators(arrays, log.tn, log.tm)
+    texts: list[Optional[str]] = [None] * len(numerators)  # "tn,tm,N" once a row uses it
+    formatted = np.zeros(len(numerators), dtype=bool)
+    # (pn, pm, from_cache) -> the text before a segment's first row, between its
+    # rows and after its last row.
+    affixes: dict[tuple[int, int, bool], tuple[str, str, str]] = {}
+    for lo, (pn, pm, tn, tm, latency, from_cache) in blocks:
+        entry = pair(tn, tm)
+        if not np.array_equal(divide(arrays, numerators[entry], pn), latency):
             raise SchemaError(f"evaluations_to_csv: rows {lo}.. hold a latency that differs "
                               "from the cost model's")
-        pair_text = np.array([f"{a},{b},{n}" for a, b, n in zip(
-            tn.tolist(), tm.tolist(), numerators.tolist())], dtype=object)[pair].tolist()
-        keys = (block.pn, block.pm, block.from_cache)
-        change = np.zeros(len(block) - 1, dtype=bool)
+        used = np.zeros(len(numerators), dtype=bool)
+        used[entry] = True
+        new = np.flatnonzero(used & ~formatted)
+        formatted |= used
+        for j, a, b, n in zip(new.tolist(), pair_tn[new].tolist(), pair_tm[new].tolist(),
+                              numerators[new].tolist()):
+            texts[j] = f"{a},{b},{n}"
+        keys = (pn, pm, from_cache)
+        change = np.diff(entry) != 1
         for col in keys:
             change |= col[1:] != col[:-1]
-        starts = [0, *(np.flatnonzero(change) + 1).tolist()]
+        lasts = np.append(np.flatnonzero(change), len(entry) - 1)  # each segment's last row
+        starts = np.append(0, lasts[:-1] + 1)
         parts = []
-        for start, stop, key in zip(starts, starts[1:] + [len(block)],
+        for first, last, key in zip(entry[starts].tolist(), entry[lasts].tolist(),
                                     zip(*(c[starts].tolist() for c in keys))):
-            if key not in affixes:
-                pn, pm, hit = key
-                prefix, suffix = f"{pn},{pm},", f",{pn * pm * arrays.kernels},{hit}\n"
-                affixes[key] = (prefix, suffix + prefix, suffix)
-            prefix, sep, suffix = affixes[key]
-            parts.append(prefix + sep.join(pair_text[start:stop]) + suffix)
+            try:
+                prefix, sep, suffix = affixes[key]
+            except KeyError:
+                p, m, hit = key
+                prefix, suffix = f"{p},{m},", f",{p * m * arrays.kernels},{hit}\n"
+                prefix, sep, suffix = affixes[key] = prefix, suffix + prefix, suffix
+            parts += (prefix, texts[first] if first == last else sep.join(texts[first:last + 1]),
+                      suffix)
         out.write("".join(parts))
 
 

@@ -21,7 +21,7 @@ and ``validate_schedule`` checks such a list.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import EXTENT, EXTENT_MAX, INT64_MAX, SchemaError, check, json_text, read
@@ -189,7 +189,8 @@ class ScheduleDescriptor:
 
     The shape determines the expanded schedule completely, so a descriptor
     is checked and its steps counted in O(1), whatever the row count;
-    ``expand`` lists the steps only when they are wanted.
+    ``step_count`` is the count that check returned, and ``expand`` lists
+    the steps only when they are wanted.
     """
 
     op_kind: ScheduleKind
@@ -197,18 +198,17 @@ class ScheduleDescriptor:
     banks: int
     kernels: int
     heads: int = 0  # 0 for segment-unit schedules
+    step_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.op_kind, ScheduleKind):
             raise SchemaError(f"op_kind must be a ScheduleKind, got {self.op_kind!r}")
-        _shape_steps(self.op_kind, self.rows, self.banks, self.kernels, self.heads)
-
-    @property
-    def step_count(self) -> int:
-        return _shape_steps(self.op_kind, self.rows, self.banks, self.kernels, self.heads)
+        object.__setattr__(self, "step_count", _shape_steps(
+            self.op_kind, self.rows, self.banks, self.kernels, self.heads))
 
     def to_doc(self) -> dict:
-        return dict(vars(self), op_kind=self.op_kind.value, steps=self.step_count)
+        return {"op_kind": self.op_kind.value, "rows": self.rows, "banks": self.banks,
+                "kernels": self.kernels, "heads": self.heads, "steps": self.step_count}
 
     @classmethod
     def from_doc(cls, doc: Mapping) -> ScheduleDescriptor:

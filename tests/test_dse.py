@@ -401,6 +401,53 @@ class TestExhaustiveSearch:
         assert result.best.tiles == ties[0].tiles
 
 
+# One matmul with extents up to 2^21 and k up to 2^26 on a small board: its
+# numerators reach past 2^53, and some past int64.
+_wide_matmuls = st.builds(
+    lambda n, k, m, capacity: (single_matmul_dag(n, k, m),
+                               toy_hw(onchip_capacity_elems=capacity)),
+    st.integers(1, 2**21), st.integers(1, 2**26), st.integers(1, 2**21), st.integers(16, 128))
+
+
+class TestExhaustiveLog:
+    @settings(max_examples=200)
+    @given(small_models_and_boards() | _wide_matmuls, _small_caps,
+           st.sampled_from(["integer", "fractional"]), st.booleans(), st.data())
+    def test_equals_point_listing_scored_by_latency_batch(self, model_and_board, caps, clock,
+                                                         python_ints, data):
+        # A fractional clock makes D·p exceed 2^53 and an int64 bound of 1
+        # makes every numerator a Python int: both take divide's object path.
+        dag, hw = model_and_board
+        if clock == "fractional":
+            mantissa = data.draw(st.integers(2 ** 52, 2 ** 53 - 1), label="clock mantissa") | 1
+            hw = dataclasses.replace(hw, frequency_hz=float(Fraction(mantissa, 2 ** 25)))
+        try:
+            space = enumerate_space(dag, hw, caps)
+        except EmptySearchSpaceError:
+            assume(False)
+        arrays = _latency.extract_cost_arrays(dag, hw)
+        with mock.patch.object(_latency, "_INT64_MAX", 1 if python_ints else _latency._INT64_MAX):
+            result = exhaustive_search(dag, hw, space)
+            pn, tn, tm = space.point_arrays()
+            latency = _latency.latency_batch(arrays, tn, tm, pn)
+        log = result.all_evaluated
+        assert [c.tolist() for c in log.columns()] == [
+            pn.tolist(), [space.pm] * len(pn), tn.tolist(), tm.tolist(), latency.tolist(),
+            [False] * len(pn)]
+        assert log.latency.view(np.int64).tolist() == latency.view(np.int64).tolist()
+        best = int(np.argmin(latency))
+        assert result.best == log[best]
+        assert result.history == (latency[best],)
+        assert result.evaluations_used == len(pn) == space.feasible_size()
+        # Both share divide, so about 200 rows are also checked against the cost
+        # formulas in Fractions, correctly rounded.
+        terms, nl = cost_terms(dag, hw)
+        for i in range(0, len(pn), max(1, len(pn) // 200)):
+            p, t, c = int(pn[i]), int(tn[i]), int(tm[i])
+            cycles = padded_work(terms, t, c) / (p * space.pm) + nl
+            assert log.latency[i] == float(cycles / Fraction(hw.frequency_hz)), (p, t, c)
+
+
 class TestExactSearch:
     @settings(max_examples=150)
     @given(small_models_and_boards(), _small_caps, st.sampled_from([1, 16, 8192]))
@@ -994,6 +1041,30 @@ def _scored_logs(draw, sizes):
     return dataclasses.replace(result, all_evaluated=log[start:start + n]), dag, hw
 
 
+@st.composite
+def _gathered_logs(draw):
+    """Pieces of an exhaustive search's log on a small random model and
+    board, in any order, each row flagged at random, with the model and board.
+
+    A piece runs on past the end of a tn sweep or a tm's block, and the
+    flags change inside a sweep, where the pairs stay consecutive.
+    """
+    dag, hw = draw(small_models_and_boards())
+    try:
+        space = enumerate_space(dag, hw)
+    except EmptySearchSpaceError:
+        assume(False)
+    result = exhaustive_search(dag, hw, space)
+    log = result.all_evaluated
+    pieces = draw(st.lists(st.tuples(st.integers(0, len(log) - 1), st.integers(1, 12)),
+                           max_size=5))
+    rows = [i for start, size in pieces for i in range(start, min(start + size, len(log)))]
+    flags = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    gathered = EvaluationLog(*(c[np.array(rows, dtype=np.int64)] for c in log.columns()[:5]),
+                             np.array(flags, dtype=bool))
+    return dataclasses.replace(result, all_evaluated=gathered), dag, hw
+
+
 class TestCsvExport:
     HEADER = "pn,pm,tn,tm,matmul_cycles_num,cycles_den,from_cache"
 
@@ -1023,13 +1094,18 @@ class TestCsvExport:
             f"1,2,3,6,{32 * 42 * 66},8,False\n"
         )
 
-    @settings(max_examples=300, deadline=None)
-    @given(_scored_logs(st.sampled_from([0, 1, 3, 4, 5]) | st.integers(0, 13)))
-    def test_blocks_match_csv_writer(self, scored):
+    @settings(max_examples=400, deadline=None)
+    @given(_scored_logs(st.sampled_from([0, 1, 3, 4, 5]) | st.integers(0, 13)) | _gathered_logs(),
+           st.sampled_from([1, 3, 1 << 14]))
+    def test_blocks_match_csv_writer(self, scored, runs_block):
         # A block of 4 rows: lengths 0, 1, 3, 4 and 5 cover an empty log, a
-        # partial block, one full block and a full block plus one row.
+        # partial block, one full block and a full block plus one row. Slices
+        # of search logs start anywhere; gathered pieces of an exhaustive log
+        # keep their pairs consecutive across changes of pn, tm and the flag.
+        # Blocks of 1 and 3 split the numerators' runs of equal tm.
         result, dag, hw = scored
-        with mock.patch.object(dse, "_CSV_BLOCK_ROWS", 4):
+        with mock.patch.object(dse, "_CSV_BLOCK_ROWS", 4), \
+                mock.patch.object(_latency, "_BLOCK", runs_block):
             text = _csv_text(result)
         self.check_against_reference(text, result, dag, hw)
 
@@ -1050,7 +1126,8 @@ class TestCsvExport:
     def test_pair_numerators_match_the_formula(self, model_and_board, distinct, data, block,
                                                python_ints):
         # Pairs repeat and come in any order; dense and sparse values take
-        # both ways of finding the distinct ones.
+        # both ways of finding the distinct ones, and blocks of 1 and 7
+        # split the runs of equal tm.
         dag, hw = model_and_board
         arrays = _latency.extract_cost_arrays(dag, hw)
         pairs = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
@@ -1058,11 +1135,18 @@ class TestCsvExport:
         with mock.patch.object(_latency, "_BLOCK", block), \
                 mock.patch.object(_latency, "_INT64_MAX", 1 if python_ints else _latency._INT64_MAX):
             tn_u, tm_u, numerators, pair = _latency.pair_numerators(arrays, tn, tm)
-        assert list(zip(tn_u[pair].tolist(), tm_u[pair].tolist())) == pairs
+            entries = pair(tn, tm)
+        assert list(zip(tn_u[entries].tolist(), tm_u[entries].tolist())) == pairs
         assert len(set(zip(tn_u.tolist(), tm_u.tolist()))) == len(tn_u) == len(numerators)
+        # One column per distinct tm, in ascending tm: the distinct tns up to its largest.
+        tns = sorted(set(tn.tolist()))
+        assert list(zip(tn_u.tolist(), tm_u.tolist())) == [
+            (t, c) for c in sorted(set(tm.tolist()))
+            for t in tns[:tns.index(max(a for a, b in pairs if b == c)) + 1]]
         classes = list(zip(arrays.cls_n.tolist(), arrays.cls_m.tolist(), arrays.cls_weight))
-        assert numerators[pair].tolist() == [
-            sum(w * (-(-n // t) * t) * (-(-m // c) * c) for n, m, w in classes) for t, c in pairs]
+        assert numerators.tolist() == [
+            sum(w * (-(-n // t) * t) * (-(-m // c) * c) for n, m, w in classes)
+            for t, c in zip(tn_u.tolist(), tm_u.tolist())]
 
     def test_wide_model_pairs_build_columns_not_grid(self):
         # A tm's column of numerators runs only up to its largest tn, so a
@@ -1209,6 +1293,14 @@ class TestOutputMemory:
         # (pn·pm or each row's level, and its level's fastest latency). The
         # exhaustive log flags no row, so its columns are not copied.
         assert self._peak_mb(lambda: pareto_front(tiny_exhaustive.all_evaluated)) < 14
+
+    def test_pareto_front_peak_with_flagged_copy(self, tiny_exhaustive, doubled_log):
+        # The flagged copy's rows make one run, which is dropped: no column
+        # is copied, and about two bytes per row (the run boundaries and one
+        # comparison) are held at a time. Copying the unflagged rows' five
+        # columns peaked at 21 MB.
+        assert len(doubled_log) == 2 * 372_527
+        assert self._peak_mb(lambda: pareto_front(doubled_log)) < 3
 
 
 class TestRandomSpaces:

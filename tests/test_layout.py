@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,23 @@ class TestScheduleDescriptor:
         desc = ScheduleDescriptor(ScheduleKind.SOFTMAX, 197 * 10**6, 4, 4, 12)
         assert desc.step_count == 591 * 10**6
         assert desc.to_doc()["steps"] == desc.step_count
+
+    def test_shape_checked_once_per_descriptor(self, monkeypatch):
+        # The count the check returned is kept, so writing the document
+        # does not check the shape again.
+        import vitmap.layout as layout
+
+        calls = []
+        shape_steps = layout._shape_steps
+        monkeypatch.setattr(layout, "_shape_steps",
+                            lambda *args: calls.append(args) or shape_steps(*args))
+        desc = ScheduleDescriptor(ScheduleKind.GELU, 197, 4, 2)
+        assert desc.to_doc() == {"op_kind": "Gelu", "rows": 197, "banks": 4, "kernels": 2,
+                                 "heads": 0, "steps": 394}
+        assert len(calls) == 1
+        assert dataclasses.replace(desc, rows=3).step_count == 6
+        assert repr(desc) == ("ScheduleDescriptor(op_kind=<ScheduleKind.GELU: 'Gelu'>, "
+                              "rows=197, banks=4, kernels=2, heads=0)")
 
     def test_plain_string_kind_rejected(self):
         with pytest.raises(SchemaError):
