@@ -1289,9 +1289,8 @@ class TestOutputMemory:
             assert sum(1 for _ in fh) == 1 + 372_527
 
     def test_pareto_front_peak(self, tiny_exhaustive):
-        # About 16 bytes per evaluation: two full-length columns at a time
-        # (pn·pm or each row's level, and its level's fastest latency). The
-        # exhaustive log flags no row, so its columns are not copied.
+        # About 2 bytes per evaluation: the run boundaries and one comparison
+        # of two columns at a time; the exhaustive log's columns are not copied.
         assert self._peak_mb(lambda: pareto_front(tiny_exhaustive.all_evaluated)) < 14
 
     def test_pareto_front_peak_with_flagged_copy(self, tiny_exhaustive, doubled_log):
