@@ -26,8 +26,8 @@ pn × tn block with one broadcast ``divide``; the heuristic reads one
 column per tm as its points reach it; ``pair_numerators`` builds, once per
 search log, the columns of the log's distinct ``(tn, tm)``, each only up
 to its tm's largest tn, so the CSV stores ``N`` and ``D`` as integers
-instead of the float. ``latency_batch`` scores any feasible points from
-the grid of their distinct tn × distinct tm: the tests hold it against
+instead of the float. ``latency_batch`` scores any feasible points through
+``pair_numerators`` and ``divide``: the tests hold it against
 ``graph_latency`` and the exhaustive log, and ``benchmarks/bench_kernels.py``
 times it on deit-base.
 """
@@ -49,9 +49,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 # Integers below 2^53 are exact float64s, and one float64 division of two
 # of them is the correctly rounded quotient of the integers.
 _FLOAT_EXACT = 1 << 53
-# Points per block of the gather and division in ``latency_batch``, and
-# elements per block of ``column_numerators``: it caps the temporaries at a
-# few MB however many points are scored.
+# Points per block of ``latency_batch`` and of ``pair_numerators``' run scan,
+# and elements per block of ``column_numerators``: it caps the temporaries at
+# a few MB however many points are scored.
 _BLOCK = 1 << 14
 
 
@@ -251,10 +251,8 @@ def latency_batch(arrays: DagCostArrays, tn, tm, pn) -> np.ndarray:
     out = np.empty(tn.shape[0], dtype=np.float64)
     if out.size == 0:
         return out
-    (tns, tn_pos), (tms, tm_pos) = _distinct(tn), _distinct(tm)
-    grid, starts = column_numerators(arrays, tms, tns, np.full(tms.size, tns.size))
+    numerators, pair = pair_numerators(arrays, tn, tm)[2:]
     for lo in range(0, out.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        numerators = grid[starts[tm_pos(tm[block])] + tn_pos(tn[block])]
-        out[block] = divide(arrays, numerators, pn[block])
+        out[block] = divide(arrays, numerators[pair(tn[block], tm[block])], pn[block])
     return out

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import EXTENT_MAX, STRING, SchemaError, read
+from ..errors import EXTENT_MAX, INT64_MAX, STRING, SchemaError, check, read
 from ._fixmath import EXP_FRAC, gelu_clip
 from .formats import FixedFormat
 from .oracles import exact_gelu
@@ -22,7 +22,6 @@ DEFAULT_GELU_KNOTS = (-4, -3, -2, -1, 0, 1, 2, 3, 4)
 APPROX_FIELDS = {"format": STRING, "exp_domain_lo": ("number", -EXTENT_MAX, 0),
                  "isqrt_table_size": ("int", 2, 2**12), "recip_table_size": ("int", 2, 2**15),
                  "gelu_knots": ("int_list", -EXTENT_MAX, EXTENT_MAX),
-                 "gelu_pieces": ("int_triples", -EXTENT_MAX, EXTENT_MAX),
                  "recip_refine": ("int", 0, 16), "renormalize": ("bool",),
                  "ln_eps": ("int", 0, EXTENT_MAX)}
 
@@ -85,6 +84,8 @@ def build_gelu_pieces(fmt: FixedFormat, knots=DEFAULT_GELU_KNOTS):
         raise SchemaError(
             f"gelu knots {knots} cannot meet the identity piece exactly in {fmt.name}"
         )
+    if max(map(abs, pintercept)) > INT64_MAX:
+        raise SchemaError(f"gelu knots {knots} give intercepts outside int64 in {fmt.name}")
     px.append(knots[-1] * one)
     pslope.append(one)
     pintercept.append(0)
@@ -95,74 +96,56 @@ def build_gelu_pieces(fmt: FixedFormat, knots=DEFAULT_GELU_KNOTS):
             np.array(pintercept, dtype=np.int64))
 
 
-def _check_gelu_continuity(px, pslope, pintercept, frac_bits):
-    for i in range(1, len(px)):
-        x = px[i]
-        left = ((pslope[i - 1] * x) >> frac_bits) + pintercept[i - 1]
-        right = ((pslope[i] * x) >> frac_bits) + pintercept[i]
-        if left != right:
-            raise SchemaError(
-                f"gelu pieces discontinuous at x={x}: left {left} != right {right}"
-            )
-
-
-def _frozen(values) -> np.ndarray:
-    """A read-only copy of ``values``."""
-    arr = np.array(values)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class ApproxConfig:
-    """Tables and pieces for the hardware-friendly non-linear datapaths."""
+    """An approximation document's values, and the tables and pieces built from them."""
 
     fmt: FixedFormat = field(default_factory=FixedFormat)
-    isqrt_table: np.ndarray = field(default_factory=lambda: build_isqrt_table(64))
-    recip_table: np.ndarray = field(default_factory=lambda: build_recip_table(64))
+    isqrt_table_size: int = 64
+    recip_table_size: int = 64
     exp_domain_lo: float = DEFAULT_EXP_DOMAIN_LO
-    gelu_pieces: tuple[np.ndarray, np.ndarray, np.ndarray] = None
+    gelu_knots: tuple[int, ...] = DEFAULT_GELU_KNOTS
     recip_refine: int = 0
     renormalize: bool = False
     ln_eps: int = 1  # one LSB on the variance
+    isqrt_table: np.ndarray = field(init=False, repr=False)
+    recip_table: np.ndarray = field(init=False, repr=False)
+    gelu_pieces: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
     # Whole-domain kernel lookup tables, kind -> (lo, table), filled by ``kernels``.
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_width(self.fmt)
-        if self.fmt.frac_bits > EXP_FRAC:
+        check(vars(self), APPROX_FIELDS)
+        fmt = self.fmt
+        isqrt_table = build_isqrt_table(self.isqrt_table_size)
+        recip_table = build_recip_table(self.recip_table_size)
+        _check_width(fmt)
+        if fmt.frac_bits > EXP_FRAC:
             raise SchemaError(f"frac_bits > {EXP_FRAC} not supported by the exp datapath")
         if self.exp_lo_fixed >= 0:
-            raise SchemaError(f"exp_domain_lo {self.exp_domain_lo} is >= 0 in {self.fmt.name}")
-        object.__setattr__(self, "exp_domain_lo", float(self.exp_domain_lo))
-        if np.any(np.diff(self.isqrt_table) >= 0):
-            raise SchemaError("isqrt table must be strictly decreasing")
-        if self.gelu_pieces is None:
-            object.__setattr__(self, "gelu_pieces", build_gelu_pieces(self.fmt))
-        # Read-only copies: the kernel tables in ``_tables`` are built from
-        # these arrays and must not go stale, and the caller's arrays stay
-        # writable.
-        object.__setattr__(self, "isqrt_table", _frozen(self.isqrt_table))
-        object.__setattr__(self, "recip_table", _frozen(self.recip_table))
-        object.__setattr__(self, "gelu_pieces", tuple(map(_frozen, self.gelu_pieces)))
-        px, ps, pb = self.gelu_pieces
-        if not (len(px) == len(ps) == len(pb)) or np.any(np.diff(px) <= 0):
-            raise SchemaError("gelu pieces must share length and have increasing bounds")
-        px, ps, pb = px.tolist(), ps.tolist(), pb.tolist()
-        _check_gelu_continuity(px, ps, pb, self.fmt.frac_bits)
-        fmt = self.fmt
-        if gelu_clip(px, ps, pb, fmt.frac_bits, fmt.min_int, fmt.max_int) is None:
+            raise SchemaError(f"exp_domain_lo {self.exp_domain_lo} is >= 0 in {fmt.name}")
+        pieces = build_gelu_pieces(fmt, self.gelu_knots)
+        if gelu_clip(*(a.tolist() for a in pieces), fmt.frac_bits, fmt.min_int,
+                     fmt.max_int) is None:
             raise SchemaError(f"{fmt.name}: slope·x of the gelu pieces leaves int64")
+        # Read-only: the kernel tables in ``_tables`` are built from these arrays.
+        for arr in (isqrt_table, recip_table, *pieces):
+            arr.flags.writeable = False
+        object.__setattr__(self, "exp_domain_lo", float(self.exp_domain_lo))
+        object.__setattr__(self, "gelu_knots", tuple(self.gelu_knots))
+        object.__setattr__(self, "isqrt_table", isqrt_table)
+        object.__setattr__(self, "recip_table", recip_table)
+        object.__setattr__(self, "gelu_pieces", pieces)
 
     # Derived fixed-point constants -----------------------------------------
 
     @property
     def table_bits(self) -> int:
-        return int(math.log2(len(self.isqrt_table)))
+        return self.isqrt_table_size.bit_length() - 1
 
     @property
     def recip_bits(self) -> int:
-        return int(math.log2(len(self.recip_table)))
+        return self.recip_table_size.bit_length() - 1
 
     @property
     def inv_sqrt2_q15(self) -> int:
@@ -185,26 +168,16 @@ class ApproxConfig:
     @classmethod
     def from_doc(cls, doc: dict) -> "ApproxConfig":
         fields = read(doc, "approx config", {}, APPROX_FIELDS, version=APPROX_SCHEMA_VERSION)
-        if "gelu_knots" in fields and "gelu_pieces" in fields:
-            raise SchemaError("approx config takes gelu_knots or gelu_pieces, not both")
-        fmt = FixedFormat.parse(fields.pop("format", "Q8.8"))
-        kwargs = {"fmt": fmt}
-        if "isqrt_table_size" in fields:
-            kwargs["isqrt_table"] = build_isqrt_table(fields.pop("isqrt_table_size"))
-        if "recip_table_size" in fields:
-            kwargs["recip_table"] = build_recip_table(fields.pop("recip_table_size"))
-        if "gelu_knots" in fields:
-            kwargs["gelu_pieces"] = build_gelu_pieces(fmt, fields.pop("gelu_knots"))
-        if "gelu_pieces" in fields:
-            kwargs["gelu_pieces"] = tuple(np.array(fields.pop("gelu_pieces"), dtype=np.int64).T)
-        return cls(**kwargs, **fields)
+        fmt = fields.pop("format", "Q8.8")
+        check({"format": fmt}, APPROX_FIELDS)
+        return cls(FixedFormat.parse(fmt), **fields)
 
     def describe(self) -> dict:
         """JSON-ready summary (embedded in compilation manifests)."""
         return {
             "format": self.fmt.name,
-            "isqrt_table_size": len(self.isqrt_table),
-            "recip_table_size": len(self.recip_table),
+            "isqrt_table_size": self.isqrt_table_size,
+            "recip_table_size": self.recip_table_size,
             "pade_order": [2, 2],  # the only rational order pade_exp implements
             "exp_domain_lo": self.exp_domain_lo,
             "gelu_pieces": len(self.gelu_pieces[0]),

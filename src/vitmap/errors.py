@@ -3,8 +3,10 @@
 Each document type (model, board, search and approximation configs, manifest
 blocks, schedule descriptors) has a table giving each field one rule: a kind
 of ``_KINDS`` and its arguments, where a kind ending in ``?`` also takes null.
-``read`` checks a whole document; ``check`` applies tables to values already
-held, as the dataclasses' ``__post_init__`` does. Failures raise ``SchemaError``.
+``read`` checks a document's shape: a JSON object with its ``schema_version``
+and no missing or unknown field. ``check`` applies the rules to the values,
+once, in the ``__post_init__`` of the object that holds them; a reader calls
+it itself only for a value no object holds. Failures raise ``SchemaError``.
 Every JSON file the commands write is ``json_text``'s text, and every CSV but
 the streamed evaluation log ``csv_text``'s.
 """
@@ -69,10 +71,7 @@ _KINDS = {
     "int_map": ("an object of integers in [{0}, {1}]",
                 lambda v, lo, hi: isinstance(v, Mapping) and _ints(v.values(), lo, hi)),
     "int_list": ("a list of integers in [{0}, {1}]",
-                 lambda v, lo, hi: isinstance(v, list) and _ints(v, lo, hi)),
-    "int_triples": ("a non-empty list of [x, slope, intercept] integer triples in [{0}, {1}]",
-                    lambda v, lo, hi: isinstance(v, list) and v != [] and all(
-                        isinstance(r, list) and len(r) == 3 and _ints(r, lo, hi) for r in v)),
+                 lambda v, lo, hi: isinstance(v, (list, tuple)) and _ints(v, lo, hi)),
 }
 
 
@@ -99,8 +98,9 @@ def json_object(doc, what: str) -> Mapping:
 def read(doc, what: str, required: Mapping, optional: Mapping = {},
          version: int | None = None) -> dict:
     """The fields of JSON object ``doc`` (``what`` in errors): all of ``required``,
-    others only from ``optional``, each passing its rule; ``schema_version``, which
-    must equal ``version`` where one is given, is checked and left out."""
+    others only from ``optional``; ``schema_version``, which must equal ``version``
+    where one is given, is checked and left out. The values are not checked here:
+    the tables' rules apply where the values are held."""
     fields = dict(json_object(doc, what))
     if version is not None:
         got = fields.pop("schema_version", None)
@@ -110,7 +110,6 @@ def read(doc, what: str, required: Mapping, optional: Mapping = {},
     unknown = sorted(fields.keys() - required.keys() - optional.keys(), key=str)
     if missing or unknown:
         raise SchemaError(f"{what}: missing fields {missing}, unknown fields {unknown}")
-    check(fields, required, optional)
     return fields
 
 

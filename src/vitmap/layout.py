@@ -214,8 +214,10 @@ class ScheduleDescriptor:
     def from_doc(cls, doc: Mapping) -> ScheduleDescriptor:
         """Inverse of ``to_doc``; ``steps`` must match the shape's step count."""
         fields = read(doc, "schedule descriptor", DESCRIPTOR_FIELDS)
-        steps = fields.pop("steps")
-        desc = cls(ScheduleKind(fields.pop("op_kind")), **fields)
+        op_kind, steps = fields.pop("op_kind"), fields.pop("steps")
+        check({"op_kind": op_kind}, DESCRIPTOR_FIELDS)
+        desc = cls(ScheduleKind(op_kind), **fields)
+        check({"steps": steps}, DESCRIPTOR_FIELDS)
         if steps != desc.step_count:
             raise SchemaError(f"schedule descriptor says {steps} steps, its shape has "
                               f"{desc.step_count}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .errors import InfeasibleTilesError, json_object, json_text, read
+from .errors import InfeasibleTilesError, check, json_object, json_text, read
 from .hw import HARDWARE_FIELDS, TILE_FIELDS, HardwareSpec, TileParams, validate_tiles
 
 MANIFEST_VERSION = 3
@@ -70,7 +70,9 @@ def template_params_from_manifest(manifest: dict) -> TemplateParams:
     """The template parameters of a manifest whose board and tiles ``hw`` accepts."""
     manifest = json_object(manifest, "manifest")
     hw = HardwareSpec(**read(manifest.get("hardware"), "manifest 'hardware'", HARDWARE_FIELDS))
-    tiles = TileParams(**read(manifest.get("tiles"), "manifest 'tiles'", TILE_FIELDS))
+    fields = read(manifest.get("tiles"), "manifest 'tiles'", TILE_FIELDS)
+    check(fields, TILE_FIELDS)
+    tiles = TileParams(**fields)
     verdict = validate_tiles(tiles, hw)
     if not verdict:
         raise InfeasibleTilesError(verdict.violations)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 
 import fixmath_golden as golden
 from vitmap.approx import _fixmath
+from vitmap.approx import config as approx_config
 from vitmap.approx import (
     ApproxConfig,
     FixedFormat,
     build_gelu_pieces,
     build_isqrt_table,
-    build_recip_table,
     error_report,
     exact_gelu,
     exact_isqrt,
@@ -250,11 +251,15 @@ class TestGelu:
 
     @pytest.mark.parametrize("kernel", [None, "numpy"])
     def test_zero_below_first_custom_piece(self, kernel):
-        # Zero from -4 up to 0, identity above: below -4 is below every piece.
-        cfg = ApproxConfig(gelu_pieces=(np.array([-1024, 0]), np.array([0, 256]),
-                                        np.array([0, 0])))
+        # Knots -4, 0, 4: zero up to 0, identity above.
+        cfg = ApproxConfig(gelu_knots=(-4, 0, 4))
         x = np.array([-2000, -1025, -1024, -1, 0, 300], dtype=np.int64)
         assert gelu_via(x, cfg, kernel).tolist() == [0, 0, 0, 0, 0, 300]
+        # Arbitrary pieces starting at -4: below -4 is below every piece.
+        pieces = (np.array([-1024, 0]), np.array([0, 256]), np.array([0, 0]))
+        x = np.array([-2000, -1025, -1024, 300, -40000], dtype=np.int64)
+        got = _fixmath.gelu_fixed(x, *pieces, FMT.frac_bits, FMT.min_int, FMT.max_int)
+        assert got.tolist() == [0, 0, 0, 300, 0]
 
     @pytest.mark.parametrize("kernel", [None, "numpy"])
     def test_int64_extremes_saturate(self, kernel):
@@ -288,7 +293,7 @@ class TestGelu:
         assert np.all(np.diff(gelu_pwl(xs, CFG)) >= 0)
 
     def test_refinement_reduces_error(self):
-        coarse = ApproxConfig(gelu_pieces=build_gelu_pieces(FMT, (-4, 0, 4)))
+        coarse = ApproxConfig(gelu_knots=(-4, 0, 4))
         xs = np.arange(q(-4.0), q(4.0) + 1, dtype=np.int64)
         ref = exact_gelu(FMT.dequantize(xs))
         err8 = np.abs(FMT.dequantize(gelu_pwl(xs, CFG)) - ref).max()
@@ -433,22 +438,55 @@ def test_gelu_pieces_equal_scalar_quantisation_at_random_knots(bits, knots):
             == _pieces_or_error(scalar_gelu_pieces, fmt, knots))
 
 
-def test_gelu_pieces_without_an_int64_bound_rejected():
+def test_gelu_pieces_without_an_int64_bound_rejected(monkeypatch):
     # Past x = 1 the last piece saturates, but its slope times a fractional
     # part of x leaves int64.
     pieces = (np.array([-1024, 0]), np.array([0, 2 ** 62]), np.array([0, 0]))
     assert _fixmath.gelu_clip(*(a.tolist() for a in pieces), 8, FMT.min_int, FMT.max_int) is None
-    with pytest.raises(SchemaError, match=r"^Q8\.8: slope·x of the gelu pieces leaves int64"):
-        ApproxConfig(gelu_pieces=pieces)
     with pytest.raises(OverflowError):
         _fixmath.gelu_fixed(np.zeros(3, dtype=np.int64), *pieces, 8, FMT.min_int, FMT.max_int)
+    # A config whose fitted pieces had no bound is rejected when it is built.
+    monkeypatch.setattr(approx_config, "gelu_clip", lambda *args: None)
+    with pytest.raises(SchemaError, match=r"^Q8\.8: slope·x of the gelu pieces leaves int64"):
+        ApproxConfig()
 
 
-def test_format_wider_than_63_bits_rejected_with_given_pieces():
+def test_format_wider_than_63_bits_rejected_with_given_knots():
     # The format check does not depend on building the default pieces.
     with pytest.raises(SchemaError, match=r"^Q60\.8 is wider than 63 bits"):
-        ApproxConfig.from_doc({"schema_version": 1, "format": "Q60.8",
-                               "gelu_pieces": [[0, 1, 0]]})
+        ApproxConfig.from_doc({"schema_version": 1, "format": "Q60.8", "gelu_knots": [0, 1]})
+
+
+# The formats an approximation config accepts: at most 63 bits and 15 fraction bits.
+ACCEPTED_FORMATS = st.integers(2, 63).flatmap(
+    lambda total: st.builds(FixedFormat, st.just(total), st.integers(0, min(15, total - 1))))
+
+
+@settings(max_examples=300)
+@given(ACCEPTED_FORMATS, st.data())
+def test_pieces_built_from_accepted_knots_are_continuous(fmt, data):
+    # What the config no longer checks at run time: pieces built from knots
+    # share their length, start at increasing points and meet at every start.
+    # A last gap of one always meets the identity piece; most wider ones do not.
+    klo = -min(-fmt.min_int // fmt.one, 2 ** 31 - 1)
+    knots = sorted(data.draw(st.sets(st.integers(klo, -klo), min_size=2, max_size=12)))
+    if data.draw(st.booleans()):
+        knots.append(knots[-1] + 1)
+    try:
+        px, ps, pb = (a.tolist() for a in ApproxConfig(fmt, gelu_knots=knots).gelu_pieces)
+    except SchemaError:  # knots whose pieces cannot meet the identity or leave int64
+        assume(False)
+    assert len(px) == len(ps) == len(pb) == len(knots) + 1
+    assert all(a < b for a, b in zip(px, px[1:]))
+    f = fmt.frac_bits
+    for i in range(1, len(px)):
+        assert ((ps[i - 1] * px[i]) >> f) + pb[i - 1] == ((ps[i] * px[i]) >> f) + pb[i]
+
+
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_isqrt_table_of_each_accepted_size_decreases(bits):
+    table = ApproxConfig(isqrt_table_size=2 ** bits).isqrt_table
+    assert len(table) == 2 ** bits and np.all(np.diff(table) < 0)
 
 
 class TestLayernorm:
@@ -559,44 +597,44 @@ class TestConfig:
         assert len(cfg.isqrt_table) == 128
         assert len(cfg.recip_table) == 32
 
-    def test_discontinuous_pieces_rejected(self):
-        with pytest.raises(SchemaError, match="discontinuous"):
-            ApproxConfig.from_doc({
-                "schema_version": 1,
-                "gelu_pieces": [[-32769, 0, 0], [0, 256, 100], [1024, 256, 0]],
-            })
-
     def test_knots_and_pieces_together_rejected(self):
-        with pytest.raises(SchemaError, match="gelu_knots or gelu_pieces"):
+        # An approximation document gives knots only; pieces are an unknown field.
+        with pytest.raises(SchemaError, match=r"unknown fields \['gelu_pieces'\]$"):
             ApproxConfig.from_doc({
                 "schema_version": 1, "gelu_knots": [-2, 0, 2],
                 "gelu_pieces": [[-32769, 0, 0], [0, 256, 0]],
             })
 
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"format": "Q4.12", "isqrt_table_size": 2, "recip_table_size": 2 ** 15,
+         "exp_domain_lo": -3, "gelu_knots": [-2, 0, 1, 3], "recip_refine": 2,
+         "renormalize": True, "ln_eps": 0},
+    ], ids=["defaults", "every_field"])
+    def test_constructor_equals_document(self, doc):
+        fields = {k: v for k, v in doc.items() if k != "format"}
+        built = ApproxConfig(FixedFormat.parse(doc.get("format", "Q8.8")), **fields)
+        read = ApproxConfig.from_doc({"schema_version": 1, **doc})
+        for f in dataclasses.fields(ApproxConfig):
+            a, b = getattr(built, f.name), getattr(read, f.name)
+            if f.name == "gelu_pieces":
+                assert all(np.array_equal(x, y) for x, y in zip(a, b))
+            elif isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
     @pytest.mark.parametrize("make", [
         ApproxConfig,
         lambda: ApproxConfig.from_doc({"schema_version": 1, "format": "Q8.8",
                                        "isqrt_table_size": 32, "gelu_knots": [-2, 0, 2]}),
-        lambda: ApproxConfig.from_doc({"schema_version": 1, "gelu_pieces": [
-            [-32769, 0, 0], [0, 256, 0]]}),
-    ], ids=["default", "from_doc", "from_doc_pieces"])
+        lambda: ApproxConfig(isqrt_table_size=32, gelu_knots=(-2, 0, 2)),
+    ], ids=["default", "from_doc", "constructor"])
     def test_arrays_are_read_only(self, make):
         cfg = make()
         for arr in (cfg.isqrt_table, cfg.recip_table, *cfg.gelu_pieces):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
-
-    def test_caller_arrays_are_copied_not_frozen(self):
-        isqrt, recip = build_isqrt_table(64), build_recip_table(64)
-        pieces = build_gelu_pieces(FMT)
-        cfg = ApproxConfig(isqrt_table=isqrt, recip_table=recip, gelu_pieces=pieces)
-        for mine, held in zip((isqrt, recip, *pieces),
-                              (cfg.isqrt_table, cfg.recip_table, *cfg.gelu_pieces)):
-            assert np.array_equal(mine, held) and not np.shares_memory(mine, held)
-            with pytest.raises(ValueError, match="read-only"):
-                held[0] = 1
-            mine[0] += 1  # the caller's own array stays writable
-        assert gelu_pwl(0, cfg) == 0
 
     def test_format_parse(self):
         fmt = FixedFormat.parse("Q4.4")

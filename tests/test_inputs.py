@@ -5,11 +5,13 @@ accepted value. The property mutates each preset and config document and
 runs every command on it in process.
 """
 
+import collections
 import contextlib
 import io
 import json
 import re
 import signal
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -18,7 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vitmap import cli
+from vitmap import cli, errors
+from vitmap.approx import ApproxConfig
+from vitmap.approx.config import APPROX_FIELDS
+from vitmap.dse import SEARCH_FIELDS, SearchConfig
+from vitmap.hw import HARDWARE_FIELDS, HARDWARE_OPTIONAL, TILE_FIELDS, parse_hardware
+from vitmap.layout import ScheduleDescriptor
+from vitmap.manifest import template_params_from_manifest
+from vitmap.model_ir import MODEL_FIELDS, MODEL_OPTIONAL, parse_model
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = {2: "model", 3: "hardware", 4: "search", 6: "emit", 7: "approx"}
@@ -35,7 +44,7 @@ APPROX_DOCS = [
     {"schema_version": 1, "format": "Q8.8", "isqrt_table_size": 64, "recip_table_size": 64,
      "exp_domain_lo": -8.0, "gelu_knots": [-4, -2, 0, 2, 4], "recip_refine": 1,
      "renormalize": False, "ln_eps": 1},
-    {"schema_version": 1, "gelu_pieces": [[-32769, 0, 0], [0, 256, 0]]},
+    {"schema_version": 1, "gelu_knots": [-3, -1, 0, 1, 2]},
 ]
 # deit-small's published tiles on the criterion-2 board.
 MANIFEST = {
@@ -124,6 +133,8 @@ REGRESSIONS = {
     "approx-refine-2**70": (APPROX, approx(recip_refine=2**70), 7),
     "approx-format-q1.15": (APPROX, approx(format="Q1.15"), 7),
     "approx-format-q2.0": (APPROX, approx(format="Q2.0"), 7),
+    "approx-knot-intercepts-2**63": (
+        APPROX, approx(format="Q1.6", gelu_knots=[1518500242, 1518500256]), 7),
     "search-set-size-2**70": (SEARCH + ["--search-config", "{doc}"], {"set_size": 2**70}, 4),
     "search-iterations-2**70": (SEARCH + ["--search-config", "{doc}"], {"iterations": 2**70}, 4),
     "compile-tn-step-0": (COMPILE + ["--tn-step", "0"], None, 4),
@@ -211,6 +222,75 @@ def test_mutated_documents_exit_with_their_stage(case, data):
         got, err = run(argv, {"doc": doc}, Path(work))
         if got or mutation in ("add", "bytes"):
             assert_exits(got, err, code, Path(work))
+
+
+@pytest.fixture
+def rule_tests(monkeypatch):
+    """A count, per field name, of the rules ``check`` tests from here on, in every
+    module that calls it (``vitmap.errors`` itself included)."""
+    counts = collections.Counter()
+    check = errors.check
+
+    def counting(values, *tables):
+        counts.update(name for table in tables for name in table if name in values)
+        check(values, *tables)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("vitmap") and \
+                getattr(module, "check", None) is check:
+            monkeypatch.setattr(module, "check", counting)
+    return counts
+
+
+PARSES = {
+    **{name: (parse_model, preset(name)) for name in ("deit_tiny", "deit_small", "deit_base")},
+    "vu9p": (parse_hardware, preset("vu9p")),
+    "search": (SearchConfig.from_doc, SEARCH_DOC),
+    **{f"approx{i}": (ApproxConfig.from_doc, doc) for i, doc in enumerate(APPROX_DOCS)},
+    "emit": (template_params_from_manifest, MANIFEST),
+    "descriptor": (ScheduleDescriptor.from_doc, {"op_kind": "Softmax", "rows": 197, "banks": 4,
+                                                 "kernels": 4, "heads": 3, "steps": 197}),
+}
+
+
+@pytest.mark.parametrize("parse, doc", PARSES.values(), ids=PARSES.keys())
+def test_each_field_is_checked_once(rule_tests, parse, doc):
+    # A field's rule is tested where its value is held, or by the reader where
+    # no object holds it, never in both; a default is tested as its field.
+    parse(doc)
+    fields = doc.keys() - {"schema_version"}
+    if parse is template_params_from_manifest:
+        fields = doc["hardware"].keys() | doc["tiles"].keys()
+    assert fields <= rule_tests.keys() and set(rule_tests.values()) == {1}, rule_tests
+
+
+def readme_input_fields() -> dict:
+    """The field names README's "Input documents" table gives each document,
+    without ``schema_version`` and flags; the manifest's ``tiles`` row lists
+    its own fields under "manifest.tiles"."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"## Input documents\n.*?\n(\| Document.*?)\n\n", readme, re.S).group(1)
+    fields: dict = {}
+    for line in table.splitlines()[2:]:
+        doc, names, rule = (cell.strip() for cell in line.strip("|").split("|")[:3])
+        if doc:
+            document = fields.setdefault(doc.split(",")[0], set())
+        document.update(n for n in re.findall(r"`([^`]+)`", names)
+                        if n != "schema_version" and not n.startswith("-"))
+        if names == "`tiles`":
+            fields["manifest.tiles"] = set(re.findall(r"`([^`]+)`", rule))
+    return fields
+
+
+def test_readme_input_table_names_each_rule_table_field():
+    assert readme_input_fields() == {
+        "model": MODEL_FIELDS.keys() | MODEL_OPTIONAL.keys(),
+        "hardware": HARDWARE_FIELDS.keys() | HARDWARE_OPTIONAL.keys(),
+        "search config": SEARCH_FIELDS.keys(),
+        "approximation config": APPROX_FIELDS.keys(),
+        "manifest": {"hardware", "tiles"},
+        "manifest.tiles": TILE_FIELDS.keys(),
+    }
 
 
 def test_readme_library_example_runs(monkeypatch, capsys):
