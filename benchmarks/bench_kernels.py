@@ -15,9 +15,10 @@ The search lines time ``exact_search`` against ``heuristic_search`` (default
 config) on deit-base's full space at batch 1 and 64. The output lines take
 deit-tiny's exhaustive log (372,527 evaluations) through ``pareto_front``
 and ``evaluations_to_csv`` (into a temporary file) and report each one's
-wall time and tracemalloc peak; the CSV's bytes are checked against the
-same rows formatted by ``csv.writer``, each numerator summed in Python ints
-from the cost classes. Two more lines, each with wall time and tracemalloc
+wall time and tracemalloc peak, the export's also with the file's bytes and
+bytes per row; the CSV's bytes are checked against the same rows formatted
+by ``csv.writer``, each numerator summed in Python ints from the cost
+classes. Two more lines, each with wall time and tracemalloc
 peak, time ``pareto_front`` on that log followed by a shuffled copy of it
 flagged as cache hits (every third copy at half its latency; the front must
 stay the log's), and ``compare_searches`` on deit-tiny's exhaustive and
@@ -183,22 +184,22 @@ def bench_writes(repeat):
 def csv_reference(result):
     """The evaluation CSV through ``csv.writer``, one row at a time.
 
-    ``N(tn, tm) = Σ w·ceil(n/tn)·tn·ceil(m/tm)·tm`` over the cost classes,
-    in Python ints, once per distinct (tn, tm).
+    A row is pn, tn, tm, ``N(tn, tm) = Σ w·ceil(n/tn)·tn·ceil(m/tm)·tm``
+    over the cost classes, in Python ints, once per distinct (tn, tm), and
+    the cache flag as ``0`` or ``1``.
     """
     arrays = result.arrays
     classes = list(zip(arrays.cls_n.tolist(), arrays.cls_m.tolist(), arrays.cls_weight))
     numerators = {}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pn", "pm", "tn", "tm", "matmul_cycles_num", "cycles_den", "from_cache"])
+    writer.writerow(["pn", "tn", "tm", "matmul_cycles_num", "from_cache"])
     for e in result.all_evaluated:
-        pn, pm, tn, tm = e.tiles.astuple()
+        pn, _, tn, tm = e.tiles.astuple()
         if (tn, tm) not in numerators:
             numerators[tn, tm] = sum(w * (-(-n // tn) * tn) * (-(-m // tm) * tm)
                                      for n, m, w in classes)
-        writer.writerow([pn, pm, tn, tm, numerators[tn, tm], pn * pm * arrays.kernels,
-                         e.from_cache])
+        writer.writerow([pn, tn, tm, numerators[tn, tm], int(e.from_cache)])
     return buf.getvalue().encode()
 
 
@@ -239,8 +240,10 @@ def bench_outputs(repeat, rng):
                  len(heur.all_evaluated))):
             t, _ = best_of(fn, repeat)
             peak = traced_peak(fn)
+            size = path.stat().st_size if fn is export else None
             print(f"{f'{name} (deit-tiny)':<28}  {t * 1e3:9.3f} ms  tracemalloc peak "
-                  f"{peak / 2 ** 20:6.1f} MB  ({rows} evaluations)")
+                  f"{peak / 2 ** 20:6.1f} MB  ({rows} evaluations)"
+                  + (f"  {size} B, {size / rows:.1f} B/row" if size is not None else ""))
         assert path.read_bytes() == csv_reference(result), "CSV differs from csv.writer"
 
 

@@ -175,6 +175,11 @@ def cmd_compile(args) -> int:
     cost = _stage("search", graph_latency, dag, tiles, hw)
     schedules = _stage("schedule", _build_schedules, spec, batch, hw)
     approx_cfg = _approx_config(args)
+    fmt = approx_cfg.fmt
+    if fmt.total_bits != hw.data_width_bits:  # the board's pm was computed from its width
+        raise StageError("approx", f"format {fmt.name} is {fmt.total_bits} bits wide, but "
+                                   f"hardware {hw.name} has data_width_bits "
+                                   f"{hw.data_width_bits}")
     manifest = build_manifest(
         model_doc=model_doc, hw=hw, tiles=tiles, graph_cost=cost,
         schedules={kind.value: desc.to_doc() for kind, desc in schedules.items()},

@@ -42,9 +42,11 @@ indexed or iterated, and the ``DagCostArrays`` they were scored with. The
 Pareto front, the search comparison and the CSV export work on those
 columns directly, so a multi-million-point exhaustive search never
 materialises one Python object per point (``evaluations_to_csv`` says
-how the CSV export keeps its memory bounded). The cache flags are the only
-record of repeated configurations: the front and the comparison skip
-flagged rows, the front without copying any column.
+how the CSV export keeps its memory bounded). A CSV row holds only its own
+facts: pn, tn, tm, ``N(tn, tm)`` and its cache flag. The constants that
+turn it into a latency are written once, in ``search_summary_json``. The
+cache flags are the only record of repeated configurations: the front and
+the comparison skip flagged rows, the front without copying any column.
 """
 
 from __future__ import annotations
@@ -783,8 +785,10 @@ def compare_searches(exh: SearchResult, heur: SearchResult,
 def search_summary_json(result: SearchResult) -> str:
     """Deterministic JSON summary of a search: best point, budget, history.
 
-    ``nonlinear_cycles`` and ``frequency_hz`` turn the CSV log's integer
-    columns back into each latency (see ``evaluations_to_csv``).
+    ``best.pm``, ``num_kernels``, ``nonlinear_cycles`` and ``frequency_hz``
+    are the CSV log's constants: with ``D = pn·best.pm·num_kernels`` a row's
+    latency is ``(matmul_cycles_num / D + nonlinear_cycles) / frequency_hz``
+    (see ``evaluations_to_csv``).
     """
     return json_text({
         "best": {
@@ -797,6 +801,7 @@ def search_summary_json(result: SearchResult) -> str:
         "space_size": result.space.feasible_size(),
         "history": list(result.history),
         "nonlinear_cycles": result.arrays.nl_cycles,
+        "num_kernels": result.arrays.kernels,
         "frequency_hz": float(result.arrays.frequency),
     })
 
@@ -809,26 +814,27 @@ _CSV_BLOCK_ROWS = 32768
 def evaluations_to_csv(result: SearchResult, out: TextIO) -> None:
     """Write one row per evaluation to ``out``.
 
-    Columns: pn, pm, tn, tm, matmul_cycles_num, cycles_den, from_cache.
-    ``matmul_cycles_num`` is the integer matmul numerator ``N(tn, tm)`` and
-    ``cycles_den`` is ``D = pn·pm·kernels``, so a row's latency is exactly
-    ``(N/D + nonlinear_cycles) / frequency_hz`` with the last two from
-    ``search_summary_json``; ``float()`` of that rational is the logged
-    latency bit for bit. Each block's numerators are checked against the
-    log's latencies, and a mismatch raises ``SchemaError``: the file never
-    describes a different number than the log.
+    Columns: pn, tn, tm, matmul_cycles_num, from_cache (``0`` or ``1``).
+    ``matmul_cycles_num`` is the integer matmul numerator ``N(tn, tm)``.
+    Every row's pm is the cost model's, which the writer checks, so the log's
+    constants are written once, in ``search_summary_json``: with
+    ``D = pn·best.pm·num_kernels`` a row's latency is exactly
+    ``(N/D + nonlinear_cycles) / frequency_hz``, and ``float()`` of that
+    rational is the logged latency bit for bit. Each block's numerators are
+    checked against the log's latencies, and a mismatch raises
+    ``SchemaError``: the file never describes a different number than the log.
 
     The log's numerators are computed once, by ``pair_numerators``, and
     each (tn, tm) among them becomes text the first time a row uses it.
     Rows go out ``_CSV_BLOCK_ROWS`` at a time: beyond a block, the export
     holds the numerators and texts of the log's tm columns and what
     ``pair_numerators`` needs to find the distinct tn and tm. A block is
-    cut into segments of rows with equal (pn, pm, from_cache) whose (tn, tm)
+    cut into segments of rows with equal (pn, from_cache) whose (tn, tm)
     entries are consecutive, a whole tn sweep in the exhaustive log, and
     each segment is one ``str.join`` of a slice of the pair texts.
     """
     log, arrays = result.all_evaluated, result.arrays
-    out.write("pn,pm,tn,tm,matmul_cycles_num,cycles_den,from_cache\n")
+    out.write("pn,tn,tm,matmul_cycles_num,from_cache\n")
     columns = log.columns()
     blocks = [(lo, [c[lo:lo + _CSV_BLOCK_ROWS] for c in columns])
               for lo in range(0, len(log), _CSV_BLOCK_ROWS)]
@@ -841,10 +847,10 @@ def evaluations_to_csv(result: SearchResult, out: TextIO) -> None:
     pair_tn, pair_tm, numerators, pair = pair_numerators(arrays, log.tn, log.tm)
     texts: list[Optional[str]] = [None] * len(numerators)  # "tn,tm,N" once a row uses it
     formatted = np.zeros(len(numerators), dtype=bool)
-    # (pn, pm, from_cache) -> the text before a segment's first row, between its
+    # (pn, from_cache) -> the text before a segment's first row, between its
     # rows and after its last row.
-    affixes: dict[tuple[int, int, bool], tuple[str, str, str]] = {}
-    for lo, (pn, pm, tn, tm, latency, from_cache) in blocks:
+    affixes: dict[tuple[int, bool], tuple[str, str, str]] = {}
+    for lo, (pn, _, tn, tm, latency, from_cache) in blocks:
         entry = pair(tn, tm)
         if not np.array_equal(divide(arrays, numerators[entry], pn), latency):
             raise SchemaError(f"evaluations_to_csv: rows {lo}.. hold a latency that differs "
@@ -856,7 +862,7 @@ def evaluations_to_csv(result: SearchResult, out: TextIO) -> None:
         for j, a, b, n in zip(new.tolist(), pair_tn[new].tolist(), pair_tm[new].tolist(),
                               numerators[new].tolist()):
             texts[j] = f"{a},{b},{n}"
-        keys = (pn, pm, from_cache)
+        keys = (pn, from_cache)
         change = np.diff(entry) != 1
         for col in keys:
             change |= col[1:] != col[:-1]
@@ -868,8 +874,8 @@ def evaluations_to_csv(result: SearchResult, out: TextIO) -> None:
             try:
                 prefix, sep, suffix = affixes[key]
             except KeyError:
-                p, m, hit = key
-                prefix, suffix = f"{p},{m},", f",{p * m * arrays.kernels},{hit}\n"
+                p, hit = key
+                prefix, suffix = f"{p},", f",{int(hit)}\n"
                 prefix, sep, suffix = affixes[key] = prefix, suffix + prefix, suffix
             parts += (prefix, texts[first] if first == last else sep.join(texts[first:last + 1]),
                       suffix)

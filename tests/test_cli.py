@@ -306,6 +306,17 @@ class TestCompile:
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["Q24.8", "Q4.4"])
+    def test_format_other_than_the_datapath_exits_7(self, tmp_path, capsys, fmt):
+        # vu9p's pm of 16 is a pack factor for its 16-bit datapath.
+        out = tmp_path / "out"
+        assert run("compile", "--model", "deit-tiny", "--hw", "vu9p", "--format", fmt,
+                   "--out-dir", out) == 7
+        bits = sum(map(int, fmt[1:].split(".")))
+        assert capsys.readouterr().err == (f"error: [approx] format {fmt} is {bits} bits wide, "
+                                           "but hardware vu9p has data_width_bits 16\n")
+        assert not out.exists()
+
 
 class TestSearch:
     def test_both_mode_writes_logs_and_comparison(self, docs, tmp_path):
@@ -393,12 +404,12 @@ class TestSearch:
     # is checked field by field instead. search_heuristic.json's history ends
     # with the best latency after the line sweeps.
     PINNED_SEARCH_DIGESTS = {
-        "evals_exhaustive.csv": "dd3716ae4fdc9b27b8aa0aedd85dbbc25beac2a0d7b56e23b32181be359f48ee",
-        "evals_heuristic.csv": "fc24aa0b96fcf526d20c1c666007f8ac96ffab8c1d52006d892ed2543fa2ae3f",
+        "evals_exhaustive.csv": "a2bd58d6ff6c54caad7fcf9601560737330c3d98b17037c28ff0163a0d2b2997",
+        "evals_heuristic.csv": "655cd55e8c05cc94fdd8d269a0b6eab72ea99b2a080c67fdc441ef8200e8c72c",
         "pareto_exhaustive.csv": "2d612cffc653ce0ca31573c602814a79f81c69a0b0bfe5c7b6f57bc4a560cfaf",
         "pareto_heuristic.csv": "2d612cffc653ce0ca31573c602814a79f81c69a0b0bfe5c7b6f57bc4a560cfaf",
-        "search_exhaustive.json": "f8840af89016ee9f6d126f9f706c6857469fafa81c54cfc4d7375bae95a8ae48",
-        "search_heuristic.json": "3389528ae40ae96438ef51f8127f75f8fe6bd5952279bf0c27fdd40ff19338c4",
+        "search_exhaustive.json": "329448c818635ec168f8b50889e36761d7de0f80a68825888009239feb83cc2c",
+        "search_heuristic.json": "70d10095880270f3d9da7f1fc870170b584a48084634e4c4ecb6a45806b018b5",
     }
 
     def test_capped_deit_tiny_outputs_pinned(self, tmp_path):
@@ -654,6 +665,13 @@ class TestPinnedOutputs:
         assert run("compile", "--model", model, "--hw", "vu9p", "--batch", batch,
                    "--out-dir", out) == 0
         pinned = self.COMPILE_DIGESTS[(model, batch)]
+        assert self.digests(out, pinned) == pinned
+
+    def test_compile_in_the_datapath_format(self, tmp_path):
+        out = tmp_path / "c"
+        assert run("compile", "--model", "deit-tiny", "--hw", "vu9p", "--format", "Q8.8",
+                   "--out-dir", out) == 0
+        pinned = self.COMPILE_DIGESTS[("deit-tiny", 1)]
         assert self.digests(out, pinned) == pinned
 
     def test_schedule(self, docs, tmp_path):

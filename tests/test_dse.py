@@ -4,10 +4,13 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -160,18 +163,18 @@ def _csv_reference(log, dag, hw):
     """The evaluation CSV through ``csv.writer``, one ``Evaluation`` row at a time.
 
     Each row's ``N`` is its matmul cycles, straight from the cost formulas in
-    Fractions, times ``D = pn·pm·kernels``.
+    Fractions, times ``D = pn·pm·kernels``; the row holds neither pm nor D,
+    and its cache flag as ``0`` or ``1``.
     """
     terms, _ = cost_terms(dag, hw)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pn", "pm", "tn", "tm", "matmul_cycles_num", "cycles_den", "from_cache"])
+    writer.writerow(["pn", "tn", "tm", "matmul_cycles_num", "from_cache"])
     for e in log:
         pn, pm, tn, tm = e.tiles.astuple()
         num = padded_work(terms, tn, tm) * hw.num_kernels
         assert num.denominator == 1
-        writer.writerow([pn, pm, tn, tm, num.numerator, pn * pm * hw.num_kernels,
-                         e.from_cache])
+        writer.writerow([pn, tn, tm, num.numerator, int(e.from_cache)])
     return buf.getvalue()
 
 
@@ -1044,10 +1047,12 @@ def _scored_logs(draw, sizes):
 @st.composite
 def _gathered_logs(draw):
     """Pieces of an exhaustive search's log on a small random model and
-    board, in any order, each row flagged at random, with the model and board.
+    board, in any order, each row or each piece flagged at random, with the
+    model and board.
 
     A piece runs on past the end of a tn sweep or a tm's block, and the
-    flags change inside a sweep, where the pairs stay consecutive.
+    flags change inside a sweep, where the pairs stay consecutive, or hold
+    over a whole piece, so a segment of flagged rows spans a sweep.
     """
     dag, hw = draw(small_models_and_boards())
     try:
@@ -1056,17 +1061,21 @@ def _gathered_logs(draw):
         assume(False)
     result = exhaustive_search(dag, hw, space)
     log = result.all_evaluated
-    pieces = draw(st.lists(st.tuples(st.integers(0, len(log) - 1), st.integers(1, 12)),
-                           max_size=5))
-    rows = [i for start, size in pieces for i in range(start, min(start + size, len(log)))]
-    flags = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    pieces = [range(start, min(start + size, len(log))) for start, size in draw(
+        st.lists(st.tuples(st.integers(0, len(log) - 1), st.integers(1, 12)), max_size=5))]
+    rows = [i for piece in pieces for i in piece]
+    per_piece = draw(st.booleans())
+    flags = draw(st.lists(st.booleans(), min_size=len(pieces if per_piece else rows),
+                          max_size=len(pieces if per_piece else rows)))
+    if per_piece:
+        flags = [hit for piece, hit in zip(pieces, flags) for _ in piece]
     gathered = EvaluationLog(*(c[np.array(rows, dtype=np.int64)] for c in log.columns()[:5]),
                              np.array(flags, dtype=bool))
     return dataclasses.replace(result, all_evaluated=gathered), dag, hw
 
 
 class TestCsvExport:
-    HEADER = "pn,pm,tn,tm,matmul_cycles_num,cycles_den,from_cache"
+    HEADER = "pn,tn,tm,matmul_cycles_num,from_cache"
 
     def test_one_row_per_evaluation(self, toy_space):
         dag, hw, space = toy_space
@@ -1076,11 +1085,11 @@ class TestCsvExport:
         lines = _csv_text(result).strip().splitlines()
         assert lines[0] == self.HEADER
         assert len(lines) == 1 + len(result.all_evaluated)
-        assert any(line.endswith("True") for line in lines[1:])  # cache hits logged
+        assert any(line.endswith(",1") for line in lines[1:])  # cache hits logged
 
     def test_rows_match_csv_writer_format(self, toy_space):
-        # One 40x32x64 matmul: N = 32·R(tn)·C(tm) and D = pn·pm·kernels, as
-        # integers, one row per evaluation in log order.
+        # One 40x32x64 matmul: N = 32·R(tn)·C(tm) as an integer, one row per
+        # evaluation in log order, the cache flag as 0 or 1.
         dag, hw, space = toy_space
         arrays = _latency.extract_cost_arrays(dag, hw)
         pn, tn, tm = np.array([3, 1]), np.array([10, 3]), np.array([8, 6])
@@ -1090,8 +1099,8 @@ class TestCsvExport:
                               all_evaluated=log, wall_time_s=1.0, space=space, arrays=arrays)
         assert _csv_text(result) == (
             f"{self.HEADER}\n"
-            f"3,2,10,8,{32 * 40 * 64},24,True\n"
-            f"1,2,3,6,{32 * 42 * 66},8,False\n"
+            f"3,10,8,{32 * 40 * 64},1\n"
+            f"1,3,6,{32 * 42 * 66},0\n"
         )
 
     @settings(max_examples=400, deadline=None)
@@ -1115,7 +1124,7 @@ class TestCsvExport:
         hw = toy_hw(onchip_capacity_elems=64)
         result = exhaustive_search(dag, hw, enumerate_space(dag, hw))
         text = _csv_text(result)
-        assert max(int(row.split(",")[4]) for row in text.splitlines()[1:]) > 2 ** 63
+        assert max(int(row.split(",")[3]) for row in text.splitlines()[1:]) > 2 ** 63
         self.check_against_reference(text, result, dag, hw)
 
     @settings(max_examples=150)
@@ -1165,17 +1174,50 @@ class TestCsvExport:
         assert 8 * np.unique(tn).size * np.unique(tm).size > 5 * bound
         assert peak_bytes(lambda: _latency.pair_numerators(result.arrays, tn, tm)) < bound
 
+    def test_readme_paragraph_names_the_header_and_summary_fields(self, toy_space):
+        # README's evals_*.csv paragraph names the header the writer writes,
+        # and its formulas read only the CSV's columns and the summary's
+        # fields; its one-liner turns every row into its logged latency.
+        dag, hw, space = toy_space
+        result = heuristic_search(dag, hw, space,
+                                  SearchConfig(seed=1, set_size=10, iterations=3,
+                                               preservation_size=2))
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        paragraph = re.search(r"Every row of an `evals_\*\.csv`.*?```python\n(.*?)```", readme,
+                              re.S)
+        header = re.search(r"with the columns\s+`([^`]+)`", paragraph.group(0)).group(1)
+        text = _csv_text(result)
+        assert header == text.splitlines()[0]
+        den = re.search(r"`D = ([^`]+)`", paragraph.group(0)).group(1).replace("·", " * ")
+        formula = re.search(r"latency is exactly\s+`([^`]+)`", paragraph.group(0)).group(1)
+        code = paragraph.group(1)
+        summary = json.loads(dse.search_summary_json(result))
+        keys = summary.keys() | {f"{k}.{sub}" for k, v in summary.items()
+                                 if isinstance(v, dict) for sub in v}
+        names = set(re.findall(r"[A-Za-z_][\w.]*", " ".join((den, formula, code))))
+        assert names - set(header.split(",")) - {"D", "Fraction", "float", "latency_s"} <= keys
+        for row, latency in zip(csv.DictReader(io.StringIO(text)),
+                                result.all_evaluated.latency.tolist()):
+            env = {**summary, **{k: int(v) for k, v in row.items()}, "Fraction": Fraction,
+                   "best": SimpleNamespace(**summary["best"])}
+            env["D"] = eval(den, env)
+            exec(code, env)
+            assert env["latency_s"] == latency
+
     @staticmethod
     def check_against_reference(text, result, dag, hw):
-        """``text`` equals the ``csv.writer`` reference, and every row rounds
-        back, through the summary's two fields, to its logged latency bit for bit."""
+        """``text`` equals the ``csv.writer`` reference, every row's flag is
+        ``0`` or ``1`` and equals the log's, and every row rounds back, through
+        the summary's four fields, to its logged latency bit for bit."""
         log = result.all_evaluated
         assert text == _csv_reference(log, dag, hw)
         summary = json.loads(dse.search_summary_json(result))
+        pm_kernels = summary["best"]["pm"] * summary["num_kernels"]
         nl, freq = summary["nonlinear_cycles"], Fraction(summary["frequency_hz"])
         rows = list(csv.DictReader(io.StringIO(text)))
-        assert [float((Fraction(int(r["matmul_cycles_num"]), int(r["cycles_den"])) + nl) / freq)
-                for r in rows] == log.latency.tolist()
+        assert [r["from_cache"] for r in rows] == [str(int(hit)) for hit in log.from_cache]
+        assert [float((Fraction(int(r["matmul_cycles_num"]), int(r["pn"]) * pm_kernels) + nl)
+                      / freq) for r in rows] == log.latency.tolist()
 
     @pytest.mark.parametrize("column, row, change", [
         ("latency", 0, lambda v: np.nextafter(v, np.inf)),
